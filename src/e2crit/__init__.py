@@ -3,7 +3,6 @@ the critical points of the weight-2 Eisenstein series: q-series evaluation,
 Gamma_0(2) reduction, pre-modular forms, argument-principle zero location
 and degeneracy-curve tracing."""
 
-from ._backend import backend_name
 from .domain import CharPair, LatticeCoord, PrecisionPolicy, TauPoint, DEFAULT
 from .errors import (
     BoundaryZero,
@@ -88,3 +87,8 @@ from .curves import (
 )
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the series-kernel implementation (e2crit._kernels_py)."""
+    return "python"

@@ -1,16 +1,16 @@
-"""Pure-Python series kernels.
+"""The series kernels: the two inner loops under every q-series evaluation.
 
-Same call signatures as the compiled module e2crit._kernels_cy; the backend
-selector picks whichever is available.  These loops dominate the runtime of
-contour counting and curve continuation, hence the compiled twin.
+Both take the term count as their third argument, from which
+perfbench/tracer.py counts the terms summed.  These loops dominate the
+runtime of contour counting and curve continuation.
 """
 
 
 def horner(coeffs, q, n):
     """sum_{k=1..n} coeffs[k] * q**k, evaluated by Horner's scheme."""
     acc = 0j
-    for k in range(n, 0, -1):
-        acc = (acc + coeffs[k]) * q
+    for c in coeffs[n:0:-1]:
+        acc = (acc + c) * q
     return acc
 
 

@@ -232,8 +232,9 @@ def hessian_detG2(sign, tau, pp: PrecisionPolicy = DEFAULT,
 
 def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[CriticalPoint]:
     """All critical points of E2 in the tiles gamma(F0) with 0 < c <= max_c:
-    the image of tau(-d/c) under gamma, validated by the E2' residual and by
-    round-trip tile ownership."""
+    the image of tau(-d/c) under gamma, validated by the E2' residual scaled
+    by |c tau(-d/c) + d|^4 and by round-trip tile ownership.  Each point
+    reports its raw |E2'| residual."""
     gammas = sorted(enumerate_gamma02(max_c), key=lambda g: -g.d / g.c)
     out: list[CriticalPoint] = []
     hint = None
@@ -247,9 +248,11 @@ def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[Critic
         point = gam(tau_c.z)
         eta1_p = eval_derivatives(point, pp)[0]
         residual = abs(3 / PI**2 * eta1_p)
-        if residual >= 1e-8:
+        # E2' at gamma(tau) carries the factor (c tau + d)^4 of its value at tau
+        scaled = residual / abs(gam.mu(tau_c.z)) ** 4
+        if scaled >= 1e-8:
             raise ConsistencyFailure(
-                f"|E2'| = {residual:.2e} at the critical point of tile {gam}")
+                f"|E2'| / |c tau(C) + d|^4 = {scaled:.2e} at the critical point of tile {gam}")
         _, owner = reduce_to_F0(point)
         if owner != gam:
             raise ConsistencyFailure(f"tile round-trip failed: {owner} != {gam}")

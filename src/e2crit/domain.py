@@ -4,6 +4,7 @@ evaluation."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -36,9 +37,17 @@ def as_tau(tau) -> complex:
     if isinstance(tau, TauPoint):
         return tau.z
     z = complex(tau)
-    if not (z.imag > 0.0):
-        raise ValueError(f"tau must lie in the upper half-plane, got {z}")
+    if not (z.imag > 0.0 and cmath.isfinite(z)):
+        raise ValueError(f"tau must be a finite point of the upper half-plane, got {z}")
     return z
+
+
+def as_real(x, name: str) -> float:
+    """Accept a real number, return it as a finite float."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"{name} must be finite, got {v}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -59,10 +68,8 @@ class CharPair:
 
 def as_pair(rs) -> tuple[float, float]:
     """Accept LatticeCoord, CharPair or a plain pair."""
-    if isinstance(rs, (LatticeCoord, CharPair)):
-        return float(rs.r), float(rs.s)
-    r, s = rs
-    return float(r), float(s)
+    r, s = (rs.r, rs.s) if isinstance(rs, (LatticeCoord, CharPair)) else rs
+    return as_real(r, "r"), as_real(s, "s")
 
 
 @dataclass(frozen=True)

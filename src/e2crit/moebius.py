@@ -118,23 +118,24 @@ def reduce_to_F(tau) -> tuple[TauPoint, MoebiusMap]:
     right-shifted SL(2,Z) fundamental domain; returns (tau1, gamma) with
     tau = gamma . tau1 and Im tau1 >= sqrt(3)/2."""
     t = as_tau(tau)
-    g = IDENTITY
+    # gamma = (a b; c d) as plain integers, normalized once at the end
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(500):
         k = math.floor(t.real + 0.5)
         if k != 0:
             t -= k
-            g = g @ MoebiusMap(1, k, 0, 1)
+            b, d = a * k + b, c * k + d  # gamma @ T^k
         if abs(t) < 1.0 - BOUNDARY_TOL:
             t = S_INVERT(t)
-            g = g @ S_INVERT.inverse()
+            a, b, c, d = b, -a, d, -c  # gamma @ S^{-1}, up to sign
         else:
             break
     else:
         raise ReductionStalled(f"F reduction did not terminate for tau = {tau}")
     if t.real < -BOUNDARY_TOL:
         t += 1
-        g = g @ MoebiusMap(1, -1, 0, 1)
-    return TauPoint.from_complex(t), g
+        b, d = b - a, d - c  # gamma @ T^{-1}
+    return TauPoint.from_complex(t), MoebiusMap(a, b, c, d)
 
 
 def transform_quasi(gamma: MoebiusMap, tau, pp=DEFAULT) -> tuple[complex, complex]:

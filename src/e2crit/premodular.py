@@ -15,12 +15,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_pair, as_tau
 from .errors import CountMismatch, Diverged, PoleAtLattice, Unclassified
 from .moebius import DomainTag, classify_domain, reduce_to_F
-from .qseries import PI, TWO_PI_I, _basic, _char_pullback, _wp_family, reduce_lattice
+from .qseries import (
+    PI,
+    TWO_PI_I,
+    _basic_direct,
+    _char_pullback,
+    _nome,
+    _wp_family,
+    reduce_lattice,
+)
 from .zeros import count_zeros, f0_contour, newton_refine
 
 CLASSIFY_TOL = 1e-12
@@ -120,13 +126,14 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy) -> complex:
     rh, sh = reduce_lattice(r, s)
     u = rh + sh * tau
     d_min = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1))
-    e1, g2v, g3v = _basic(tau, pp)
+    q = _nome(tau)
+    e1, g2v, g3v = _basic_direct(tau, pp, q)
     e2v = tau * e1 - TWO_PI_I
     if abs(u) < SMALL_U_FACTOR * d_min:
         P, Q, zs = _laurent_parts(u, _laurent_coeffs(g2v, g3v))
         A = zs - rh * e1 - sh * e2v
         return 3 * (A * A - P) / u + (A**3 - 3 * P * A - Q)
-    wp, wpp, z_hecke = _wp_family(r, s, tau, pp)
+    wp, wpp, z_hecke = _wp_family(r, s, tau, pp, q)
     return z_hecke**3 - 3 * wp * z_hecke - wpp
 
 
@@ -217,11 +224,12 @@ def find_zero_in_F0(rs, pp: PrecisionPolicy = DEFAULT, t_top: float = 6.0,
         raise CountMismatch(f"count {n} != {expected} for Z2_{rs} over truncated F0")
     if expected == 0:
         return None
-    # coarse interior scan for a Newton seed
+    # coarse interior scan for a Newton seed, geometric in Im tau
+    im_lo, im_hi = max(0.15, cusp_delta), 0.85 * t_top
     seeds = []
-    for re in np.linspace(0.03, 0.97, 33):
-        for im in np.geomspace(max(0.15, cusp_delta), 0.85 * t_top, 33):
-            t = complex(re, im)
+    for i in range(33):
+        for j in range(33):
+            t = complex(0.03 + 0.94 * i / 32, im_lo * (im_hi / im_lo) ** (j / 32))
             if abs(t - 0.5) < 0.52:
                 continue
             seeds.append((abs(f(t)), t))

@@ -11,8 +11,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curves import (
     appendix_bstar,
     critical_points_E2,
@@ -107,6 +105,8 @@ def criterion_1(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 
 def criterion_2(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     """Identity suite over 200 random tau with Im in [0.4, 5]."""
+    import numpy as np
+
     rng = np.random.default_rng(20260809)
     taus = _random_taus(rng, 200)
     tol = 1e-9
@@ -381,6 +381,8 @@ def criterion_10(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 # extra library-level suites (not numbered acceptance criteria)
 
 def modular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
+    import numpy as np
+
     rng = np.random.default_rng(7)
     worst_assoc = 0.0
     for _ in range(20):
@@ -420,6 +422,8 @@ def modular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 
 
 def premodular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
+    import numpy as np
+
     rng = np.random.default_rng(11)
     contour_pts = []
     heights = np.geomspace(0.15, 6.0, 12)
@@ -449,6 +453,8 @@ def premodular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 
 
 def curve_extra_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
+    import numpy as np
+
     out = []
     b0 = special_b0(pp)
     grid_lo = np.linspace(0.05, b0 - 0.01, 20)

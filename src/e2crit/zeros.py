@@ -7,8 +7,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_tau
+from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_real, as_tau
 from .errors import (
     BoundaryZero,
     BranchJump,
@@ -190,12 +191,12 @@ def _fc_parts(C: float, tau: complex, pp: PrecisionPolicy):
 
 def eval_fC(C: float, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """f_C(tau) = 12 (C eta1 - eta2)^2 - g2 (C - tau)^2."""
-    return _fc_parts(C, as_tau(tau), pp)[0]
+    return _fc_parts(as_real(C, "C"), as_tau(tau), pp)[0]
 
 
 def eval_fC_prime(C: float, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Analytic tau-derivative of f_C."""
-    return _fc_parts(C, as_tau(tau), pp)[1]
+    return _fc_parts(as_real(C, "C"), as_tau(tau), pp)[1]
 
 
 def fc_scale(C: float, tau: complex, pp: PrecisionPolicy = DEFAULT) -> float:
@@ -303,8 +304,10 @@ def _asymptotic_seed(C: float) -> complex | None:
     return complex(a, b)
 
 
+@lru_cache(maxsize=8)
 def _zero_branch_anchor(pp: PrecisionPolicy) -> complex:
-    """Root of f_{1/2} on Re = 1/2 from a coarse line scan plus Newton."""
+    """Root of f_{1/2} on Re = 1/2 from a coarse line scan plus Newton; a
+    constant of the policy, so computed once for each."""
     best_b, best_v = None, math.inf
     b = 0.87
     while b <= 1.31:
@@ -360,6 +363,7 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
     continuation in C from a line-scan anchor.  With verify=True the result
     is certified by an argument-principle count over the truncated F0.
     """
+    C = as_real(C, "C")
     if C in (0.0, 1.0):
         raise ValueError("f_C has no zero in F0 for C in {0, 1}")
     t = None

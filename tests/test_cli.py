@@ -73,6 +73,11 @@ class TestFindTau:
         assert 0.866 < float(row[2]) < 1.2
         assert row[4] == "zero"
 
+    def test_non_finite_C_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "find-tau", "--C", "nan")
+        assert code == 2
+        assert "finite" in err
+
     def test_no_zero_exit_4(self, capsys):
         code, _, err = run_cli(capsys, "find-tau", "--C", "0")
         assert code == 4
@@ -147,6 +152,12 @@ class TestCritical:
             assert float(r[6]) < 1e-8
         points = {(r[4], r[5]) for r in rows}
         assert len(points) == len(rows)
+
+
+    def test_high_tiles(self, capsys):
+        code, out, _ = run_cli(capsys, "critical", "--max-c", "20")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 46
 
 
 class TestConfig:

@@ -179,6 +179,14 @@ class TestCriticalPoints:
         assert 5 / 24 < p.tau_star.im < 1 / (2 * math.sqrt(3))
         assert abs(p.tau_star.im - 1 / (4 * B_HAT)) < 1e-9
 
+    def test_high_tiles(self):
+        # E2' at gamma(tau) carries (c tau + d)^4, so the raw residual grows
+        # with c while the scaled one stays at rounding level
+        pts = critical_points_E2(32)
+        assert len(pts) == 112
+        assert len({p.gamma for p in pts}) == 112
+        assert max(p.residual for p in pts) > 1e-8
+
     def test_no_critical_points_in_c0_tiles(self):
         # |E2'| stays away from zero on a grid over F0 + m; heights stay
         # moderate because eta1' itself decays like q toward the cusp

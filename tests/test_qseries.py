@@ -20,7 +20,7 @@ from e2crit import (
     eval_invariants,
     eval_weierstrass,
 )
-from e2crit.qseries import _sigma
+from e2crit.qseries import _bounds, _nterms, _sigma, _truncation
 
 PI = math.pi
 RHO = cmath.exp(1j * PI / 3)
@@ -56,6 +56,27 @@ class TestEta1:
             eval_eta1(complex(0.3, -1.0))
         with pytest.raises(ValueError):
             TauPoint(0.3, 0.0)
+
+    @pytest.mark.parametrize("tau", [complex(math.nan, 1.0), complex(0.3, math.nan),
+                                     complex(math.inf, 1.0), complex(0.3, math.inf)])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            eval_eta1(tau)
+        with pytest.raises(ValueError, match="finite"):
+            eval_weierstrass((0.1, 0.2), tau)
+
+    @pytest.mark.parametrize("rs", [(math.nan, 0.2), (0.1, math.inf), (-math.inf, 0.2)])
+    def test_rejects_non_finite_lattice_coordinates(self, rs):
+        with pytest.raises(ValueError, match="finite"):
+            eval_weierstrass(rs, 1j)
+
+    @pytest.mark.parametrize("x", [1e3, 1e6, 1e12])
+    def test_large_real_part(self, x):
+        # q is formed after translating Re tau by an integer, so no digits
+        # are lost to the size of Re tau
+        assert abs(eval_eta1(complex(x, 1.0)) - PI) < 1e-12
+        for a, b in zip(eval_invariants(complex(x + 1, 1.0)), eval_invariants(complex(x, 1.0))):
+            assert abs(a - b) < 1e-12 * abs(b)
 
 
 class TestE2:
@@ -260,6 +281,54 @@ class TestChooseTruncation:
         pp = PrecisionPolicy(eps=1e-12, max_terms=8, min_im_direct=0.35)
         with pytest.raises(TruncationFailure):
             eval_eta1(complex(0.0, 0.35), pp)
+
+
+class TestTruncationTable:
+    # the (tol, power) pairs of _basic_direct, _wp_family and choose_truncation
+    PAIRS = [(1e-12 / 150000.0, 5), (1e-12 / (64 * PI**3), 3), (1e-12 / (320 * PI**4), 3)]
+
+    @staticmethod
+    def both(rho, tol, max_terms, power):
+        out = []
+        for fn in (_nterms, _truncation):
+            try:
+                out.append(fn(rho, tol, max_terms, power))
+            except TruncationFailure:
+                out.append("failure")
+        return out
+
+    @pytest.mark.parametrize("tol,power", PAIRS)
+    def test_matches_definition(self, tol, power):
+        rng = np.random.default_rng(power)
+        rhos = [float(r) for r in np.exp(rng.uniform(math.log(1e-12), math.log(0.95), 8500))]
+        rhos += [0.0, 0.95, 0.99, math.nan, math.inf]
+        # complete the table, then probe every threshold closely
+        self.both(math.nextafter(0.95, 0.0), tol, 256, power)
+        bounds = _bounds[(tol, 256, power)]
+        assert len(bounds) == 256
+        for b in bounds:
+            rhos += [b, math.nextafter(b, 0.0), b * (1 + 1e-12), b * (1 - 1e-12),
+                     b * (1 + 1e-13), b * (1 - 1e-13)]
+        assert len(rhos) >= 10**4
+        for rho in rhos:
+            want, got = self.both(rho, tol, 256, power)
+            assert got == want, rho
+
+    @pytest.mark.parametrize("rho", [0.95, 0.99, 1.5, math.nan])
+    def test_failure_near_one(self, rho):
+        with pytest.raises(TruncationFailure):
+            _truncation(rho, 1e-12 / 150000.0, 256, 5)
+
+    def test_failure_beyond_max_terms(self):
+        tol, power, max_terms = 1e-12 / 150000.0, 5, 8
+        assert _truncation(0.001, tol, max_terms, power) == _nterms(0.001, tol, max_terms, power)
+        with pytest.raises(TruncationFailure):
+            _truncation(0.5, tol, max_terms, power)
+        last = _bounds[(tol, max_terms, power)][-1]
+        assert len(_bounds[(tol, max_terms, power)]) == max_terms
+        assert _truncation(math.nextafter(last, 0.0), tol, max_terms, power) == max_terms
+        with pytest.raises(TruncationFailure):
+            _truncation(last, tol, max_terms, power)
 
 
 class TestPrecisionPolicy:

@@ -11,6 +11,7 @@ from e2crit import (
     BranchState,
     Contour,
     Diverged,
+    PrecisionPolicy,
     count_zeros,
     count_zeros_info,
     eval_Zrs2,
@@ -26,6 +27,7 @@ from e2crit import (
     sqrt_g2_over_12,
 )
 from e2crit.moebius import DomainTag, classify_domain
+from e2crit.zeros import _zero_branch_anchor
 
 PI = math.pi
 RNG = np.random.default_rng(17)
@@ -224,6 +226,21 @@ class TestSolveTauC:
         exact = solve_tauC(0.4)
         hinted = solve_tauC(0.4, hint=exact.z + 1e-3)
         assert abs(hinted.z - exact.z) < 1e-11
+
+    def test_zero_branch_anchor_once_per_policy(self):
+        pp = PrecisionPolicy(eps=1e-11)
+        misses = _zero_branch_anchor.cache_info().misses
+        for C in (0.3, 0.6, 0.45):
+            t = solve_tauC(C, pp)
+            assert abs(eval_fC(C, t, pp)) < 1e-9
+        assert _zero_branch_anchor.cache_info().misses == misses + 1
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_C(self, C):
+        for call in (lambda: solve_tauC(C), lambda: eval_fC(C, 1j),
+                     lambda: eval_fC_prime(C, 1j)):
+            with pytest.raises(ValueError, match="finite"):
+                call()
 
 
 class TestBoundaryExclusion:
