@@ -31,7 +31,6 @@ from .moebius import (
     reduce_to_F,
     reduce_to_F0,
     transform_char,
-    transform_quasi,
 )
 from .qseries import (
     choose_truncation,
@@ -42,6 +41,7 @@ from .qseries import (
     eval_eta2,
     eval_invariants,
     eval_weierstrass,
+    transform_quasi,
 )
 from .premodular import (
     CuspValue,

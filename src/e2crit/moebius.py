@@ -1,6 +1,6 @@
 """Unimodular integer maps on the upper half-plane: Gamma_0(2) membership,
 reduction to the fundamental domains F0 (of Gamma_0(2)) and F (of SL(2,Z)),
-quasi-period/characteristic transformation and coset enumeration."""
+characteristic transformation and coset enumeration."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .domain import CharPair, DEFAULT, TauPoint, as_pair, as_tau
+from .domain import CharPair, TauPoint, as_pair, as_tau
 from .errors import ReductionStalled
 
 BOUNDARY_TOL = 1e-12
@@ -100,16 +100,17 @@ def reduce_to_F0(tau) -> tuple[TauPoint, MoebiusMap]:
     the walk terminates.
     """
     t = as_tau(tau)
-    g = IDENTITY
+    # gamma = (a b; c d) as plain integers, normalized once at the end
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(500):
         k = math.floor(t.real)
         if k != 0:
             t -= k
-            g = g @ MoebiusMap(1, k, 0, 1)
+            b, d = a * k + b, c * k + d  # gamma @ T^k
         if abs(t - 0.5) >= 0.5 - BOUNDARY_TOL:
-            return TauPoint.from_complex(t), g
+            return TauPoint.from_complex(t), MoebiusMap(a, b, c, d)
         t = W_CIRCLE(t)
-        g = g @ W_CIRCLE.inverse()
+        a, b, c, d = a + 2 * b, -a - b, c + 2 * d, -c - d  # gamma @ W^{-1}, up to sign
     raise ReductionStalled(f"F0 reduction did not terminate for tau = {tau}")
 
 
@@ -136,18 +137,6 @@ def reduce_to_F(tau) -> tuple[TauPoint, MoebiusMap]:
         t += 1
         b, d = b - a, d - c  # gamma @ T^{-1}
     return TauPoint.from_complex(t), MoebiusMap(a, b, c, d)
-
-
-def transform_quasi(gamma: MoebiusMap, tau, pp=DEFAULT) -> tuple[complex, complex]:
-    """(eta1(gamma.tau), g2(gamma.tau)) computed from values at tau via the
-    weight-1/weight-4 transformation laws."""
-    from .qseries import TWO_PI_I, _basic
-
-    t = as_tau(tau)
-    e1, g2v, _ = _basic(t, pp)
-    e2v = t * e1 - TWO_PI_I
-    mu = gamma.mu(t)
-    return mu * (gamma.c * e2v + gamma.d * e1), mu**4 * g2v
 
 
 def transform_char(gamma: MoebiusMap, rs) -> CharPair:

@@ -11,22 +11,15 @@ is used for small |u|; it is exact and keeps every term O(u)-bounded.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_pair, as_tau
 from .errors import CountMismatch, Diverged, PoleAtLattice, Unclassified
-from .moebius import DomainTag, classify_domain, reduce_to_F
-from .qseries import (
-    PI,
-    TWO_PI_I,
-    _basic_direct,
-    _char_pullback,
-    _nome,
-    _wp_family,
-    reduce_lattice,
-)
+from .moebius import DomainTag, classify_domain
+from .qseries import PI, TWO_PI_I, _basic_direct, _pullback, _wp_family, reduce_lattice
 from .zeros import count_zeros, f0_contour, newton_refine
 
 CLASSIFY_TOL = 1e-12
@@ -88,12 +81,8 @@ def eval_Zrs(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     r, s = as_pair(rs)
     if _is_lattice(r, s):
         raise PoleAtLattice(f"Z_{{{r},{s}}} has a pole (lattice characteristic)")
-    t = as_tau(tau)
-    if t.imag >= pp.min_im_direct:
-        return _wp_family(r, s, t, pp)[2]
-    t1, gam = reduce_to_F(t)
-    r1, s1 = _char_pullback(r, s, gam)
-    return gam.mu(t1.z) * _wp_family(r1, s1, t1.z, pp)[2]
+    tau1, _, mu, (r1, s1) = _pullback(as_tau(tau), pp, (r, s))
+    return mu * _wp_family(r1, s1, tau1, pp)[2]
 
 
 def _laurent_coeffs(g2v: complex, g3v: complex, kmax: int = LAURENT_TERMS) -> list:
@@ -122,11 +111,11 @@ def _laurent_parts(u: complex, c: list) -> tuple[complex, complex, complex]:
 
 
 def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy) -> complex:
-    """Z2 at a point with Im tau above the direct-evaluation threshold."""
+    """Z2 at tau as _pullback returns it."""
     rh, sh = reduce_lattice(r, s)
     u = rh + sh * tau
     d_min = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1))
-    q = _nome(tau)
+    q = cmath.exp(TWO_PI_I * tau)
     e1, g2v, g3v = _basic_direct(tau, pp, q)
     e2v = tau * e1 - TWO_PI_I
     if abs(u) < SMALL_U_FACTOR * d_min:
@@ -142,12 +131,8 @@ def eval_Zrs2(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     r, s = as_pair(rs)
     if _is_lattice(r, s):
         raise PoleAtLattice(f"Z2_{{{r},{s}}} has a pole (lattice characteristic)")
-    t = as_tau(tau)
-    if t.imag >= pp.min_im_direct:
-        return _zrs2_at(r, s, t, pp)
-    t1, gam = reduce_to_F(t)
-    r1, s1 = _char_pullback(r, s, gam)
-    return gam.mu(t1.z) ** 3 * _zrs2_at(r1, s1, t1.z, pp)
+    tau1, _, mu, (r1, s1) = _pullback(as_tau(tau), pp, (r, s))
+    return mu**3 * _zrs2_at(r1, s1, tau1, pp)
 
 
 def blowup_FCs(C: float, s: float, tau, pp: PrecisionPolicy = DEFAULT) -> complex:

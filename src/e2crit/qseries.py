@@ -3,9 +3,11 @@ and their tau-derivatives, evaluated by truncated q-expansions with certified
 tail bounds.
 
 Conventions: q = exp(2*pi*i*tau); z = r + s*tau in lattice coordinates with
-periods 1 and tau.  Arguments with Im tau below the policy threshold are
-pulled back to the SL(2,Z) fundamental domain first, where |q| <= e^{-pi*r3}
-makes every series short.
+periods 1 and tau.  `_pullback` is the only place where arguments are pulled
+back: tau is translated by round(Re tau), carrying the characteristic
+exactly, and points with Im tau below the policy threshold are reduced to the
+SL(2,Z) fundamental domain, where |q| <= e^{-pi*r3} makes every series
+short.  Each evaluator then applies its weight once.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .moebius import reduce_to_F
 
 PI = math.pi
 TWO_PI_I = 2j * PI
+_I_PI, _HALF_I_PI = 1j / PI, 0.5j / PI
 
 _HALF_PERIODS = {1: (0.5, 0.0), 2: (0.0, 0.5), 3: (0.5, 0.5)}
 
@@ -189,7 +192,7 @@ def choose_truncation(im_tau: float, eps: float, pp: PrecisionPolicy = DEFAULT) 
     |q| = e^{-2 pi im_tau}; k^3 majorizes sigma_1 and (up to the constant
     folded into the target) sigma_3.
     """
-    if im_tau < DEFAULT.min_im_direct - 1e-12:
+    if im_tau < pp.min_im_direct - 1e-12:
         raise ValueError(f"im_tau below direct-evaluation threshold: {im_tau}")
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -198,19 +201,60 @@ def choose_truncation(im_tau: float, eps: float, pp: PrecisionPolicy = DEFAULT) 
 
 
 # ---------------------------------------------------------------------------
-# weight-2/4/6 series with modular pull-back
+# weight-2/4/6 series, the modular pull-back seam and the transformation laws
 
-def _nome(tau: complex) -> complex:
-    """q = exp(2 pi i tau), after the exact translation of tau by the integer
-    nearest Re tau: q is 1-periodic, and a large Re tau would cost digits."""
-    return cmath.exp(TWO_PI_I * (tau - round(tau.real)))
+def _pullback(tau: complex, pp: PrecisionPolicy, rs=None):
+    """(tau1, c, mu, rs1): the point tau1 at which the series are summed, with
+    tau = gamma . tau1, c the lower-left entry of gamma and mu = c tau1 + d;
+    a form of weight w is mu^w times its value at tau1.
+
+    tau is translated by the integer k nearest Re tau (c = 0, mu = 1), then
+    reduced to F if Im tau < pp.min_im_direct.  rs, when given, is carried to
+    rs1 with Z_{r,s}(tau) = mu Z_{rs1}(tau1); Z is 1-periodic in r, so k s is
+    reduced exactly into [-1/2, 1/2) and a large Re tau costs no digits.
+    """
+    k = round(tau.real)
+    if k:
+        tau -= k
+        if rs is not None:
+            r, s = rs
+            if -1 <= k <= 1:
+                rs = (r + k * s, s)
+            else:
+                p, m = s.as_integer_ratio()
+                h = m // 2
+                rs = (r + ((k * p + h) % m - h) / m, s)
+    if tau.imag >= pp.min_im_direct:
+        return tau, 0, 1, rs
+    t1, gam = reduce_to_F(tau)
+    tau1 = t1.z
+    if rs is not None:
+        r, s = rs
+        rs = (gam.d * r + gam.b * s, gam.c * r + gam.a * s)
+    return tau1, gam.c, gam.c * tau1 + gam.d, rs
+
+
+def _lift(vals, c: int, mu: complex):
+    """(eta1, g2, g3) at tau from vals, their values at tau1, for c and mu as
+    _pullback returns them: g2 and g3 have weights 4 and 6, and eta1 obeys
+    eta1(tau) = mu (c eta2(tau1) + d eta1(tau1)) = mu (mu eta1(tau1) - 2 pi i c).
+    It is the identity when c = 0, so callers may skip it."""
+    e1, g2v, g3v = vals
+    return mu * (mu * e1 - TWO_PI_I * c), mu**4 * g2v, mu**6 * g3v
+
+
+def _derivs(e1: complex, g2v: complex, g3v: complex):
+    """(eta1', g2', g3') from (eta1, g2, g3) by the closed-form identities."""
+    return (_HALF_I_PI * (e1 * e1 - g2v / 12),
+            _I_PI * (2 * e1 * g2v - 3 * g3v),
+            _I_PI * (3 * g3v * e1 - g2v * g2v / 6))
 
 
 def _basic_direct(tau: complex, pp: PrecisionPolicy, q: complex | None = None):
-    """(eta1, g2, g3) by direct series; requires Im tau >= pp.min_im_direct.
-    q, when given, is _nome(tau)."""
+    """(eta1, g2, g3) by direct series at tau as _pullback returns it.
+    q, when given, is exp(2 pi i tau)."""
     if q is None:
-        q = _nome(tau)
+        q = cmath.exp(TWO_PI_I * tau)
     # one length serves all three series: k^5 majorizes sigma_5 up to zeta(5),
     # and the tolerance target absorbs the largest prefactor (504 * 8 pi^6/27)
     n = _truncation(abs(q), pp.eps / 150000.0, pp.max_terms, 5)
@@ -224,15 +268,17 @@ def _basic_direct(tau: complex, pp: PrecisionPolicy, q: complex | None = None):
 
 
 def _basic(tau: complex, pp: PrecisionPolicy):
-    """(eta1, g2, g3) anywhere in H, reducing low points to the SL(2,Z) domain."""
-    if tau.imag >= pp.min_im_direct:
-        return _basic_direct(tau, pp)
-    t1, gam = reduce_to_F(tau)
-    z1 = t1.z
-    e1, g2v, g3v = _basic_direct(z1, pp)
-    mu = gam.c * z1 + gam.d
-    e2v = z1 * e1 - TWO_PI_I
-    return mu * (gam.c * e2v + gam.d * e1), mu**4 * g2v, mu**6 * g3v
+    """(eta1, g2, g3) anywhere in H."""
+    tau1, c, mu, _ = _pullback(tau, pp)
+    vals = _basic_direct(tau1, pp)
+    return _lift(vals, c, mu) if c else vals
+
+
+def transform_quasi(gamma, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
+    """(eta1(gamma.tau), g2(gamma.tau)) computed from values at tau via the
+    transformation laws."""
+    t = as_tau(tau)
+    return _lift(_basic(t, pp), gamma.c, gamma.mu(t))[:2]
 
 
 def eval_eta1(tau, pp: PrecisionPolicy = DEFAULT) -> complex:
@@ -259,11 +305,7 @@ def eval_invariants(tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, comple
 
 def eval_derivatives(tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex, complex]:
     """Holomorphic tau-derivatives (eta1', g2', g3') via closed-form identities."""
-    e1, g2v, g3v = _basic(as_tau(tau), pp)
-    eta1_p = (0.5j / PI) * (e1 * e1 - g2v / 12)
-    g2_p = (1j / PI) * (2 * e1 * g2v - 3 * g3v)
-    g3_p = (1j / PI) * (3 * g3v * e1 - g2v * g2v / 6)
-    return eta1_p, g2_p, g3_p
+    return _derivs(*_basic(as_tau(tau), pp))
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +318,8 @@ def reduce_lattice(r: float, s: float) -> tuple[float, float]:
 
 def _wp_family(r: float, s: float, tau: complex, pp: PrecisionPolicy,
                q: complex | None = None):
-    """(wp, wp', Z_{rh,sh}) at the reduced point; Im tau must be comfortable.
-    q, when given, is _nome(tau).
+    """(wp, wp', Z_{rh,sh}) at the reduced point, at tau as _pullback returns
+    it.  q, when given, is exp(2 pi i tau).
 
     Z_{rh,sh} = zeta(z_reduced) - rh*eta1 - sh*eta2 is returned instead of
     zeta itself so callers can assemble either zeta or the Hecke form without
@@ -292,7 +334,7 @@ def _wp_family(r: float, s: float, tau: complex, pp: PrecisionPolicy,
     if sh < 0.0 or (sh == 0.0 and rh < 0.0):
         rh, sh, sign = -rh, -sh, -1.0
     if q is None:
-        q = _nome(tau)
+        q = cmath.exp(TWO_PI_I * tau)
     x = cmath.exp(TWO_PI_I * (rh + sh * tau))
     ax = abs(x)
     rho = abs(q) * max(ax, 1.0 / ax)
@@ -305,35 +347,21 @@ def _wp_family(r: float, s: float, tau: complex, pp: PrecisionPolicy,
     return wp, sign * wpp, sign * z_hecke
 
 
-def _char_pullback(r: float, s: float, gam) -> tuple[float, float]:
-    """Lattice coordinates of z*(c*tau1+d) in the tau1-lattice for tau = gam*tau1."""
-    return gam.d * r + gam.b * s, gam.c * r + gam.a * s
-
-
 def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex, complex]:
     """(wp, wp', zeta) at z = r + s*tau.
 
-    z is reduced into the validity strip |q| < |e^{2 pi i z}| < |q|^{-1}; the
-    quasi-period ledger restores zeta at the original point.
+    z is reduced into the validity strip |q| < |e^{2 pi i z}| < |q|^{-1};
+    wp and wp' have weights 2 and 3, and zeta = Z_{r,s} + r eta1 + s eta2 is
+    assembled at the original point from the weight-1 Hecke form.
     """
     r, s = as_pair(z)
     t = as_tau(tau)
-    if t.imag >= pp.min_im_direct:
-        q = _nome(t)
-        wp, wpp, z_hecke = _wp_family(r, s, t, pp, q)
-        e1, _, _ = _basic_direct(t, pp, q)
-        e2v = t * e1 - TWO_PI_I
-        return wp, wpp, z_hecke + r * e1 + s * e2v
-    t1, gam = reduce_to_F(t)
-    z1 = t1.z
-    mu = gam.c * z1 + gam.d
-    r1, s1 = _char_pullback(r, s, gam)
-    q1 = _nome(z1)
-    wp1, wpp1, z_hecke1 = _wp_family(r1, s1, z1, pp, q1)
-    e1, _, _ = _basic_direct(z1, pp, q1)
-    e2v = z1 * e1 - TWO_PI_I
-    zeta1 = z_hecke1 + r1 * e1 + s1 * e2v
-    return mu * mu * wp1, mu**3 * wpp1, mu * zeta1
+    tau1, c, mu, (r1, s1) = _pullback(t, pp, (r, s))
+    q = cmath.exp(TWO_PI_I * tau1)
+    wp, wpp, z_hecke = _wp_family(r1, s1, tau1, pp, q)
+    vals = _basic_direct(tau1, pp, q)
+    e1 = _lift(vals, c, mu)[0] if c else vals[0]
+    return mu * mu * wp, mu**3 * wpp, mu * z_hecke + r * e1 + s * (t * e1 - TWO_PI_I)
 
 
 def eval_ek(k: int, tau, pp: PrecisionPolicy = DEFAULT) -> complex:

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .curves import (
+    RHO,
+    SQRT3_2,
     appendix_bstar,
     critical_points_E2,
     detect_phi_sign,
@@ -26,11 +28,11 @@ from .domain import DEFAULT, PrecisionPolicy
 from .errors import E2CritError
 from .moebius import (
     IDENTITY,
-    MoebiusMap,
+    S_INVERT,
+    T_SHIFT,
     enumerate_gamma02,
     reduce_to_F0,
     transform_char,
-    transform_quasi,
 )
 from .premodular import blowup_FCs, cusp_value, eval_Zrs, eval_Zrs2
 from .qseries import (
@@ -43,11 +45,9 @@ from .qseries import (
     eval_eta2,
     eval_invariants,
     eval_weierstrass,
+    transform_quasi,
 )
 from .zeros import BranchState, count_zeros, eval_fC, f0_contour, solve_tauC
-
-RHO = cmath.exp(1j * PI / 3)
-SQRT3_2 = math.sqrt(3) / 2
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,13 @@ def _random_taus(rng, n, im_lo=0.4, im_hi=5.0):
 def _random_sl2z(rng, n, max_entry=10):
     """Deterministic sample of n distinct SL(2,Z) matrices with entries bounded
     by max_entry, built from random generator words."""
-    T = MoebiusMap(1, 1, 0, 1)
-    Ti = MoebiusMap(1, -1, 0, 1)
-    S = MoebiusMap(0, -1, 1, 0)
+    words = [T_SHIFT, T_SHIFT.inverse(), S_INVERT]
     out = []
     seen = set()
     while len(out) < n:
         g = IDENTITY
         for _ in range(int(rng.integers(1, 9))):
-            g = g @ [T, Ti, S][int(rng.integers(0, 3))]
+            g = g @ words[int(rng.integers(0, 3))]
         key = (g.a, g.b, g.c, g.d)
         if max(abs(v) for v in key) <= max_entry and key not in seen:
             seen.add(key)
@@ -409,9 +407,8 @@ def modular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
         worst_tq = max(worst_tq,
                        abs(e1_t - eval_eta1(gam(t), pp)) / (10 * pp.eps * (1 + mu**4)),
                        abs(g2_t - eval_invariants(gam(t), pp)[0]) / (10 * pp.eps * (1 + mu**4)))
-    gam_s = MoebiusMap(0, -1, 1, 0)
     t = complex(0.3, 1.3)
-    eta_s = transform_quasi(gam_s, t, pp)[0]
+    eta_s = transform_quasi(S_INVERT, t, pp)[0]
     return [
         _check("group action associativity", worst_assoc, 1e-13),
         _check("F0 reduction round trip", worst_rt, 1e-12),

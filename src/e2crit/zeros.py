@@ -19,7 +19,7 @@ from .errors import (
     PhaseStepFailure,
 )
 from .moebius import DomainTag, classify_domain
-from .qseries import PI, TWO_PI_I, _basic
+from .qseries import PI, TWO_PI_I, _basic, _derivs
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
@@ -180,12 +180,13 @@ def _fc_parts(C: float, tau: complex, pp: PrecisionPolicy):
     e1, g2v, g3v = _basic(tau, pp)
     e2v = tau * e1 - TWO_PI_I
     lin = C * e1 - e2v
-    f = 12 * lin * lin - g2v * (C - tau) ** 2
-    e1p = (0.5j / PI) * (e1 * e1 - g2v / 12)
+    d = C - tau
+    d2 = d * d
+    f = 12 * lin * lin - g2v * d2
+    e1p, g2p, _ = _derivs(e1, g2v, g3v)
     e2p = e1 + tau * e1p
-    g2p = (1j / PI) * (2 * e1 * g2v - 3 * g3v)
-    df_dtau = 24 * lin * (C * e1p - e2p) - g2p * (C - tau) ** 2 + 2 * g2v * (C - tau)
-    df_dC = 24 * lin * e1 - 2 * g2v * (C - tau)
+    df_dtau = 24 * lin * (C * e1p - e2p) - g2p * d2 + 2 * g2v * d
+    df_dC = 24 * lin * e1 - 2 * g2v * d
     return f, df_dtau, df_dC
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +222,7 @@ class TestVerify:
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "e2crit", "eval", "--fn", "e2", "--tau", "0+2i"],
-        capture_output=True, text=True, env={**os.environ})
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")})
     assert proc.returncode == 0
     assert proc.stdout.startswith("fn,re,im,err_bound")

@@ -148,6 +148,27 @@ class TestReduceF0:
             assert classify_domain(t0) is not DomainTag.OUTSIDE
             assert abs(g(t0.z) - t) < 1e-12
 
+    def test_matches_map_walk(self):
+        # reference: the same walk composing validated MoebiusMaps step by step
+        def walk(t):
+            g = IDENTITY
+            while True:
+                k = math.floor(t.real)
+                if k != 0:
+                    t -= k
+                    g = g @ MoebiusMap(1, k, 0, 1)
+                if abs(t - 0.5) >= 0.5 - 1e-12:
+                    return t, g
+                t = W_CIRCLE(t)
+                g = g @ W_CIRCLE.inverse()
+
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            t = complex(rng.uniform(-50, 50), 10 ** rng.uniform(-3, 0.5))
+            t0, g = reduce_to_F0(t)
+            want_t, want_g = walk(t)
+            assert (t0.z, g) == (want_t, want_g)
+
     def test_tiling_interiors_disjoint(self):
         for gam in enumerate_gamma02(6):
             for p in (complex(0.3, 0.9), complex(0.5, 1.3), complex(0.77, 1.1)):

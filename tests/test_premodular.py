@@ -61,6 +61,14 @@ class TestHecke:
             lhs = eval_Zrs((out.r, out.s), g(t)) / g.mu(t)
             assert abs(lhs - eval_Zrs((r, s), t)) < 1e-9
 
+    def test_large_real_part(self):
+        # Z_{r,s}(tau + x) = Z_{r + x s, s}(tau), and x s is an integer here
+        for y in (1.0, 0.2):
+            base = eval_Zrs((0.1, 0.25), complex(0.0, y))
+            for x in (1e3, 1e6, 1e12):
+                got = eval_Zrs((0.1, 0.25), complex(x, y))
+                assert abs(got - base) <= 1e-12 * abs(base), (x, y)
+
 
 class TestZrs2:
     def test_half_lattice_vanishes(self):
@@ -79,6 +87,13 @@ class TestZrs2:
             lhs = eval_Zrs2((5 / 6, 1 / 3), GAMMA_1(t))
             rhs = (1 - t) ** 3 * eval_Zrs2((1 / 6, 1 / 6), t)
             assert abs(lhs - rhs) < 1e-10 * (1 + abs(rhs))
+
+    def test_large_real_part(self):
+        for y in (1.0, 0.2):
+            base = eval_Zrs2((0.1, 0.25), complex(0.0, y))
+            for x in (1e3, 1e6, 1e12):
+                got = eval_Zrs2((0.1, 0.25), complex(x, y))
+                assert abs(got - base) <= 1e-12 * abs(base), (x, y)
 
     def test_small_u_path_matches_direct(self):
         # the rearranged small-u form agrees with the direct cubic across and

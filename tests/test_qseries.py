@@ -201,6 +201,17 @@ class TestWeierstrass:
         with pytest.raises(PoleAtLattice):
             eval_weierstrass((1.0, 2.0), complex(0.3, 1.0))
 
+    def test_large_real_part(self):
+        # tau + x with 0.25 x an integer spans the same lattice and puts z at
+        # a lattice translate, so wp and wp' are unchanged; the characteristic
+        # is carried through the translation exactly, direct and pulled back
+        for y in (1.0, 0.2):
+            base = eval_weierstrass((0.1, 0.25), complex(0.0, y))
+            for x in (1e3, 1e6, 1e12):
+                got = eval_weierstrass((0.1, 0.25), complex(x, y))
+                for a, b in zip(got[:2], base[:2]):
+                    assert abs(a - b) <= 1e-12 * abs(b), (x, y)
+
 
 class TestEk:
     def test_e1_zero_on_square_corner(self):
@@ -276,6 +287,13 @@ class TestChooseTruncation:
     def test_minimal_at_loose_tolerance(self):
         n = choose_truncation(10.0, 0.5)
         assert n == 1
+
+    def test_policy_threshold_admits_lower_height(self):
+        assert choose_truncation(0.32, 1e-12, PrecisionPolicy(min_im_direct=0.3)) > 0
+
+    def test_policy_threshold_rejects_lower_height(self):
+        with pytest.raises(ValueError, match="threshold"):
+            choose_truncation(0.4, 1e-12, PrecisionPolicy(min_im_direct=0.5))
 
     def test_failure_when_capped(self):
         pp = PrecisionPolicy(eps=1e-12, max_terms=8, min_im_direct=0.35)
