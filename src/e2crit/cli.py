@@ -255,8 +255,10 @@ def cmd_critical(args, cfg: RunConfig) -> int:
     pts = critical_points_E2(args.max_c, cfg.pp)
     records = [{"a": p.gamma.a, "b": p.gamma.b, "c": p.gamma.c, "d": p.gamma.d,
                 "re_tau": p.tau_star.re, "im_tau": p.tau_star.im,
-                "residual_E2prime": p.residual} for p in pts]
-    _emit(records, ["a", "b", "c", "d", "re_tau", "im_tau", "residual_E2prime"], cfg)
+                "residual_E2prime": p.residual, "residual_scaled": p.scaled_residual}
+               for p in pts]
+    _emit(records, ["a", "b", "c", "d", "re_tau", "im_tau", "residual_E2prime",
+                    "residual_scaled"], cfg)
     return 0
 
 

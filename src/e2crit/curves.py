@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_tau
-from .errors import ConsistencyFailure, ExcludedPoint, RootBracketFailure, SkippedChar
+from .errors import ConsistencyFailure, ExcludedPoint, RootBracketFailure
 from .moebius import MoebiusMap, enumerate_gamma02, reduce_to_F0
 from .premodular import find_zero_in_F0
 from .qseries import PI, _basic, eval_derivatives
@@ -55,11 +55,13 @@ class CurveSample:
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """Critical point of E2 in the tile gamma(F0), with |E2'| residual."""
+    """Critical point of E2 in the tile gamma(F0), with its raw |E2'| residual
+    and that residual divided by |c tau(-d/c) + d|^4."""
 
     gamma: MoebiusMap
     tau_star: TauPoint
     residual: float
+    scaled_residual: float
 
 
 def _line_values(b: float, pp: PrecisionPolicy) -> tuple[float, float, float]:
@@ -231,18 +233,17 @@ def hessian_detG2(sign, tau, pp: PrecisionPolicy = DEFAULT,
 
 
 def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[CriticalPoint]:
-    """All critical points of E2 in the tiles gamma(F0) with 0 < c <= max_c:
+    """Critical points of E2 in the tiles gamma(F0) of `enumerate_gamma02(max_c)`:
     the image of tau(-d/c) under gamma, validated by the E2' residual scaled
-    by |c tau(-d/c) + d|^4 and by round-trip tile ownership.  Each point
-    reports its raw |E2'| residual."""
+    by |c tau(-d/c) + d|^4 and by round-trip tile ownership.  The round trip
+    also makes the points distinct, since the gammas are.  Sorted by -d/c,
+    which lies in [-1/2, 1/2]; the points gamma T^m tau(-d/c - m) of the
+    tiles whose d + m c leaves the window are not covered."""
     gammas = sorted(enumerate_gamma02(max_c), key=lambda g: -g.d / g.c)
     out: list[CriticalPoint] = []
     hint = None
     for gam in gammas:
         C = -gam.d / gam.c
-        # unreachable for valid entries (c even, d odd, coprime); kept as a guard
-        if C in (0.0, 1.0):
-            raise SkippedChar(f"tile {gam} has -d/c in {{0, 1}}")
         tau_c = solve_tauC(C, pp, hint=hint)
         hint = tau_c
         point = gam(tau_c.z)
@@ -256,11 +257,7 @@ def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[Critic
         _, owner = reduce_to_F0(point)
         if owner != gam:
             raise ConsistencyFailure(f"tile round-trip failed: {owner} != {gam}")
-        out.append(CriticalPoint(gam, TauPoint.from_complex(point), residual))
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if abs(out[i].tau_star.z - out[j].tau_star.z) < 1e-9:
-                raise ConsistencyFailure("critical points are not pairwise distinct")
+        out.append(CriticalPoint(gam, TauPoint.from_complex(point), residual, scaled))
     return out
 
 

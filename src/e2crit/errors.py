@@ -63,4 +63,5 @@ class ExcludedPoint(E2CritError):
 
 
 class SkippedChar(E2CritError):
-    """A characteristic fell outside the admissible parameter set."""
+    """A characteristic fell outside the admissible parameter set (exported;
+    no library path raises it)."""

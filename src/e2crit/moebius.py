@@ -147,11 +147,14 @@ def transform_char(gamma: MoebiusMap, rs) -> CharPair:
 
 
 def enumerate_gamma02(max_c: int) -> list[MoebiusMap]:
-    """Normalized Gamma_0(2)/{+-I} representatives with 0 < c <= max_c.
+    """Normalized Gamma_0(2)/{+-I} representatives with 0 < c <= max_c, one
+    per (c, d mod c) and both d = +-1 at c = 2: not every such tile.
 
     For each even c, d runs over the odd integers in the symmetric window
     [-c/2, c/2] with gcd(c, d) = 1; (a, b) is the canonical Bezout
-    completion with a = d^{-1} mod c in [1, c].
+    completion with a = d^{-1} mod c in [1, c].  Each (c, d) is visited once
+    and fixes (a, b), so the maps are distinct.  The maps gamma T^m whose
+    d + m c leaves the window are left out.
     """
     if max_c < 2:
         raise ValueError(f"max_c must be >= 2, got {max_c}")
@@ -164,12 +167,4 @@ def enumerate_gamma02(max_c: int) -> list[MoebiusMap]:
             a = pow(d % c, -1, c)
             b = (a * d - 1) // c
             out.append(MoebiusMap(a, b, c, d))
-    # dedupe exact matrices (pairs like (c, +-c/2) can coincide mod +-I)
-    seen = set()
-    uniq = []
-    for g in out:
-        key = (g.a, g.b, g.c, g.d)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(g)
-    return uniq
+    return out

@@ -116,9 +116,9 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy) -> complex:
     u = rh + sh * tau
     d_min = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1))
     q = cmath.exp(TWO_PI_I * tau)
-    e1, g2v, g3v = _basic_direct(tau, pp, q)
-    e2v = tau * e1 - TWO_PI_I
     if abs(u) < SMALL_U_FACTOR * d_min:
+        e1, g2v, g3v = _basic_direct(tau, pp, q)
+        e2v = tau * e1 - TWO_PI_I
         P, Q, zs = _laurent_parts(u, _laurent_coeffs(g2v, g3v))
         A = zs - rh * e1 - sh * e2v
         return 3 * (A * A - P) / u + (A**3 - 3 * P * A - Q)

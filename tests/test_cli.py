@@ -145,12 +145,13 @@ class TestCritical:
         code, out, _ = run_cli(capsys, "critical", "--max-c", "2")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == "a,b,c,d,re_tau,im_tau,residual_E2prime"
+        assert lines[0] == "a,b,c,d,re_tau,im_tau,residual_E2prime,residual_scaled"
         assert len(lines) == 3
         rows = [line.split(",") for line in lines[1:]]
         assert any(r[:4] == ["1", "-1", "2", "-1"] for r in rows)
         for r in rows:
             assert float(r[6]) < 1e-8
+            assert float(r[7]) < 1e-9
         points = {(r[4], r[5]) for r in rows}
         assert len(points) == len(rows)
 
@@ -158,7 +159,10 @@ class TestCritical:
     def test_high_tiles(self, capsys):
         code, out, _ = run_cli(capsys, "critical", "--max-c", "20")
         assert code == 0
-        assert len(out.strip().splitlines()) == 1 + 46
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 + 46
+        for line in lines[1:]:
+            assert float(line.split(",")[7]) < 1e-9
 
 
 class TestConfig:
