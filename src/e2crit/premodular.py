@@ -20,7 +20,7 @@ from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_pair, as_tau
 from .errors import CountMismatch, Diverged, PoleAtLattice, Unclassified
 from .moebius import DomainTag, classify_domain
 from .qseries import PI, TWO_PI_I, _basic_direct, _pullback, _wp_family, reduce_lattice
-from .zeros import count_zeros, f0_contour, newton_refine
+from .zeros import BOUNDARY_ZERO_TOL, MAX_CONTOUR_POINTS, _winding, f0_contour, newton_refine
 
 CLASSIFY_TOL = 1e-12
 SMALL_U_FACTOR = 0.15
@@ -198,34 +198,24 @@ def find_zero_in_F0(rs, pp: PrecisionPolicy = DEFAULT, t_top: float = 6.0,
                     cusp_delta: float = 0.08) -> TauPoint | None:
     """Locate the zero of Z2_{r,s} in F0, or None for triangle-0
     characteristics.  The argument-principle count over the truncated F0 is
-    checked against the predicted value in every case."""
+    checked against the predicted value in every case; the same walk yields
+    the enclosed zero (the contour integral of tau Z2'/Z2), which seeds one
+    Newton refinement."""
     tag = classify(rs)
     if tag not in _EXPECTED_COUNT:
         raise ValueError(f"characteristic {rs} is {tag.value}; zero structure undefined")
     f = lambda t: eval_Zrs2(rs, t, pp)
-    n = count_zeros(f, f0_contour(t_top, cusp_delta))
+    n, _, seed = _winding(f, f0_contour(t_top, cusp_delta), BOUNDARY_ZERO_TOL, MAX_CONTOUR_POINTS)
     expected = _EXPECTED_COUNT[tag]
     if n != expected:
         raise CountMismatch(f"count {n} != {expected} for Z2_{rs} over truncated F0")
     if expected == 0:
         return None
-    # coarse interior scan for a Newton seed, geometric in Im tau
-    im_lo, im_hi = max(0.15, cusp_delta), 0.85 * t_top
-    seeds = []
-    for i in range(33):
-        for j in range(33):
-            t = complex(0.03 + 0.94 * i / 32, im_lo * (im_hi / im_lo) ** (j / 32))
-            if abs(t - 0.5) < 0.52:
-                continue
-            seeds.append((abs(f(t)), t))
-    seeds.sort(key=lambda p: p[0])
-    last_err = None
-    for _, seed in seeds[:4]:
-        try:
-            root = newton_refine(f, None, seed, tol=100 * pp.eps)
-        except Diverged as exc:
-            last_err = exc
-            continue
-        if classify_domain(root, tol=1e-9) is DomainTag.F0_INTERIOR:
-            return root
-    raise Diverged(f"could not localize the zero of Z2_{rs}: {last_err}")
+    try:
+        root = newton_refine(f, None, seed, tol=100 * pp.eps)
+    except Diverged as exc:
+        raise Diverged(f"Newton from the contour seed {seed} failed for Z2_{rs}: {exc}") from exc
+    where = classify_domain(root, tol=1e-9)
+    if where is not DomainTag.F0_INTERIOR:
+        raise Diverged(f"Newton from the contour seed {seed} reached {root.z} ({where.value}) for Z2_{rs}")
+    return root

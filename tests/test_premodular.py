@@ -9,7 +9,9 @@ import pytest
 
 from e2crit import (
     CharPair,
+    Diverged,
     PoleAtLattice,
+    TauPoint,
     TriangleTag,
     Unclassified,
     blowup_FCs,
@@ -21,7 +23,10 @@ from e2crit import (
     find_zero_in_F0,
     normalize_char,
 )
+from e2crit import premodular
+from e2crit.domain import DEFAULT
 from e2crit.moebius import DomainTag, GAMMA_1, classify_domain
+from e2crit.zeros import f0_contour
 
 PI = math.pi
 RNG = np.random.default_rng(5)
@@ -178,6 +183,51 @@ class TestFindZero:
     def test_rejects_boundary_characteristic(self):
         with pytest.raises(ValueError):
             find_zero_in_F0((0.25, 0.25))
+
+    def test_newton_failure_names_the_seed(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise Diverged("no convergence")
+
+        monkeypatch.setattr(premodular, "newton_refine", fail)
+        with pytest.raises(Diverged, match="contour seed"):
+            find_zero_in_F0((1 / 6, 1 / 6))
+
+    def test_root_outside_F0_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(premodular, "newton_refine",
+                            lambda *args, **kwargs: TauPoint(0.5, 0.3))
+        with pytest.raises(Diverged, match="reached"):
+            find_zero_in_F0((1 / 6, 1 / 6))
+
+    @pytest.mark.parametrize("tag,vertices", [
+        (TriangleTag.T1, ((1.0, 0.0), (1.0, 0.5), (0.5, 0.5))),
+        (TriangleTag.T2, ((0.5, 0.0), (1.0, 0.0), (0.5, 0.5))),
+        (TriangleTag.T3, ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5))),
+    ])
+    def test_contour_seed_sweep(self, tag, vertices, monkeypatch):
+        # 30 characteristics per triangle, each barycentric weight >= 0.005;
+        # the contour walk seeds Newton, so a call costs the count plus a
+        # few Newton steps and no interior scan
+        calls = [0]
+        inner = premodular.eval_Zrs2
+
+        def counted(rs, tau, pp=DEFAULT):
+            calls[0] += 1
+            return inner(rs, tau, pp)
+
+        monkeypatch.setattr(premodular, "eval_Zrs2", counted)
+        budget = len(f0_contour().points) + 40
+        rng = np.random.default_rng(70 + int(tag.value[1]))
+        margin = 0.005
+        for w in rng.dirichlet((1.0, 1.0, 1.0), 30):
+            w = margin + (1 - 3 * margin) * w
+            rs = (float(sum(wi * v[0] for wi, v in zip(w, vertices))),
+                  float(sum(wi * v[1] for wi, v in zip(w, vertices))))
+            assert classify(rs) is tag
+            calls[0] = 0
+            root = find_zero_in_F0(rs)
+            assert calls[0] <= budget, (rs, calls[0])
+            assert classify_domain(root, tol=1e-9) is DomainTag.F0_INTERIOR
+            assert abs(inner(rs, root)) <= 100 * DEFAULT.eps
 
 
 class TestBlowup:

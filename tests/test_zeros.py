@@ -27,7 +27,7 @@ from e2crit import (
     sqrt_g2_over_12,
 )
 from e2crit.moebius import DomainTag, classify_domain
-from e2crit.zeros import _zero_branch_anchor
+from e2crit.zeros import _fc_parts, _winding, _zero_branch_anchor
 
 PI = math.pi
 RNG = np.random.default_rng(17)
@@ -80,6 +80,31 @@ class TestCountZeros:
         f = lambda t: t - complex(0.5, 0.5)  # zero on the contour
         with pytest.raises(BoundaryZero):
             count_zeros(f, rect_contour(0, 1, 0.5, 1.5))
+
+    def test_count_zeros_info_is_a_pair(self):
+        info = count_zeros_info(lambda t: eval_fC(0.5, t), f0_contour())
+        assert isinstance(info, tuple) and len(info) == 2
+        assert info[0] == 1
+
+
+class TestZeroSum:
+    """_winding's moment: the sum of the zeros inside the contour."""
+
+    def test_one_zero(self):
+        a = complex(0.5, 1.2)
+        n, used, zsum = _winding(lambda t: (t - a) * (t + 3), f0_contour(), 1e-9, 1 << 18)
+        assert n == 1 and used >= len(f0_contour().points)
+        assert abs(zsum - a) < 1e-2
+
+    def test_two_zeros_give_their_sum(self):
+        a, b = complex(0.3, 0.9), complex(0.8, 2.5)
+        n, _, zsum = _winding(lambda t: (t - a) * (t - b), f0_contour(), 1e-9, 1 << 18)
+        assert n == 2
+        assert abs(zsum - (a + b)) < 2e-2
+
+    def test_no_zero_gives_zero(self):
+        _, _, zsum = _winding(lambda t: t + 3, f0_contour(), 1e-9, 1 << 18)
+        assert abs(zsum) < 1e-2
 
 
 class TestNewton:
@@ -154,6 +179,19 @@ class TestFC:
         lhs = eval_fC_prime(1 / (1 - C), tp) / (1 - t) ** 2
         rhs = (-2 * (1 - t) * eval_fC(C, t) + (1 - t) ** 2 * eval_fC_prime(C, t)) / (1 - C) ** 2
         assert abs(lhs - rhs) < 1e-8 * (1 + abs(rhs))
+
+
+class TestEvalFCLean:
+    def test_bitwise_equal_to_fc_parts(self):
+        # eval_fC forms f without the derivatives, in _fc_parts' operations
+        rng = np.random.default_rng(2024)
+        n = 2000
+        Cs = rng.uniform(-10.0, 10.0, n)
+        res = rng.uniform(-3.0, 3.0, n)
+        ims = np.exp(rng.uniform(math.log(0.02), math.log(3.0), n))
+        for C, x, y in zip(Cs, res, ims):
+            tau = complex(x, y)
+            assert eval_fC(float(C), tau) == _fc_parts(float(C), tau, PrecisionPolicy())[0]
 
 
 class TestPhi:
