@@ -78,8 +78,13 @@ class PrecisionPolicy:
 
     eps: absolute tolerance on function values (scaled near poles).
     max_terms: hard cap on q-series length.
-    min_im_direct: below this Im tau the argument is pulled back to a
-        fundamental domain before series evaluation.
+    min_im_direct: below this Im tau the argument of the (eta1, g2, g3)
+        series is pulled back to a fundamental domain before series
+        evaluation; the wp/Z family is pulled back below twice this height,
+        because its ratio |q| max(|x|, 1/|x|) reaches |q|^{1/2}.  While
+        2 min_im_direct <= sqrt(3)/2, the lowest height in F (the default
+        0.35 is), every series is then summed at a ratio of at most
+        e^{-2 pi min_im_direct}.
     """
 
     eps: float = 1e-12

@@ -114,12 +114,13 @@ def reduce_to_F0(tau) -> tuple[TauPoint, MoebiusMap]:
     raise ReductionStalled(f"F0 reduction did not terminate for tau = {tau}")
 
 
-def reduce_to_F(tau) -> tuple[TauPoint, MoebiusMap]:
-    """Reduce tau to F = {0 <= Re <= 1, |tau| >= 1, |tau - 1| >= 1}, the
-    right-shifted SL(2,Z) fundamental domain; returns (tau1, gamma) with
-    tau = gamma . tau1 and Im tau1 >= sqrt(3)/2."""
-    t = as_tau(tau)
-    # gamma = (a b; c d) as plain integers, normalized once at the end
+def reduce_to_F_ints(tau: complex) -> tuple[complex, int, int, int, int]:
+    """reduce_to_F with gamma as plain integers: (tau1, a, b, c, d), signed
+    as MoebiusMap signs them.  tau must be a finite complex point of the
+    upper half-plane; it is not validated, and no object is built, so the
+    modular pull-back under every series evaluation calls this directly."""
+    t = tau
+    # gamma = (a b; c d), signed once at the end
     a, b, c, d = 1, 0, 0, 1
     for _ in range(500):
         k = math.floor(t.real + 0.5)
@@ -127,7 +128,7 @@ def reduce_to_F(tau) -> tuple[TauPoint, MoebiusMap]:
             t -= k
             b, d = a * k + b, c * k + d  # gamma @ T^k
         if abs(t) < 1.0 - BOUNDARY_TOL:
-            t = S_INVERT(t)
+            t = -1.0 / t  # S_INVERT(t), bit for bit
             a, b, c, d = b, -a, d, -c  # gamma @ S^{-1}, up to sign
         else:
             break
@@ -136,6 +137,16 @@ def reduce_to_F(tau) -> tuple[TauPoint, MoebiusMap]:
     if t.real < -BOUNDARY_TOL:
         t += 1
         b, d = b - a, d - c  # gamma @ T^{-1}
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    return t, a, b, c, d
+
+
+def reduce_to_F(tau) -> tuple[TauPoint, MoebiusMap]:
+    """Reduce tau to F = {0 <= Re <= 1, |tau| >= 1, |tau - 1| >= 1}, the
+    right-shifted SL(2,Z) fundamental domain; returns (tau1, gamma) with
+    tau = gamma . tau1 and Im tau1 >= sqrt(3)/2."""
+    t, a, b, c, d = reduce_to_F_ints(as_tau(tau))
     return TauPoint.from_complex(t), MoebiusMap(a, b, c, d)
 
 

@@ -82,7 +82,7 @@ def eval_Zrs(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     if _is_lattice(r, s):
         raise PoleAtLattice(f"Z_{{{r},{s}}} has a pole (lattice characteristic)")
     tau1, _, mu, (r1, s1) = _pullback(as_tau(tau), pp, (r, s))
-    return mu * _wp_family(r1, s1, tau1, pp)[2]
+    return mu * _wp_family(*reduce_lattice(r1, s1), tau1, pp)[2]
 
 
 def _laurent_coeffs(g2v: complex, g3v: complex, kmax: int = LAURENT_TERMS) -> list:
@@ -114,15 +114,17 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy) -> complex:
     """Z2 at tau as _pullback returns it."""
     rh, sh = reduce_lattice(r, s)
     u = rh + sh * tau
-    d_min = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1))
     q = cmath.exp(TWO_PI_I * tau)
-    if abs(u) < SMALL_U_FACTOR * d_min:
+    # the Laurent switch radius is SMALL_U_FACTOR * min(1, |tau|, |tau - 1|,
+    # |tau + 1|) <= SMALL_U_FACTOR, so most points skip forming the minimum
+    au = abs(u)
+    if au < SMALL_U_FACTOR and au < SMALL_U_FACTOR * min(1.0, abs(tau), abs(tau - 1), abs(tau + 1)):
         e1, g2v, g3v = _basic_direct(tau, pp, q)
         e2v = tau * e1 - TWO_PI_I
         P, Q, zs = _laurent_parts(u, _laurent_coeffs(g2v, g3v))
         A = zs - rh * e1 - sh * e2v
         return 3 * (A * A - P) / u + (A**3 - 3 * P * A - Q)
-    wp, wpp, z_hecke = _wp_family(r, s, tau, pp, q)
+    wp, wpp, z_hecke = _wp_family(rh, sh, tau, pp, q)
     return z_hecke**3 - 3 * wp * z_hecke - wpp
 
 

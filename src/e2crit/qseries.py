@@ -5,9 +5,10 @@ tail bounds.
 Conventions: q = exp(2*pi*i*tau); z = r + s*tau in lattice coordinates with
 periods 1 and tau.  `_pullback` is the only place where arguments are pulled
 back: tau is translated by round(Re tau), carrying the characteristic
-exactly, and points with Im tau below the policy threshold are reduced to the
-SL(2,Z) fundamental domain, where |q| <= e^{-pi*r3} makes every series
-short.  Each evaluator then applies its weight once.
+exactly, and points below the policy's height floor (twice as high for the
+wp/Z family as for (eta1, g2, g3)) are reduced to the SL(2,Z) fundamental
+domain, where |q| <= e^{-pi*r3} makes every series short.  Each evaluator
+then applies its weight once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from bisect import bisect_right
 from ._kernels_py import horner, wp_sums
 from .domain import DEFAULT, PrecisionPolicy, as_pair, as_tau
 from .errors import PoleAtLattice, TruncationFailure
-from .moebius import reduce_to_F
+from .moebius import reduce_to_F_ints
 
 PI = math.pi
 TWO_PI_I = 2j * PI
@@ -209,9 +210,14 @@ def _pullback(tau: complex, pp: PrecisionPolicy, rs=None):
     a form of weight w is mu^w times its value at tau1.
 
     tau is translated by the integer k nearest Re tau (c = 0, mu = 1), then
-    reduced to F if Im tau < pp.min_im_direct.  rs, when given, is carried to
-    rs1 with Z_{r,s}(tau) = mu Z_{rs1}(tau1); Z is 1-periodic in r, so k s is
-    reduced exactly into [-1/2, 1/2) and a large Re tau costs no digits.
+    reduced to F if its height is below the floor: pp.min_im_direct for the
+    (eta1, g2, g3) series, whose ratio is |q|, and 2 pp.min_im_direct when rs
+    is given, for the wp/Z family, whose ratio |q| max(|x|, 1/|x|) reaches
+    |q|^{1/2}.  Either way every series is summed at a ratio of at most
+    e^{-2 pi pp.min_im_direct} while 2 pp.min_im_direct <= sqrt(3)/2, the
+    lowest height in F.  rs, when given, is carried to rs1 with
+    Z_{r,s}(tau) = mu Z_{rs1}(tau1); Z is 1-periodic in r, so k s is reduced
+    exactly into [-1/2, 1/2) and a large Re tau costs no digits.
     """
     k = round(tau.real)
     if k:
@@ -224,14 +230,14 @@ def _pullback(tau: complex, pp: PrecisionPolicy, rs=None):
                 p, m = s.as_integer_ratio()
                 h = m // 2
                 rs = (r + ((k * p + h) % m - h) / m, s)
-    if tau.imag >= pp.min_im_direct:
+    floor = pp.min_im_direct if rs is None else 2 * pp.min_im_direct
+    if tau.imag >= floor:
         return tau, 0, 1, rs
-    t1, gam = reduce_to_F(tau)
-    tau1 = t1.z
+    tau1, a, b, c, d = reduce_to_F_ints(tau)
     if rs is not None:
         r, s = rs
-        rs = (gam.d * r + gam.b * s, gam.c * r + gam.a * s)
-    return tau1, gam.c, gam.c * tau1 + gam.d, rs
+        rs = (d * r + b * s, c * r + a * s)
+    return tau1, c, c * tau1 + d, rs
 
 
 def _lift(vals, c: int, mu: complex):
@@ -316,18 +322,18 @@ def reduce_lattice(r: float, s: float) -> tuple[float, float]:
     return r - math.floor(r + 0.5), s - math.floor(s + 0.5)
 
 
-def _wp_family(r: float, s: float, tau: complex, pp: PrecisionPolicy,
+def _wp_family(rh: float, sh: float, tau: complex, pp: PrecisionPolicy,
                q: complex | None = None):
-    """(wp, wp', Z_{rh,sh}) at the reduced point, at tau as _pullback returns
-    it.  q, when given, is exp(2 pi i tau).
+    """(wp, wp', Z_{rh,sh}) at z = rh + sh*tau, for (rh, sh) as reduce_lattice
+    returns it and tau as _pullback returns it.  q, when given, is
+    exp(2 pi i tau).
 
-    Z_{rh,sh} = zeta(z_reduced) - rh*eta1 - sh*eta2 is returned instead of
-    zeta itself so callers can assemble either zeta or the Hecke form without
+    Z_{rh,sh} = zeta(z) - rh*eta1 - sh*eta2 is returned instead of zeta
+    itself so callers can assemble either zeta or the Hecke form without
     losing the exact (r,s)-periodicity.
     """
-    rh, sh = reduce_lattice(r, s)
     if abs(rh) < 1e-12 and abs(sh) < 1e-12:
-        raise PoleAtLattice(f"z = {r} + {s}*tau reduces to a lattice point")
+        raise PoleAtLattice(f"z reduces to the lattice point {rh} + {sh}*tau")
     # parity: evaluate the sign-canonical representative so that wp(z) == wp(-z)
     # and zeta(z) == -zeta(-z) hold exactly as evaluated
     sign = 1.0
@@ -358,7 +364,7 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     t = as_tau(tau)
     tau1, c, mu, (r1, s1) = _pullback(t, pp, (r, s))
     q = cmath.exp(TWO_PI_I * tau1)
-    wp, wpp, z_hecke = _wp_family(r1, s1, tau1, pp, q)
+    wp, wpp, z_hecke = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
     vals = _basic_direct(tau1, pp, q)
     e1 = _lift(vals, c, mu)[0] if c else vals[0]
     return mu * mu * wp, mu**3 * wpp, mu * z_hecke + r * e1 + s * (t * e1 - TWO_PI_I)

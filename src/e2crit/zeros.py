@@ -43,6 +43,8 @@ class Contour:
 
 def rect_contour(re0: float, re1: float, im0: float, im1: float, n: int = 24) -> Contour:
     """Counterclockwise rectangle boundary."""
+    re0, re1 = as_real(re0, "re0"), as_real(re1, "re1")
+    im0, im1 = as_real(im0, "im0"), as_real(im1, "im1")
     if not (re0 < re1 and 0 < im0 < im1):
         raise ValueError("degenerate rectangle")
     pts = []
@@ -61,6 +63,7 @@ def rect_contour(re0: float, re1: float, im0: float, im1: float, n: int = 24) ->
 def f0_contour(t_top: float = 6.0, cusp_delta: float = 0.08) -> Contour:
     """Boundary of F0 truncated at Im = t_top, with horocircle cuts of
     Euclidean diameter cusp_delta tangent at the cusps 0 and 1."""
+    t_top, cusp_delta = as_real(t_top, "t_top"), as_real(cusp_delta, "cusp_delta")
     if t_top < 3 or not (0 < cusp_delta <= 0.25):
         raise ValueError("t_top >= 3 and cusp_delta in (0, 0.25] required")
     d = cusp_delta

@@ -133,6 +133,13 @@ class TestCount:
         assert code == 0
         assert out.strip().splitlines()[1].split(",")[0] == "0"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_t_top_is_usage_error(self, capsys, value):
+        code, _, err = run_cli(capsys, "count", "--fn", "fc", "--C", "0.3",
+                               "--region", "F0", f"--t-top={value}")
+        assert code == 2
+        assert "t_top" in err
+
     def test_fc_rectangle(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--fn", "fc", "--C", "0.5",
                                "--region", "0,1,0.9,1.2")

@@ -1,6 +1,7 @@
 """Moebius maps, Gamma_0(2) membership, fundamental-domain reduction."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from e2crit import (
     transform_char,
     transform_quasi,
 )
-from e2crit.moebius import GAMMA_1, GAMMA_2, IDENTITY, W_CIRCLE
+from e2crit.moebius import GAMMA_1, GAMMA_2, IDENTITY, W_CIRCLE, reduce_to_F_ints
 
 PI = math.pi
 RNG = np.random.default_rng(3)
@@ -210,6 +211,38 @@ class TestReduceF:
             assert abs(t1.im - z.imag) < 1e-9  # same orbit height
             assert 0 - 1e-12 <= t1.re <= 1 + 1e-12
             assert abs(t1.z) >= 1 - 1e-12
+
+    def test_integer_routine_matches_map_walk(self):
+        # reference: the walk composing validated MoebiusMaps step by step and
+        # inverting with S_INVERT itself; the integer routine must give the
+        # same point bit for bit and the same signed integers
+        S = MoebiusMap(0, -1, 1, 0)
+        bits = lambda z: struct.pack("<dd", z.real, z.imag)
+
+        def walk(t):
+            g = IDENTITY
+            while True:
+                k = math.floor(t.real + 0.5)
+                if k != 0:
+                    t -= k
+                    g = g @ MoebiusMap(1, k, 0, 1)
+                if abs(t) >= 1 - 1e-12:
+                    break
+                t = S(t)
+                g = g @ S.inverse()
+            if t.real < -1e-12:
+                t += 1
+                g = g @ MoebiusMap(1, -1, 0, 1)
+            return t, g
+
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            t = complex(rng.uniform(-50, 50), 10 ** rng.uniform(-3, 0.5))
+            want_t, g = walk(t)
+            t1, a, b, c, d = reduce_to_F_ints(t)
+            assert (bits(t1), a, b, c, d) == (bits(want_t), g.a, g.b, g.c, g.d), t
+            t1, gam = reduce_to_F(t)
+            assert (bits(t1.z), gam) == (bits(want_t), g), t
 
 
 class TestTransforms:

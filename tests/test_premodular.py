@@ -23,10 +23,10 @@ from e2crit import (
     find_zero_in_F0,
     normalize_char,
 )
-from e2crit import premodular
+from e2crit import premodular, qseries
 from e2crit.domain import DEFAULT
 from e2crit.moebius import DomainTag, GAMMA_1, classify_domain
-from e2crit.zeros import f0_contour
+from e2crit.zeros import count_zeros, f0_contour
 
 PI = math.pi
 RNG = np.random.default_rng(5)
@@ -113,6 +113,37 @@ class TestZrs2:
             wp, wpp, z_hecke = _wp_family(r, s, t, DEFAULT)
             direct = z_hecke**3 - 3 * wp * z_hecke - wpp
             assert abs(v - direct) < 1e-8 * (1 + abs(v))
+
+    @pytest.mark.parametrize("tag,vertices", [
+        (TriangleTag.T0, ((0.5, 0.0), (0.5, 0.5), (0.0, 0.5))),
+        (TriangleTag.T1, ((1.0, 0.0), (1.0, 0.5), (0.5, 0.5))),
+        (TriangleTag.T2, ((0.5, 0.0), (1.0, 0.0), (0.5, 0.5))),
+        (TriangleTag.T3, ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5))),
+    ])
+    def test_family_summed_at_the_basic_ratio(self, tag, vertices, monkeypatch):
+        # the wp/Z ratio |q| max(|x|, 1/|x|) reaches |q|^{1/2}, so the family
+        # is pulled back below twice the basic series' floor and no Lambert
+        # sum of a count over F0 runs at a ratio above e^{-2 pi min_im_direct}
+        rhos = []
+        inner = qseries.wp_sums
+
+        def recorded(x, q, n):
+            ax = abs(x)
+            rhos.append(abs(q) * max(ax, 1.0 / ax))
+            return inner(x, q, n)
+
+        monkeypatch.setattr(qseries, "wp_sums", recorded)
+        expected = {TriangleTag.T0: 0}.get(tag, 1)
+        rng = np.random.default_rng(90 + int(tag.value[1]))
+        margin = 0.005
+        for w in rng.dirichlet((1.0, 1.0, 1.0), 30):
+            w = margin + (1 - 3 * margin) * w
+            rs = (float(sum(wi * v[0] for wi, v in zip(w, vertices))),
+                  float(sum(wi * v[1] for wi, v in zip(w, vertices))))
+            assert classify(rs) is tag
+            assert count_zeros(lambda t: eval_Zrs2(rs, t), f0_contour()) == expected
+        assert rhos
+        assert max(rhos) <= math.exp(-2 * PI * DEFAULT.min_im_direct) * (1 + 1e-12)
 
 
 class TestClassify:

@@ -81,6 +81,18 @@ class TestCountZeros:
         with pytest.raises(BoundaryZero):
             count_zeros(f, rect_contour(0, 1, 0.5, 1.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bounds_rejected(self, bad):
+        with pytest.raises(ValueError, match="t_top"):
+            f0_contour(bad)
+        with pytest.raises(ValueError, match="cusp_delta"):
+            f0_contour(6.0, bad)
+        for i, name in enumerate(("re0", "re1", "im0", "im1")):
+            bounds = [0.0, 1.0, 0.5, 1.5]
+            bounds[i] = bad
+            with pytest.raises(ValueError, match=name):
+                rect_contour(*bounds)
+
     def test_count_zeros_info_is_a_pair(self):
         info = count_zeros_info(lambda t: eval_fC(0.5, t), f0_contour())
         assert isinstance(info, tuple) and len(info) == 2
