@@ -363,9 +363,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a token that starts with '-' as an option unless it looks
+# like a plain negative number (-3, -0.5).  No option here starts with a
+# digit, so a token such as -1e-3, -0.5+1i or -0.25,0.5 is a value: it is
+# attached to its option (--C=-1e-3) before parsing
+_NEGATIVE_VALUE_RE = re.compile(r"^-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_VALUE_RE.match(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_negative_values(argv))
     try:
         cfg = build_config(args)
     except (ValueError, OSError) as exc:

@@ -16,6 +16,7 @@ from .qseries import PI, _basic, eval_derivatives
 from .zeros import (
     BranchState,
     _continue_to,
+    _fc_parts,
     eval_fC,
     eval_phi,
     solve_tauC,
@@ -166,7 +167,14 @@ def detect_phi_sign(tau, pp: PrecisionPolicy = DEFAULT) -> int:
 def trace_curve(branch: str, c_lo: float, c_hi: float, steps: int,
                 pp: PrecisionPolicy = DEFAULT) -> list[CurveSample]:
     """Sample tau(C) on an arctan-uniform grid of `steps` points in
-    [c_lo, c_hi] by continuation, ascending in C."""
+    [c_lo, c_hi] by continuation, ascending in C.
+
+    The first sample is a cold solve.  Each next one is continued from the
+    last by _continue_to, in a single step when the samples lie closer than
+    one continuation step (there is no minimum count), with every accepted
+    root inside F0.  The tangent predictor takes the Jacobian evaluated with
+    the first sample's residual, then the one of Newton's last iterate.
+    """
     if branch not in _BRANCH_RANGE:
         raise ValueError(f"unknown branch {branch!r}")
     lo, hi = _BRANCH_RANGE[branch]
@@ -183,12 +191,13 @@ def trace_curve(branch: str, c_lo: float, c_hi: float, steps: int,
     grid = [math.tan(a0 + (a1 - a0) * i / (steps - 1)) for i in range(steps)]
     grid[0], grid[-1] = c_lo, c_hi
 
-    samples: list[CurveSample] = []
     t = solve_tauC(grid[0], pp).z
-    samples.append(CurveSample(grid[0], TauPoint.from_complex(t), branch,
-                               abs(eval_fC(grid[0], t, pp))))
+    f, fp, fC_d = _fc_parts(grid[0], t, pp)
+    samples = [CurveSample(grid[0], TauPoint.from_complex(t), branch, abs(f))]
+    root = (t, fp, fC_d)
     for C_prev, C in zip(grid, grid[1:]):
-        t = _continue_to(C_prev, t, C, pp)
+        root = _continue_to(C_prev, root, C, pp)
+        t = root[0]
         samples.append(CurveSample(C, TauPoint.from_complex(t), branch,
                                    abs(eval_fC(C, t, pp))))
     _check_no_self_intersection(samples)

@@ -240,13 +240,18 @@ def _pullback(tau: complex, pp: PrecisionPolicy, rs=None):
     return tau1, c, c * tau1 + d, rs
 
 
+def _lift_eta1(e1: complex, c: int, mu: complex) -> complex:
+    """eta1 at tau from e1 = eta1(tau1), for c and mu as _pullback returns
+    them: eta1(tau) = mu (c eta2(tau1) + d eta1(tau1)) = mu (mu e1 - 2 pi i c)."""
+    return mu * (mu * e1 - TWO_PI_I * c)
+
+
 def _lift(vals, c: int, mu: complex):
     """(eta1, g2, g3) at tau from vals, their values at tau1, for c and mu as
-    _pullback returns them: g2 and g3 have weights 4 and 6, and eta1 obeys
-    eta1(tau) = mu (c eta2(tau1) + d eta1(tau1)) = mu (mu eta1(tau1) - 2 pi i c).
-    It is the identity when c = 0, so callers may skip it."""
+    _pullback returns them: eta1 as _lift_eta1, and g2 and g3 have weights 4
+    and 6.  It is the identity when c = 0, so callers may skip it."""
     e1, g2v, g3v = vals
-    return mu * (mu * e1 - TWO_PI_I * c), mu**4 * g2v, mu**6 * g3v
+    return _lift_eta1(e1, c, mu), mu**4 * g2v, mu**6 * g3v
 
 
 def _derivs(e1: complex, g2v: complex, g3v: complex):
@@ -256,21 +261,37 @@ def _derivs(e1: complex, g2v: complex, g3v: complex):
             _I_PI * (3 * g3v * e1 - g2v * g2v / 6))
 
 
+def _basic_terms(q: complex, pp: PrecisionPolicy) -> int:
+    """Length of the (eta1, g2, g3) series at nome q."""
+    # one length serves all three series: k^5 majorizes sigma_5 up to zeta(5),
+    # and the tolerance target absorbs the largest prefactor (504 * 8 pi^6/27)
+    return _truncation(abs(q), pp.eps / 150000.0, pp.max_terms, 5)
+
+
+# prefactors of eta1 = pi^2/3 - 8 pi^2 s1, g2 = (4/3) pi^4 + 320 pi^4 s3 and
+# g3 = (8 pi^6/27)(1 - 504 s5), s_j = sum sigma_j(k) q^k, folded once in the
+# order the expressions evaluate them, so the values are the same floats
+_ETA1_0, _ETA1_1 = PI**2 / 3, 8 * PI**2
+_G2_0, _G2_1 = (4.0 / 3.0) * PI**4, 320 * PI**4
+_G3_0 = 8 * PI**6 / 27
+
+
+def _eta1_direct(q: complex, n: int) -> complex:
+    """eta1 by its series at nome q, summed to n terms."""
+    return _ETA1_0 - _ETA1_1 * horner(_sigma(1, n), q, n)
+
+
 def _basic_direct(tau: complex, pp: PrecisionPolicy, q: complex | None = None):
     """(eta1, g2, g3) by direct series at tau as _pullback returns it.
     q, when given, is exp(2 pi i tau)."""
     if q is None:
         q = cmath.exp(TWO_PI_I * tau)
-    # one length serves all three series: k^5 majorizes sigma_5 up to zeta(5),
-    # and the tolerance target absorbs the largest prefactor (504 * 8 pi^6/27)
-    n = _truncation(abs(q), pp.eps / 150000.0, pp.max_terms, 5)
-    s1 = horner(_sigma(1, n), q, n)
+    n = _basic_terms(q, pp)
     s3 = horner(_sigma(3, n), q, n)
     s5 = horner(_sigma(5, n), q, n)
-    eta1 = PI**2 / 3 - 8 * PI**2 * s1
-    g2 = (4.0 / 3.0) * PI**4 + 320 * PI**4 * s3
-    g3 = (8 * PI**6 / 27) * (1 - 504 * s5)
-    return eta1, g2, g3
+    g2 = _G2_0 + _G2_1 * s3
+    g3 = _G3_0 * (1 - 504 * s5)
+    return _eta1_direct(q, n), g2, g3
 
 
 def _basic(tau: complex, pp: PrecisionPolicy):
@@ -365,8 +386,10 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     tau1, c, mu, (r1, s1) = _pullback(t, pp, (r, s))
     q = cmath.exp(TWO_PI_I * tau1)
     wp, wpp, z_hecke = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
-    vals = _basic_direct(tau1, pp, q)
-    e1 = _lift(vals, c, mu)[0] if c else vals[0]
+    # only eta1 is read: its series alone, at the length _basic_direct uses
+    e1 = _eta1_direct(q, _basic_terms(q, pp))
+    if c:
+        e1 = _lift_eta1(e1, c, mu)
     return mu * mu * wp, mu**3 * wpp, mu * z_hecke + r * e1 + s * (t * e1 - TWO_PI_I)
 
 

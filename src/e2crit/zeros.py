@@ -233,10 +233,19 @@ def eval_fC_prime(C: float, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     return _fc_parts(as_real(C, "C"), as_tau(tau), pp)[1]
 
 
+def _fc_value(C: float, t: complex, pp: PrecisionPolicy) -> tuple[complex, float]:
+    """(f_C(t), fc_scale(C, t)) from one series evaluation, f_C in the
+    operations of eval_fC (which keeps its own copy: it is the integrand of
+    every f_C contour count, where the scale would be wasted)."""
+    e1, g2v, _ = _basic(t, pp)
+    lin = C * e1 - (t * e1 - TWO_PI_I)
+    d = C - t
+    return 12 * lin * lin - g2v * (d * d), 1.0 + abs(g2v) * abs(d) ** 2
+
+
 def fc_scale(C: float, tau: complex, pp: PrecisionPolicy = DEFAULT) -> float:
     """Natural magnitude of f_C at tau, used to scale residual tolerances."""
-    _, g2v, _ = _basic(tau, pp)
-    return 1.0 + abs(g2v) * abs(C - tau) ** 2
+    return _fc_value(C, tau, pp)[1]
 
 
 @dataclass
@@ -298,10 +307,15 @@ def eval_phi(branch: BranchState, tau, pp: PrecisionPolicy = DEFAULT) -> complex
 # the unique zero tau(C)
 
 def _newton_fc(C: float, t: complex, pp: PrecisionPolicy, itmax: int = 60):
-    """Newton on f_C from t; returns the iterate or None on failure."""
+    """Newton on f_C from t: (root, df_C/dtau, df_C/dC), or None on failure.
+
+    The derivatives are those of the last iterate, whose Newton step was
+    below 1e-13 |root|: the Jacobian at the root to that accuracy, ready for
+    a continuation predictor without another series evaluation.
+    """
     start = t
     for _ in range(itmax):
-        f, fp, _ = _fc_parts(C, t, pp)
+        f, fp, fC_d = _fc_parts(C, t, pp)
         if fp == 0:
             return None
         step = f / fp
@@ -309,13 +323,8 @@ def _newton_fc(C: float, t: complex, pp: PrecisionPolicy, itmax: int = 60):
         if t.imag <= 1e-9 or abs(t - start) > 1.5:
             return None
         if abs(step) < 1e-13 * max(1.0, abs(t)):
-            return t
+            return t, fp, fC_d
     return None
-
-
-def _residual_ok(C: float, t: complex, pp: PrecisionPolicy) -> bool:
-    res = abs(_fc_parts(C, t, pp)[0])
-    return res <= max(ROOT_RESIDUAL, 1e-13 * fc_scale(C, t, pp))
 
 
 def _asymptotic_seed(C: float) -> complex | None:
@@ -339,9 +348,9 @@ def _asymptotic_seed(C: float) -> complex | None:
 
 
 @lru_cache(maxsize=8)
-def _zero_branch_anchor(pp: PrecisionPolicy) -> complex:
-    """Root of f_{1/2} on Re = 1/2 from a coarse line scan plus Newton; a
-    constant of the policy, so computed once for each."""
+def _zero_branch_anchor(pp: PrecisionPolicy) -> tuple:
+    """_newton_fc's root triple at C = 1/2, seeded from a coarse scan of
+    Re = 1/2; a constant of the policy, so computed once for each."""
     best_b, best_v = None, math.inf
     b = 0.87
     while b <= 1.31:
@@ -349,43 +358,59 @@ def _zero_branch_anchor(pp: PrecisionPolicy) -> complex:
         if v < best_v:
             best_b, best_v = b, v
         b += 0.01
-    t = _newton_fc(0.5, complex(0.5, best_b), pp)
-    if t is None:
+    root = _newton_fc(0.5, complex(0.5, best_b), pp)
+    if root is None:
         raise Diverged("line-scan seed for C = 1/2 did not converge")
-    return t
+    return root
 
 
-def _continue_to(C_from: float, t_from: complex, C_to: float, pp: PrecisionPolicy) -> complex:
-    """Predictor-corrector continuation of the root from C_from to C_to.
+@lru_cache(maxsize=16)
+def _outer_anchor(C: float, pp: PrecisionPolicy) -> tuple:
+    """_newton_fc's root triple at the outer anchor C = -1 or C = 2, seeded
+    from the asymptotic expansion; a constant of the policy, so computed
+    once for each."""
+    root = _newton_fc(C, _asymptotic_seed(C), pp)
+    if root is None:
+        raise Diverged(f"anchor solve failed for branch of C = {C}")
+    return root
+
+
+def _continue_to(C_from: float, root: tuple, C_to: float, pp: PrecisionPolicy) -> tuple:
+    """Predictor-corrector continuation of root = (tau(C_from), df_C/dtau,
+    df_C/dC), as _newton_fc returns it, to the same triple at C_to.
 
     The parameter grid is uniform in arctan C (keeps steps balanced as the
-    root climbs like log |C|); steps halve adaptively on Newton failure or
-    on an overlarge tau jump.
+    root climbs like log |C|), with as many steps of at most 0.10 in
+    arctan C as the interval needs and no minimum: one step between close
+    parameters.  The tangent predictor uses the Jacobian of the last
+    accepted root, from Newton's last iterate.  A step is halved on Newton
+    failure, on a tau jump above 0.2, or when the root lands outside F0,
+    where it would be another tile's zero.
     """
     a0, a1 = math.atan(C_from), math.atan(C_to)
-    n = max(4, int(abs(a1 - a0) / 0.10) + 1)
+    n = int(abs(a1 - a0) / 0.10) + 1
     grid = [math.tan(a0 + (a1 - a0) * i / n) for i in range(1, n + 1)]
     grid[-1] = C_to
-    t = t_from
+    t, fp, fC_d = root
     C_prev = C_from
     pending = list(reversed(grid))
     depth = 0
     while pending:
         C_next = pending.pop()
-        f, fp, fC_d = _fc_parts(C_prev, t, pp)
         predictor = t - (fC_d / fp) * (C_next - C_prev) if fp != 0 else t
         if predictor.imag <= 0:
             predictor = t
-        t_new = _newton_fc(C_next, predictor, pp)
-        if t_new is None or abs(t_new - t) > 0.2:
+        step = _newton_fc(C_next, predictor, pp)
+        if (step is None or abs(step[0] - t) > 0.2
+                or classify_domain(step[0]) is DomainTag.OUTSIDE):
             if depth > 60:
                 raise Diverged(f"continuation stalled near C = {C_next}")
             pending.append(C_next)
             pending.append(0.5 * (C_prev + C_next))
             depth += 1
             continue
-        t, C_prev = t_new, C_next
-    return t
+        (t, fp, fC_d), C_prev = step, C_next
+    return t, fp, fC_d
 
 
 def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
@@ -394,35 +419,33 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
     """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
 
     Seeding: an explicit hint, else the large-|C| asymptotic inversion, else
-    continuation in C from a line-scan anchor.  With verify=True the result
-    is certified by an argument-principle count over the truncated F0.
+    continuation in C from the branch's anchor (C = -1, 1/2 or 2, each
+    solved once per policy).  With verify=True the result is certified by
+    an argument-principle count over the truncated F0.
     """
     C = as_real(C, "C")
     if C in (0.0, 1.0):
         raise ValueError("f_C has no zero in F0 for C in {0, 1}")
-    t = None
+    root = None
     if hint is not None:
-        t = _newton_fc(C, as_tau(hint), pp)
-    if t is None:
+        root = _newton_fc(C, as_tau(hint), pp)
+    if root is None:
         seed = _asymptotic_seed(C) if (C <= -0.8 or C >= 1.8) else None
         if seed is not None:
-            t = _newton_fc(C, seed, pp)
-            if t is not None and classify_domain(t) is DomainTag.OUTSIDE:
-                t = None
-    if t is None:
+            root = _newton_fc(C, seed, pp)
+            if root is not None and classify_domain(root[0]) is DomainTag.OUTSIDE:
+                root = None
+    if root is None:
         if 0.0 < C < 1.0:
-            anchor_C, anchor_t = 0.5, _zero_branch_anchor(pp)
-        elif C < 0.0:
-            anchor_C = -1.0
-            anchor_t = _newton_fc(-1.0, _asymptotic_seed(-1.0), pp)
+            anchor_C, anchor = 0.5, _zero_branch_anchor(pp)
         else:
-            anchor_C = 2.0
-            anchor_t = _newton_fc(2.0, _asymptotic_seed(2.0), pp)
-        if anchor_t is None:
-            raise Diverged(f"anchor solve failed for branch of C = {C}")
-        t = anchor_t if C == anchor_C else _continue_to(anchor_C, anchor_t, C, pp)
-    if not _residual_ok(C, t, pp):
-        raise Diverged(f"residual {abs(eval_fC(C, t, pp)):.2e} too large at tau({C})")
+            anchor_C = -1.0 if C < 0.0 else 2.0
+            anchor = _outer_anchor(anchor_C, pp)
+        root = anchor if C == anchor_C else _continue_to(anchor_C, anchor, C, pp)
+    t = root[0]
+    f, scale = _fc_value(C, t, pp)
+    if not abs(f) <= max(ROOT_RESIDUAL, 1e-13 * scale):
+        raise Diverged(f"residual {abs(f):.2e} too large at tau({C})")
     tag = classify_domain(t, tol=1e-9)
     if tag is not DomainTag.F0_INTERIOR:
         raise DomainEscape(f"tau({C}) = {t} is not interior to F0 ({tag.value})")

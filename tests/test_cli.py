@@ -53,6 +53,17 @@ class TestEval:
         row = out.strip().splitlines()[1].split(",")
         assert abs(complex(float(row[1]), float(row[2]))) < 1e-10
 
+    def test_negative_tau_and_pair(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--fn", "wp", "--rs", "-0.25,0.5",
+                               "--tau", "-0.5+1i")
+        assert code == 0
+        code, out_shifted, _ = run_cli(capsys, "eval", "--fn", "wp", "--rs", "0.75,0.5",
+                                       "--tau", "0.5+1i")
+        assert code == 0
+        a = [float(v) for v in out.strip().splitlines()[1].split(",")[1:3]]
+        b = [float(v) for v in out_shifted.strip().splitlines()[1].split(",")[1:3]]
+        assert a == pytest.approx(b, rel=1e-12)
+
     def test_missing_argument_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--fn", "fc", "--tau", "0.5+1i")
         assert code == 2
@@ -91,6 +102,15 @@ class TestFindTau:
         assert row[4] == "minus"
         assert float(row[3]) < 1e-9
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-.5e-2", "-2.5e+1"])
+    def test_negative_scientific_notation(self, capsys, value):
+        # argparse alone reads these as options ("expected one argument")
+        code, out, _ = run_cli(capsys, "find-tau", "--C", value)
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[0]) == float(value)
+        assert row[4] == "minus"
+
 
 class TestTrace:
     def test_csv_contract(self, capsys, tmp_path):
@@ -109,6 +129,13 @@ class TestTrace:
         code, _, _ = run_cli(capsys, "trace", "--branch", "zero",
                              "--clo", "0.8", "--chi", "0.2", "--steps", "5")
         assert code == 2
+
+    def test_negative_scientific_bounds(self, capsys):
+        code, out, _ = run_cli(capsys, "trace", "--branch", "minus", "--clo", "-1e4",
+                               "--chi", "-2e-4", "--steps", "5")
+        assert code == 0
+        cs = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        assert cs[0] == -1e4 and cs[-1] == -2e-4
 
     def test_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,6 +1,7 @@
 """Curve tracing, special points, Hessian determinant, critical points."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from e2crit import (
     trace_curve,
     verify_symmetries,
 )
+from e2crit import curves, zeros
 from e2crit.moebius import DomainTag, classify_domain
 
 PI = math.pi
@@ -117,6 +119,45 @@ class TestTrace:
         samples = trace_curve("zero", 0.02, 0.5, 8)
         ims = [s.tau.im for s in samples]
         assert ims[0] < ims[-1]  # Im decreases toward the cusp at C -> 0
+
+    @staticmethod
+    def segments():
+        """The three branches end to end (|C| up to 1e4, 2e-4 from 0 and 1)
+        and seeded segments inside each."""
+        rng = random.Random(31)
+        out = [("minus", -1e4, -2e-4, 41), ("plus", 1.0002, 1e4, 41),
+               ("zero", 2e-4, 0.9998, 41)]
+        for _ in range(4):
+            lo = -(10 ** rng.uniform(-3.5, 4))
+            out.append(("minus", lo, min(-2e-4, lo * rng.uniform(0.05, 0.6)), 9))
+            lo = rng.uniform(2e-4, 0.7)
+            out.append(("zero", lo, rng.uniform(lo + 0.05, 0.9998), 9))
+            lo = 1 + 10 ** rng.uniform(-3.5, 3.5)
+            out.append(("plus", lo, min(1e4, lo * rng.uniform(1.2, 20.0)), 9))
+        return out
+
+    def test_samples_equal_cold_solves(self):
+        for branch, lo, hi, steps in self.segments():
+            for s in trace_curve(branch, lo, hi, steps):
+                cold = solve_tauC(s.C).z
+                assert abs(s.tau.z - cold) <= 1e-12 * abs(cold), (branch, s.C)
+                assert classify_domain(s.tau, tol=1e-9) is DomainTag.F0_INTERIOR
+
+    def test_work_bound(self, monkeypatch):
+        # one predictor step between neighbouring samples, its Jacobian
+        # carried from Newton's last iterate: about six f_C evaluations a
+        # sample (four forced sub-steps a sample took 158 in all)
+        calls = []
+        fc_parts = zeros._fc_parts
+
+        def counted(*args):
+            calls.append(args)
+            return fc_parts(*args)
+
+        monkeypatch.setattr(zeros, "_fc_parts", counted)
+        monkeypatch.setattr(curves, "_fc_parts", counted)
+        trace_curve("zero", 0.1, 0.9, 9)
+        assert len(calls) <= 80
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

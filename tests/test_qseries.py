@@ -20,6 +20,7 @@ from e2crit import (
     eval_invariants,
     eval_weierstrass,
 )
+from e2crit import qseries
 from e2crit.qseries import _bounds, _nterms, _sigma, _truncation
 
 PI = math.pi
@@ -211,6 +212,17 @@ class TestWeierstrass:
                 got = eval_weierstrass((0.1, 0.25), complex(x, y))
                 for a, b in zip(got[:2], base[:2]):
                     assert abs(a - b) <= 1e-12 * abs(b), (x, y)
+
+    @pytest.mark.parametrize("tau", [complex(0.2, 1.1), complex(0.3, 0.1)])
+    def test_one_series_besides_the_family(self, monkeypatch, tau):
+        # zeta reads only eta1 of the (eta1, g2, g3) series: one Horner sum,
+        # direct and pulled back
+        calls = []
+        horner = qseries.horner
+        monkeypatch.setattr(qseries, "horner",
+                            lambda *args: calls.append(args) or horner(*args))
+        eval_weierstrass((0.1, 0.25), tau)
+        assert len(calls) == 1
 
 
 class TestEk:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from e2crit import (
+    DEFAULT,
     BoundaryZero,
     BranchState,
     Contour,
@@ -27,7 +28,8 @@ from e2crit import (
     sqrt_g2_over_12,
 )
 from e2crit.moebius import DomainTag, classify_domain
-from e2crit.zeros import _fc_parts, _winding, _zero_branch_anchor
+from e2crit import zeros
+from e2crit.zeros import _continue_to, _fc_parts, _outer_anchor, _winding, _zero_branch_anchor
 
 PI = math.pi
 RNG = np.random.default_rng(17)
@@ -284,6 +286,50 @@ class TestSolveTauC:
             t = solve_tauC(C, pp)
             assert abs(eval_fC(C, t, pp)) < 1e-9
         assert _zero_branch_anchor.cache_info().misses == misses + 1
+
+    def test_outer_anchors_once_per_policy(self):
+        pp = PrecisionPolicy(eps=3e-12)
+        misses = _outer_anchor.cache_info().misses
+        for C in (-0.3, 1.4, -0.5, 1.2, -0.7):
+            t = solve_tauC(C, pp)
+            assert abs(eval_fC(C, t, pp)) < 1e-9
+        assert _outer_anchor.cache_info().misses == misses + 2
+
+    def test_warm_solve_work_bound(self, monkeypatch):
+        # C = 1.5 continues from the C = 2 anchor; once that is cached, one
+        # or two predictor steps and the residual check remain
+        solve_tauC(1.5)
+        calls = []
+        fc_parts = zeros._fc_parts
+        monkeypatch.setattr(zeros, "_fc_parts",
+                            lambda *args: calls.append(args) or fc_parts(*args))
+        solve_tauC(1.5)
+        assert len(calls) <= 12
+
+    def test_continuation_rejects_a_root_outside_F0(self, monkeypatch):
+        # the first corrector lands on the mirror image -conj(tau) across
+        # Re = 0, outside F0 and within the 0.2 jump limit: the step must be
+        # halved, not accepted
+        C_from, C_to = 0.002, 0.001
+        start = solve_tauC(C_from).z
+        root = (start, *_fc_parts(C_from, start, DEFAULT)[1:])
+        newton = zeros._newton_fc
+        offered = []
+
+        def newton_once_outside(C, t, pp):
+            got = newton(C, t, pp)
+            if not offered and got is not None:
+                offered.append(got[0])
+                return (-got[0].conjugate(), *got[1:])
+            return got
+
+        monkeypatch.setattr(zeros, "_newton_fc", newton_once_outside)
+        t = _continue_to(C_from, root, C_to, DEFAULT)[0]
+        assert classify_domain(offered[0]) is DomainTag.F0_INTERIOR
+        assert classify_domain(-offered[0].conjugate()) is DomainTag.OUTSIDE
+        assert abs(-offered[0].conjugate() - start) < 0.2
+        assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
+        assert abs(t - solve_tauC(C_to).z) < 1e-12
 
     @pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_C(self, C):
