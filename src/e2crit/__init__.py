@@ -3,7 +3,7 @@ the critical points of the weight-2 Eisenstein series: q-series evaluation,
 Gamma_0(2) reduction, pre-modular forms, argument-principle zero location
 and degeneracy-curve tracing."""
 
-from .domain import CharPair, LatticeCoord, PrecisionPolicy, TauPoint, DEFAULT
+from .domain import CharPair, PrecisionPolicy, TauPoint, DEFAULT
 from .errors import (
     BoundaryZero,
     BranchJump,
@@ -17,7 +17,6 @@ from .errors import (
     PoleAtLattice,
     ReductionStalled,
     RootBracketFailure,
-    SkippedChar,
     TruncationFailure,
     Unclassified,
 )

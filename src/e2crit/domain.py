@@ -1,12 +1,12 @@
-"""Shared value types: points of the upper half-plane, lattice coordinates,
-real characteristics and the precision policy threaded through every
-evaluation."""
+"""Shared value types: points of the upper half-plane, real characteristics
+and the precision policy threaded through every evaluation."""
 
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
@@ -51,14 +51,6 @@ def as_real(x, name: str) -> float:
 
 
 @dataclass(frozen=True)
-class LatticeCoord:
-    """z = r + s*tau written in lattice coordinates."""
-
-    r: float
-    s: float
-
-
-@dataclass(frozen=True)
 class CharPair:
     """Real characteristic (r, s) indexing the pre-modular forms."""
 
@@ -67,37 +59,31 @@ class CharPair:
 
 
 def as_pair(rs) -> tuple[float, float]:
-    """Accept LatticeCoord, CharPair or a plain pair."""
-    r, s = (rs.r, rs.s) if isinstance(rs, (LatticeCoord, CharPair)) else rs
+    """Accept CharPair or a plain pair."""
+    r, s = (rs.r, rs.s) if isinstance(rs, CharPair) else rs
     return as_real(r, "r"), as_real(s, "s")
 
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Target absolute tolerance plus truncation/reduction parameters.
+    """Target absolute tolerance threaded through every evaluation.
 
-    eps: absolute tolerance on function values (scaled near poles).
-    max_terms: hard cap on q-series length.
-    min_im_direct: below this Im tau the argument of the (eta1, g2, g3)
-        series is pulled back to a fundamental domain before series
-        evaluation; the wp/Z family is pulled back below twice this height,
-        because its ratio |q| max(|x|, 1/|x|) reaches |q|^{1/2}.  While
-        2 min_im_direct <= sqrt(3)/2, the lowest height in F (the default
-        0.35 is), every series is then summed at a ratio of at most
-        e^{-2 pi min_im_direct}.
+    eps: absolute tolerance on function values (scaled near poles), the
+        policy's only setting.
+    min_im_direct: a constant, 0.35.  Below this Im tau the argument of the
+        (eta1, g2, g3) series is pulled back to a fundamental domain before
+        series evaluation; the wp/Z family is pulled back below twice this
+        height, because its ratio |q| max(|x|, 1/|x|) reaches |q|^{1/2}.
+        As 0.70 < sqrt(3)/2, the lowest height in F, every series is then
+        summed at a ratio of at most e^{-2 pi 0.35} = 0.111.
     """
 
     eps: float = 1e-12
-    max_terms: int = 256
-    min_im_direct: float = 0.35
+    min_im_direct: ClassVar[float] = 0.35
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.max_terms < 8:
-            raise ValueError(f"max_terms must be >= 8, got {self.max_terms}")
-        if self.min_im_direct < 0.3:
-            raise ValueError(f"min_im_direct must be >= 0.3, got {self.min_im_direct}")
 
 
 DEFAULT = PrecisionPolicy()

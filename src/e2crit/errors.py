@@ -11,7 +11,8 @@ class E2CritError(Exception):
 
 
 class TruncationFailure(E2CritError):
-    """The q-series cannot reach the requested tolerance within max_terms."""
+    """The q-series cannot reach the requested tolerance within MAX_TERMS
+    terms, or its ratio exceeds the cap that the pull-back guarantees."""
 
 
 class PoleAtLattice(E2CritError):
@@ -60,8 +61,3 @@ class Unclassified(E2CritError):
 
 class ExcludedPoint(E2CritError):
     """Evaluation requested at an explicitly excluded point."""
-
-
-class SkippedChar(E2CritError):
-    """A characteristic fell outside the admissible parameter set (exported;
-    no library path raises it)."""

@@ -81,7 +81,7 @@ def eval_Zrs(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     r, s = as_pair(rs)
     if _is_lattice(r, s):
         raise PoleAtLattice(f"Z_{{{r},{s}}} has a pole (lattice characteristic)")
-    tau1, _, mu, (r1, s1) = _pullback(as_tau(tau), pp, (r, s))
+    tau1, _, mu, (r1, s1) = _pullback(as_tau(tau), (r, s))
     return mu * _wp_family(*reduce_lattice(r1, s1), tau1, pp)[2]
 
 
@@ -133,7 +133,7 @@ def eval_Zrs2(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     r, s = as_pair(rs)
     if _is_lattice(r, s):
         raise PoleAtLattice(f"Z2_{{{r},{s}}} has a pole (lattice characteristic)")
-    tau1, _, mu, (r1, s1) = _pullback(as_tau(tau), pp, (r, s))
+    tau1, _, mu, (r1, s1) = _pullback(as_tau(tau), (r, s))
     return mu**3 * _zrs2_at(r1, s1, tau1, pp)
 
 

@@ -5,19 +5,20 @@ tail bounds.
 Conventions: q = exp(2*pi*i*tau); z = r + s*tau in lattice coordinates with
 periods 1 and tau.  `_pullback` is the only place where arguments are pulled
 back: tau is translated by round(Re tau), carrying the characteristic
-exactly, and points below the policy's height floor (twice as high for the
-wp/Z family as for (eta1, g2, g3)) are reduced to the SL(2,Z) fundamental
-domain, where |q| <= e^{-pi*r3} makes every series short.  Each evaluator
-then applies its weight once.
+exactly, and points below a fixed height floor (Im tau = 0.35 for
+(eta1, g2, g3), twice that for the wp/Z family) are reduced to the SL(2,Z)
+fundamental domain.  Every series is thus summed at a ratio of at most
+e^{-2 pi 0.35} = 0.111, and its length is the least that a closed-form
+geometric bound on the tail certifies, possibly 0.  Each evaluator then
+applies its weight once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import struct
-import threading
 from bisect import bisect_right
+from functools import lru_cache
 
 from ._kernels_py import horner, wp_sums
 from .domain import DEFAULT, PrecisionPolicy, as_pair, as_tau
@@ -31,9 +32,7 @@ _I_PI, _HALF_I_PI = 1j / PI, 0.5j / PI
 _HALF_PERIODS = {1: (0.5, 0.0), 2: (0.0, 0.5), 3: (0.5, 0.5)}
 
 # ---------------------------------------------------------------------------
-# divisor-sum coefficients and tail bounds
-
-_RHO_MAX = 0.95  # no series is summed at rho = |q| max(|x|, 1/|x|) >= this
+# divisor-sum coefficients and truncation lengths
 
 _sigma_cache: dict[int, list] = {}
 
@@ -52,172 +51,76 @@ def _sigma(power: int, n: int) -> list:
     return arr
 
 
-def _majorant_tails(rho: float, tol: float, max_terms: int, power: int) -> list:
-    """tails[n] bounds sum_{k>n} k^power rho^k for n = 0..K.
+# the pull-back floors of the (eta1, g2, g3) series and the wp/Z family;
+# _pullback leaves every series a ratio of at most e^{-2 pi _FLOOR}, and the
+# slack in RHO_CAP absorbs the rounding of rho as the callers form it
+_FLOOR = PrecisionPolicy.min_im_direct
+_FAMILY_FLOOR = 2 * _FLOOR
+RHO_CAP = math.exp(-2 * PI * _FLOOR) * (1 + 1e-9)
+MAX_TERMS = 256
 
-    The terms are summed up to the first one (past k = 4) below tol*1e-8,
-    plus a geometric remainder once the term ratio drops below 1.
+
+@lru_cache(maxsize=None)
+def _thresholds(tol: float, power: int) -> tuple:
+    """th with sum_{k>n} k^power rho^k < tol whenever 0 <= rho < th[n].
+
+    For k > n the term ratio ((k+1)/k)^power rho is at most
+    r_n = ((n+2)/(n+1))^power RHO_CAP, so the tail is at most the first
+    omitted term over 1 - r_n, which solves for th[n] in closed form.
+    Below th[0] the ratio is at most 2^power th[1] from k = 1 on, which
+    certifies the empty series (th[0] <= tol < th[1] for every tol below
+    (1 - r_1)/2^power, as eps < 1 gives).  The list stops at the first
+    entry above RHO_CAP; TruncationFailure is raised past MAX_TERMS.
     """
-    terms = []
-    k = 1
-    while k <= max_terms + 8:
-        t = float(k) ** power * rho**k
-        terms.append(t)
-        if k > 4 and t < tol * 1e-8:
-            break
-        k += 1
-    klast = len(terms)
-    ratio = rho * ((klast + 1) / klast) ** power
-    suffix = terms[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-    tails = [0.0] * (klast + 1)
-    for k in range(klast, 0, -1):  # terms[k - 1] is the k-th term
-        tails[k] = suffix
-        suffix += terms[k - 1]
-    tails[0] = suffix
-    return tails
+    th = [0.0]
+    while th[-1] <= RHO_CAP:
+        n = len(th)
+        if n > MAX_TERMS:
+            raise TruncationFailure(
+                f"cannot reach tolerance {tol:.2e} with {MAX_TERMS} terms at rho={RHO_CAP:.4f}")
+        r = ((n + 2) / (n + 1)) ** power * RHO_CAP
+        th.append((tol * (1.0 - r) / (n + 1) ** power) ** (1.0 / (n + 1)))
+    th[0] = tol * (1.0 - 2**power * th[1])
+    return tuple(th)
 
 
-def _nterms(rho: float, tol: float, max_terms: int, power: int = 3) -> int:
-    """Smallest N with sum_{k>N} k^power rho^k < tol, by the majorant tail.
+def _truncation(rho: float, tol: float, power: int) -> int:
+    """A length n with sum_{k>n} k^power rho^k < tol: the least such n, or
+    one more where the bound of _thresholds is not tight."""
+    if not 0.0 <= rho <= RHO_CAP:
+        raise TruncationFailure(f"series ratio rho={rho!r} outside [0, {RHO_CAP:.4f}]")
+    return bisect_right(_thresholds(tol, power), rho)
 
-    This is the definition of every truncation length; `_truncation` looks
-    the same N up in a table.
+
+def choose_truncation(im_tau: float, eps: float) -> int:
+    """Length of the (eta1, g2, g3) series at height im_tau, as summed at
+    tolerance eps in (0, 1): the length _basic_terms takes at
+    |q| = e^{-2 pi im_tau}, from the k^5 tail bound below eps/150000, and 0
+    where the empty series is certified.  Below the pull-back floor
+    Im tau = 0.35 no series is summed directly, and ValueError is raised.
     """
-    if rho <= 0.0:
-        return 1
-    if rho >= _RHO_MAX:
-        raise TruncationFailure(f"series parameter rho={rho:.4f} too close to 1")
-    tails = _majorant_tails(rho, tol, max_terms, power)
-    best = next((n for n in range(1, len(tails)) if tails[n] < tol), None)
-    if best is None or best > max_terms:
-        raise TruncationFailure(
-            f"cannot reach tolerance {tol:.2e} with {max_terms} terms at rho={rho:.4f}"
-        )
-    return best
-
-
-# N(rho) = _nterms(rho, tol, max_terms, power) is nondecreasing in rho, so it
-# is fixed by its thresholds: bounds[n - 1] is the least float rho with
-# N(rho) > n, and N(rho) = 1 + bisect_right(bounds, rho).  One list per
-# (tol, max_terms, power), grown on demand up to the largest rho asked for.
-_bounds: dict[tuple, list] = {}
-_bounds_lock = threading.Lock()
-
-
-def _truncation(rho: float, tol: float, max_terms: int, power: int) -> int:
-    """_nterms(rho, tol, max_terms, power), looked up in the threshold table."""
-    bounds = _bounds.get((tol, max_terms, power))
-    if bounds is not None and rho < bounds[-1]:
-        return bisect_right(bounds, rho) + 1
-    with _bounds_lock:
-        bounds = _bounds.setdefault((tol, max_terms, power), [])
-        while not bounds or (rho >= bounds[-1] and bounds[-1] < _RHO_MAX
-                             and len(bounds) < max_terms):
-            bounds.append(_threshold(len(bounds) + 1, tol, max_terms, power))
-    if rho < bounds[-1]:
-        return bisect_right(bounds, rho) + 1
-    # past the last threshold (or not a number): the definition raises
-    return _nterms(rho, tol, max_terms, power)
-
-
-def _float_bits(x: float) -> int:
-    return struct.unpack("<q", struct.pack("<d", x))[0]
-
-
-def _bits_float(i: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", i))[0]
-
-
-def _threshold(n: int, tol: float, max_terms: int, power: int) -> float:
-    """The least float rho with _nterms(rho, ...) > n (a failure counting as
-    more than max_terms), or _RHO_MAX when there is none below it.
-
-    The tail beyond n falls off like rho^(n+1), so a few secant steps on
-    log rho against the same majorant tail land within a few ulps of the
-    threshold; a galloping walk, then a bisection, over adjacent floats,
-    each step decided by _nterms itself, pins it exactly.
-    """
-    def above(rho):
-        try:
-            return _nterms(rho, tol, max_terms, power) > n
-        except TruncationFailure:
-            return True
-
-    log_tol = math.log(tol)
-    log_max = math.log(_RHO_MAX)
-
-    def gap(x):
-        tails = _majorant_tails(math.exp(x), tol, max_terms, power)
-        tail = tails[min(n, len(tails) - 1)]
-        return math.log(tail) - log_tol if 0.0 < tail < math.inf else math.nan
-
-    # where the first neglected term alone reaches tol
-    x0 = min(log_max, (log_tol - power * math.log(n + 1)) / (n + 1))
-    g0 = gap(x0)
-    x1 = x0 if math.isnan(g0) else x0 - g0 / (n + 1)
-    for _ in range(8):
-        g1 = gap(x1)
-        if math.isnan(g1) or g1 == g0:
-            break
-        dx = g1 * (x1 - x0) / (g1 - g0)
-        x0, g0, x1 = x1, g1, min(log_max, x1 - dx)
-        if abs(dx) <= 1e-15 * abs(x1):
-            break
-    guess = _float_bits(math.exp(x1))
-    step = 1
-    if above(_bits_float(guess)):
-        hi = guess
-        while above(_bits_float(hi - step)):
-            hi -= step
-            step *= 2
-        lo = hi - step
-    else:
-        lo = guess
-        while not above(_bits_float(lo + step)):
-            lo += step
-            step *= 2
-        hi = lo + step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if above(_bits_float(mid)):
-            hi = mid
-        else:
-            lo = mid
-    return min(_bits_float(hi), _RHO_MAX)
-
-
-def choose_truncation(im_tau: float, eps: float, pp: PrecisionPolicy = DEFAULT) -> int:
-    """Series length for the weight-2/4 expansions at height im_tau.
-
-    Returns N such that sum_{k>N} k^3 |q|^k < eps/(320 pi^4) with
-    |q| = e^{-2 pi im_tau}; k^3 majorizes sigma_1 and (up to the constant
-    folded into the target) sigma_3.
-    """
-    if im_tau < pp.min_im_direct - 1e-12:
+    if im_tau < _FLOOR - 1e-12:
         raise ValueError(f"im_tau below direct-evaluation threshold: {im_tau}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    rho = math.exp(-2 * PI * im_tau)
-    return _truncation(rho, eps / (320 * PI**4), pp.max_terms, 3)
+    return _basic_terms(math.exp(-2 * PI * im_tau), PrecisionPolicy(eps))
 
 
 # ---------------------------------------------------------------------------
 # weight-2/4/6 series, the modular pull-back seam and the transformation laws
 
-def _pullback(tau: complex, pp: PrecisionPolicy, rs=None):
+def _pullback(tau: complex, rs=None):
     """(tau1, c, mu, rs1): the point tau1 at which the series are summed, with
     tau = gamma . tau1, c the lower-left entry of gamma and mu = c tau1 + d;
     a form of weight w is mu^w times its value at tau1.
 
     tau is translated by the integer k nearest Re tau (c = 0, mu = 1), then
-    reduced to F if its height is below the floor: pp.min_im_direct for the
-    (eta1, g2, g3) series, whose ratio is |q|, and 2 pp.min_im_direct when rs
-    is given, for the wp/Z family, whose ratio |q| max(|x|, 1/|x|) reaches
-    |q|^{1/2}.  Either way every series is summed at a ratio of at most
-    e^{-2 pi pp.min_im_direct} while 2 pp.min_im_direct <= sqrt(3)/2, the
-    lowest height in F.  rs, when given, is carried to rs1 with
-    Z_{r,s}(tau) = mu Z_{rs1}(tau1); Z is 1-periodic in r, so k s is reduced
-    exactly into [-1/2, 1/2) and a large Re tau costs no digits.
+    reduced to F if its height is below the floor: min_im_direct = 0.35 for
+    the (eta1, g2, g3) series, whose ratio is |q|, and 0.70 when rs is given,
+    for the wp/Z family, whose ratio |q| max(|x|, 1/|x|) reaches |q|^{1/2}.
+    As 0.70 < sqrt(3)/2, the lowest height in F, every series is then summed
+    at a ratio of at most e^{-2 pi 0.35} = 0.111 (RHO_CAP).  rs, when given,
+    is carried to rs1 with Z_{r,s}(tau) = mu Z_{rs1}(tau1); Z is 1-periodic
+    in r, so k s is reduced exactly into [-1/2, 1/2) and a large Re tau
+    costs no digits.
     """
     k = round(tau.real)
     if k:
@@ -230,8 +133,7 @@ def _pullback(tau: complex, pp: PrecisionPolicy, rs=None):
                 p, m = s.as_integer_ratio()
                 h = m // 2
                 rs = (r + ((k * p + h) % m - h) / m, s)
-    floor = pp.min_im_direct if rs is None else 2 * pp.min_im_direct
-    if tau.imag >= floor:
+    if tau.imag >= (_FLOOR if rs is None else _FAMILY_FLOOR):
         return tau, 0, 1, rs
     tau1, a, b, c, d = reduce_to_F_ints(tau)
     if rs is not None:
@@ -265,7 +167,7 @@ def _basic_terms(q: complex, pp: PrecisionPolicy) -> int:
     """Length of the (eta1, g2, g3) series at nome q."""
     # one length serves all three series: k^5 majorizes sigma_5 up to zeta(5),
     # and the tolerance target absorbs the largest prefactor (504 * 8 pi^6/27)
-    return _truncation(abs(q), pp.eps / 150000.0, pp.max_terms, 5)
+    return _truncation(abs(q), pp.eps / 150000.0, 5)
 
 
 # prefactors of eta1 = pi^2/3 - 8 pi^2 s1, g2 = (4/3) pi^4 + 320 pi^4 s3 and
@@ -296,7 +198,7 @@ def _basic_direct(tau: complex, pp: PrecisionPolicy, q: complex | None = None):
 
 def _basic(tau: complex, pp: PrecisionPolicy):
     """(eta1, g2, g3) anywhere in H."""
-    tau1, c, mu, _ = _pullback(tau, pp)
+    tau1, c, mu, _ = _pullback(tau)
     vals = _basic_direct(tau1, pp)
     return _lift(vals, c, mu) if c else vals
 
@@ -363,9 +265,11 @@ def _wp_family(rh: float, sh: float, tau: complex, pp: PrecisionPolicy,
     if q is None:
         q = cmath.exp(TWO_PI_I * tau)
     x = cmath.exp(TWO_PI_I * (rh + sh * tau))
-    ax = abs(x)
-    rho = abs(q) * max(ax, 1.0 / ax)
-    n = _truncation(rho, pp.eps / (64 * PI**3), pp.max_terms, 3)
+    # rho = |q| max(|x|, 1/|x|) = |q|/|x| as sh >= 0, formed without 1/|x|:
+    # high up x underflows to 0, but rho <= |x| as sh <= 1/2, so the series
+    # is then empty and wp_sums never divides by x
+    rho = math.exp(-2 * PI * (1.0 - sh) * tau.imag)
+    n = _truncation(rho, pp.eps / (64 * PI**3), 3)
     sp, spp, sz = wp_sums(x, q, n)
     one_minus = 1 - x
     wp = -4 * PI**2 * (1.0 / 12.0 + x / one_minus**2 + sp)
@@ -383,7 +287,7 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     """
     r, s = as_pair(z)
     t = as_tau(tau)
-    tau1, c, mu, (r1, s1) = _pullback(t, pp, (r, s))
+    tau1, c, mu, (r1, s1) = _pullback(t, (r, s))
     q = cmath.exp(TWO_PI_I * tau1)
     wp, wpp, z_hecke = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
     # only eta1 is read: its series alone, at the length _basic_direct uses

@@ -64,6 +64,12 @@ class TestEval:
         b = [float(v) for v in out_shifted.strip().splitlines()[1].split(",")[1:3]]
         assert a == pytest.approx(b, rel=1e-12)
 
+    def test_pullback_far_above(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--fn", "ek", "--k", "1",
+                                 "--tau=-2.998967914617505+0.0034919576655647135i")
+        assert code == 0, err
+        assert all(math.isfinite(float(v)) for v in out.strip().splitlines()[1].split(",")[1:])
+
     def test_missing_argument_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--fn", "fc", "--tau", "0.5+1i")
         assert code == 2

@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
 
 from e2crit import (
+    DEFAULT,
     PrecisionPolicy,
     TauPoint,
     PoleAtLattice,
@@ -19,9 +21,10 @@ from e2crit import (
     eval_eta2,
     eval_invariants,
     eval_weierstrass,
+    eval_Zrs2,
 )
 from e2crit import qseries
-from e2crit.qseries import _bounds, _nterms, _sigma, _truncation
+from e2crit.qseries import MAX_TERMS, RHO_CAP, _sigma, _thresholds, _truncation
 
 PI = math.pi
 RHO = cmath.exp(1j * PI / 3)
@@ -224,6 +227,12 @@ class TestWeierstrass:
         eval_weierstrass((0.1, 0.25), tau)
         assert len(calls) == 1
 
+    def test_finite_where_the_pullback_lands_high(self):
+        # _pullback takes this tau to Im 263, where x underflows to 0
+        t = complex(-2.998967914617505, 0.0034919576655647135)
+        for v in (*eval_weierstrass((0.5, 0.0), t), eval_Zrs2((0.5, 0.0), t)):
+            assert cmath.isfinite(v)
+
 
 class TestEk:
     def test_e1_zero_on_square_corner(self):
@@ -242,6 +251,15 @@ class TestEk:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             eval_ek(4, 1j)
+
+    def test_root_sum_where_the_pullback_lands_high(self):
+        # tau near a cusp with large c lands hundreds of units up, where
+        # x = exp(2 pi i z) underflows to 0 for the half period 1/2 + tau/2
+        rng = random.Random(5)
+        for _ in range(3000):
+            t = complex(rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.003), math.log(4))))
+            e = [eval_ek(k, t) for k in (1, 2, 3)]
+            assert abs(sum(e)) <= 1e-12 * max(map(abs, e)), t
 
 
 class TestDerivatives:
@@ -297,77 +315,75 @@ class TestChooseTruncation:
         assert self.tail(rho, n) < eps / (320 * PI**4)
 
     def test_minimal_at_loose_tolerance(self):
+        # the empty series is certified
         n = choose_truncation(10.0, 0.5)
-        assert n == 1
-
-    def test_policy_threshold_admits_lower_height(self):
-        assert choose_truncation(0.32, 1e-12, PrecisionPolicy(min_im_direct=0.3)) > 0
+        assert n == 0
 
     def test_policy_threshold_rejects_lower_height(self):
+        assert choose_truncation(DEFAULT.min_im_direct, 1e-12) > 0
         with pytest.raises(ValueError, match="threshold"):
-            choose_truncation(0.4, 1e-12, PrecisionPolicy(min_im_direct=0.5))
+            choose_truncation(0.34, 1e-12)
 
     def test_failure_when_capped(self):
-        pp = PrecisionPolicy(eps=1e-12, max_terms=8, min_im_direct=0.35)
+        # no MAX_TERMS-term series reaches this tolerance at the ratio cap
         with pytest.raises(TruncationFailure):
-            eval_eta1(complex(0.0, 0.35), pp)
+            eval_eta1(complex(0.0, 0.35), PrecisionPolicy(eps=1e-300))
 
 
 class TestTruncationTable:
-    # the (tol, power) pairs of _basic_direct, _wp_family and choose_truncation
-    PAIRS = [(1e-12 / 150000.0, 5), (1e-12 / (64 * PI**3), 3), (1e-12 / (320 * PI**4), 3)]
+    # the tolerance divisors and powers of _basic_terms and _wp_family
+    PAIRS = [pytest.param(150000.0, 5, id="basic"),
+             pytest.param(64 * PI**3, 3, id="wp_family")]
 
     @staticmethod
-    def both(rho, tol, max_terms, power):
-        out = []
-        for fn in (_nterms, _truncation):
-            try:
-                out.append(fn(rho, tol, max_terms, power))
-            except TruncationFailure:
-                out.append("failure")
-        return out
+    def tails(rho, tol, power, n):
+        """Exact majorant tails sum_{k>m} k^power rho^k for m = max(n - 2, 0)
+        and m = n, summed until the terms are negligible against tol."""
+        terms = []
+        k = 1
+        while k <= max(n, power) + 1 or terms[-1] >= 1e-20 * tol:
+            terms.append(float(k) ** power * rho**k)
+            k += 1
+        return math.fsum(terms[max(n - 2, 0):]), math.fsum(terms[n:])
 
-    @pytest.mark.parametrize("tol,power", PAIRS)
-    def test_matches_definition(self, tol, power):
-        rng = np.random.default_rng(power)
-        rhos = [float(r) for r in np.exp(rng.uniform(math.log(1e-12), math.log(0.95), 8500))]
-        rhos += [0.0, 0.95, 0.99, math.nan, math.inf]
-        # complete the table, then probe every threshold closely
-        self.both(math.nextafter(0.95, 0.0), tol, 256, power)
-        bounds = _bounds[(tol, 256, power)]
-        assert len(bounds) == 256
-        for b in bounds:
-            rhos += [b, math.nextafter(b, 0.0), b * (1 + 1e-12), b * (1 - 1e-12),
-                     b * (1 + 1e-13), b * (1 - 1e-13)]
-        assert len(rhos) >= 10**4
-        for rho in rhos:
-            want, got = self.both(rho, tol, 256, power)
-            assert got == want, rho
+    @pytest.mark.parametrize("eps", [1e-12, 3e-12, 1e-7])
+    @pytest.mark.parametrize("divisor,power", PAIRS)
+    def test_certified_and_near_minimal(self, divisor, power, eps):
+        tol = eps / divisor
+        rhos = [0.0, RHO_CAP] + list(np.geomspace(1e-20, RHO_CAP, 10**4))
+        for b in _thresholds(tol, power):
+            rhos += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
+        for rho in (float(r) for r in rhos if 0.0 <= r <= RHO_CAP):
+            n = _truncation(rho, tol, power)
+            assert 0 <= n <= MAX_TERMS
+            before, at = self.tails(rho, tol, power, n)
+            assert at < tol, (rho, n)
+            # n - 2 terms fall short: n is at most one more than the least
+            assert n < 2 or before >= tol, (rho, n)
 
-    @pytest.mark.parametrize("rho", [0.95, 0.99, 1.5, math.nan])
+    @pytest.mark.parametrize("rho", [0.95, 0.99, 1.5, math.nan, math.inf])
     def test_failure_near_one(self, rho):
         with pytest.raises(TruncationFailure):
-            _truncation(rho, 1e-12 / 150000.0, 256, 5)
+            _truncation(rho, 1e-12 / 150000.0, 5)
+
+    @pytest.mark.parametrize("divisor,power", PAIRS)
+    def test_cap_is_the_boundary(self, divisor, power):
+        assert _truncation(RHO_CAP, 1e-12 / divisor, power) > 0
+        for rho in (math.nextafter(RHO_CAP, 1.0), -1e-300):
+            with pytest.raises(TruncationFailure):
+                _truncation(rho, 1e-12 / divisor, power)
 
     def test_failure_beyond_max_terms(self):
-        tol, power, max_terms = 1e-12 / 150000.0, 5, 8
-        assert _truncation(0.001, tol, max_terms, power) == _nterms(0.001, tol, max_terms, power)
-        with pytest.raises(TruncationFailure):
-            _truncation(0.5, tol, max_terms, power)
-        last = _bounds[(tol, max_terms, power)][-1]
-        assert len(_bounds[(tol, max_terms, power)]) == max_terms
-        assert _truncation(math.nextafter(last, 0.0), tol, max_terms, power) == max_terms
-        with pytest.raises(TruncationFailure):
-            _truncation(last, tol, max_terms, power)
+        with pytest.raises(TruncationFailure, match="256 terms"):
+            _truncation(0.001, 1e-300 / 150000.0, 5)
 
 
 class TestPrecisionPolicy:
     def test_field_validation(self):
         with pytest.raises(ValueError):
             PrecisionPolicy(eps=2.0)
-        with pytest.raises(ValueError):
-            PrecisionPolicy(max_terms=4)
-        with pytest.raises(ValueError):
-            PrecisionPolicy(min_im_direct=0.1)
+        for knob in ("max_terms", "min_im_direct"):
+            with pytest.raises(TypeError):
+                PrecisionPolicy(**{knob: 0.5})
         pp = PrecisionPolicy()
-        assert pp.eps == 1e-12 and pp.max_terms == 256 and pp.min_im_direct == 0.35
+        assert pp.eps == 1e-12 and pp.min_im_direct == DEFAULT.min_im_direct == 0.35
