@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -87,47 +86,11 @@ class RunConfig:
         return PrecisionPolicy(eps=self.eps)
 
 
-def _load_config_file(path: str) -> dict:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
-    return out
-
-
 def build_config(args) -> RunConfig:
-    """Defaults < config file < EC_PRECISION env (eps only) < explicit flags."""
-    values = {}
-    if args.config:
-        raw = _load_config_file(args.config)
-        if "eps" in raw:
-            values["eps"] = float(raw["eps"])
-        if "t_top" in raw:
-            values["t_top"] = float(raw["t_top"])
-        if "cusp_delta" in raw:
-            values["cusp_delta"] = float(raw["cusp_delta"])
-        if "format" in raw:
-            values["out_format"] = raw["format"]
-        if "out" in raw:
-            values["out_path"] = raw["out"]
-    env_eps = os.environ.get("EC_PRECISION")
-    if env_eps:
-        values["eps"] = float(env_eps)
-    if args.eps is not None:
-        values["eps"] = args.eps
-    if args.t_top is not None:
-        values["t_top"] = args.t_top
-    if args.cusp_delta is not None:
-        values["cusp_delta"] = args.cusp_delta
-    if args.format is not None:
-        values["out_format"] = args.format
-    if args.out is not None:
-        values["out_path"] = args.out
-    return RunConfig(**values)
+    """RunConfig from the flags; an absent flag keeps the default."""
+    values = {"eps": args.eps, "t_top": args.t_top, "cusp_delta": args.cusp_delta,
+              "out_format": args.format, "out_path": args.out}
+    return RunConfig(**{k: v for k, v in values.items() if v is not None})
 
 
 def _emit(records: list[dict], columns: list[str], cfg: RunConfig) -> None:
@@ -142,6 +105,11 @@ def _emit(records: list[dict], columns: list[str], cfg: RunConfig) -> None:
                 _fmt(rec[k]) if isinstance(rec[k], float) else str(rec[k])
                 for k in columns))
         text = "\n".join(lines) + "\n"
+    _write(text, cfg)
+
+
+def _write(text: str, cfg: RunConfig) -> None:
+    """Write text to --out, or to stdout when no path is given."""
     if cfg.out_path:
         with open(cfg.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -264,20 +232,23 @@ def cmd_critical(args, cfg: RunConfig) -> int:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     rows, ok = run_suite(args.suite, cfg.pp)
-    if args.json:
+    if cfg.out_format == "json":
         payload = [{"section": sec, "check": r.name, "passed": r.passed,
                     "detail": r.detail} for sec, r in rows]
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         width = max(len(r.name) for _, r in rows)
+        lines = []
         section = None
         for sec, r in rows:
             if sec != section:
                 section = sec
-                sys.stdout.write(f"-- {sec}\n")
+                lines.append(f"-- {sec}")
             flag = "PASS" if r.passed else "FAIL"
-            sys.stdout.write(f"  [{flag}] {r.name:<{width}}  {r.detail}\n")
-        sys.stdout.write("suite result: " + ("PASS" if ok else "FAIL") + "\n")
+            lines.append(f"  [{flag}] {r.name:<{width}}  {r.detail}")
+        lines.append("suite result: " + ("PASS" if ok else "FAIL"))
+        text = "\n".join(lines) + "\n"
+    _write(text, cfg)
     if not ok:
         failed = [r.name for _, r in rows if not r.passed]
         sys.stderr.write("failed checks: " + "; ".join(failed) + "\n")
@@ -297,15 +268,13 @@ def _add_common(parser, top: bool) -> None:
     # subparser copies use SUPPRESS so an absent flag keeps the earlier value
     default = None if top else argparse.SUPPRESS
     parser.add_argument("--eps", type=float, default=default,
-                        help="absolute tolerance (default 1e-12; env EC_PRECISION)")
+                        help="absolute tolerance (default 1e-12)")
     parser.add_argument("--t-top", dest="t_top", type=float, default=default,
                         help="top edge of the truncated F0 contour (default 6)")
     parser.add_argument("--cusp-delta", dest="cusp_delta", type=float, default=default,
                         help="horocircle diameter of the cusp cuts (default 0.08)")
     parser.add_argument("--format", choices=("csv", "json"), default=default)
     parser.add_argument("--out", default=default, help="output path (default stdout)")
-    parser.add_argument("--config", default=default,
-                        help="flat key=value file mirroring the run options")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p, top=False)
     p.add_argument("--suite", choices=tuple(sorted(SUITES)), required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_verify)
     return parser
 
@@ -387,7 +355,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(_attach_negative_values(argv))
     try:
         cfg = build_config(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
     try:
@@ -400,6 +368,9 @@ def main(argv=None) -> int:
     except (E2CritError, ArithmeticError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 3
+    except OSError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

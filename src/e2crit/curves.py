@@ -114,9 +114,10 @@ def special_tau_half(pp: PrecisionPolicy = DEFAULT) -> TauPoint:
     return TauPoint(0.5, b_hat)
 
 
-def special_tau_minus(pp: PrecisionPolicy = DEFAULT) -> TauPoint:
-    """Intersection tau_- of the outer curves with Re tau = 1/2: the root of
-    theta - theta1 on (1/2, sqrt(3)/2), cross-checked against f_C."""
+def special_tau_minus_C(pp: PrecisionPolicy = DEFAULT) -> tuple[TauPoint, float]:
+    """Intersection tau_- of the outer curves with Re tau = 1/2, the root of
+    theta - theta1 on (1/2, sqrt(3)/2), and the C < 0 with tau(C) = tau_-,
+    cross-checked against f_C."""
 
     def fn(b):
         th, th1 = theta_pair(b, pp)
@@ -129,7 +130,12 @@ def special_tau_minus(pp: PrecisionPolicy = DEFAULT) -> TauPoint:
     c_minus = 0.5 - 2 * PI * math.sqrt(-g2v / 12) / disc
     if abs(eval_fC(c_minus, tau_m, pp)) > 1e-8:
         raise ConsistencyFailure(f"tau_- fails the f_C residual check at C = {c_minus}")
-    return TauPoint(0.5, b1)
+    return TauPoint(0.5, b1), c_minus
+
+
+def special_tau_minus(pp: PrecisionPolicy = DEFAULT) -> TauPoint:
+    """Intersection tau_- of the outer curves with Re tau = 1/2."""
+    return special_tau_minus_C(pp)[0]
 
 
 def special_b0(pp: PrecisionPolicy = DEFAULT) -> float:

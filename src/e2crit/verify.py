@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 
 from .curves import (
@@ -21,6 +22,7 @@ from .curves import (
     special_b0,
     special_tau_half,
     special_tau_minus,
+    special_tau_minus_C,
     trace_curve,
     verify_symmetries,
 )
@@ -65,6 +67,14 @@ def _interval(name, value, lo, hi) -> CheckResult:
     return CheckResult(name, lo < value < hi, f"{value!r} in ({lo:.6f}, {hi:.6f})")
 
 
+def _linspace(lo, hi, n):
+    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+
+
+def _geomspace(lo, hi, n):
+    return [lo * (hi / lo) ** (k / (n - 1)) for k in range(n)]
+
+
 def _random_taus(rng, n, im_lo=0.4, im_hi=5.0):
     return [complex(rng.uniform(-1.0, 2.0), rng.uniform(im_lo, im_hi)) for _ in range(n)]
 
@@ -77,8 +87,8 @@ def _random_sl2z(rng, n, max_entry=10):
     seen = set()
     while len(out) < n:
         g = IDENTITY
-        for _ in range(int(rng.integers(1, 9))):
-            g = g @ words[int(rng.integers(0, 3))]
+        for _ in range(rng.randrange(1, 9)):
+            g = g @ words[rng.randrange(0, 3)]
         key = (g.a, g.b, g.c, g.d)
         if max(abs(v) for v in key) <= max_entry and key not in seen:
             seen.add(key)
@@ -103,9 +113,7 @@ def criterion_1(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 
 def criterion_2(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     """Identity suite over 200 random tau with Im in [0.4, 5]."""
-    import numpy as np
-
-    rng = np.random.default_rng(20260809)
+    rng = random.Random(20260809)
     taus = _random_taus(rng, 200)
     tol = 1e-9
 
@@ -133,7 +141,7 @@ def criterion_2(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 
     worst_e2 = 0.0
     for gam in _random_sl2z(rng, 50):
-        t = taus[int(rng.integers(0, len(taus)))]
+        t = taus[rng.randrange(0, len(taus))]
         mu = gam.mu(t)
         lhs = eval_E2(gam(t), pp) / mu**2
         rhs = eval_E2(t, pp) - 6j * gam.c / (PI * mu)
@@ -142,7 +150,7 @@ def criterion_2(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     worst_p1 = 0.0
     worst_p2 = 0.0
     for gam in _random_sl2z(rng, 25):
-        t = taus[int(rng.integers(0, len(taus)))]
+        t = taus[rng.randrange(0, len(taus))]
         r, s = rng.uniform(0.08, 0.45), rng.uniform(0.08, 0.45)
         z2 = eval_Zrs2((r, s), t, pp)
         worst_p1 = max(
@@ -380,9 +388,7 @@ def criterion_10(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 # extra library-level suites (not numbered acceptance criteria)
 
 def modular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
-    import numpy as np
-
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     worst_assoc = 0.0
     for _ in range(20):
         g1 = _random_sl2z(rng, 1, max_entry=50)[0]
@@ -420,14 +426,12 @@ def modular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 
 
 def premodular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
-    import numpy as np
-
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     contour_pts = []
-    heights = np.geomspace(0.15, 6.0, 12)
+    heights = _geomspace(0.15, 6.0, 12)
     contour_pts += [complex(0.0, h) for h in heights]
     contour_pts += [complex(1.0, h) for h in heights]
-    contour_pts += [0.5 + 0.5 * cmath.exp(1j * th) for th in np.linspace(0.3, PI - 0.3, 12)]
+    contour_pts += [0.5 + 0.5 * cmath.exp(1j * th) for th in _linspace(0.3, PI - 0.3, 12)]
     worst = math.inf
     for _ in range(20):
         while True:
@@ -451,12 +455,10 @@ def premodular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 
 
 def curve_extra_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
-    import numpy as np
-
     out = []
     b0 = special_b0(pp)
-    grid_lo = np.linspace(0.05, b0 - 0.01, 20)
-    grid_hi = np.linspace(b0 + 0.01, 3.0, 20)
+    grid_lo = _linspace(0.05, b0 - 0.01, 20)
+    grid_hi = _linspace(b0 + 0.01, 3.0, 20)
 
     def d_eta1_db(b):
         e1p = eval_derivatives(complex(0.5, b), pp)[0]
@@ -473,12 +475,8 @@ def curve_extra_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
                                ray_ok, f"{len(samples)} samples"))
     # 1/(1 - tau_-) must lie on the middle curve: it solves f_C for the C
     # paired with tau_- under the inversion identity
-    tau_m = special_tau_minus(pp)
+    tau_m, c_minus = special_tau_minus_C(pp)
     t_link = 1 / (1 - tau_m.z)
-    e1c, g2c = eval_eta1(tau_m, pp), eval_invariants(tau_m, pp)[0]
-    e1, g2v = e1c.real, g2c.real
-    disc = e1 * e1 - g2v / 12
-    c_minus = 0.5 - 2 * PI * math.sqrt(-g2v / 12) / disc
     c_image = 1 / (1 - c_minus)
     out.append(_check("1/(1 - tau_-) lies on the middle curve",
                       abs(solve_tauC(c_image, pp, hint=t_link).z - t_link), 1e-8))

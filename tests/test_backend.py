@@ -15,7 +15,7 @@ def test_backend_reports_name():
 
 
 def test_import_leaves_numpy_out():
-    # numpy is needed only by a few verify sections, which import it lazily
+    # the package has no runtime dependency; numpy serves the tests only
     env = dict(os.environ, PYTHONPATH=str(SRC))
     code = "import sys, e2crit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
