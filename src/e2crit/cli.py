@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .curves import branch_of, critical_points_E2, trace_curve
 from .domain import PrecisionPolicy
 from .errors import E2CritError
-from .premodular import eval_Zrs, eval_Zrs2
+from .premodular import _zrs2_parts, _zrs_parts, eval_Zrs, eval_Zrs2
 from .qseries import (
     eval_E2,
     eval_ek,
@@ -28,6 +28,7 @@ from .qseries import (
 from .verify import SUITES, run_suite
 from .zeros import (
     BranchState,
+    _fc_parts,
     count_zeros_info,
     eval_fC,
     eval_phi,
@@ -205,14 +206,12 @@ def cmd_count(args, cfg: RunConfig) -> int:
     if args.fn == "fc":
         if args.C is None:
             raise SystemExit2("--C is required for --fn fc")
-        f = lambda t: eval_fC(args.C, t, pp)
+        f = lambda t: _fc_parts(args.C, t, pp)[:2]
     else:
         if args.rs is None:
             raise SystemExit2(f"--rs is required for --fn {args.fn}")
-        if args.fn == "zrs2":
-            f = lambda t: eval_Zrs2(args.rs, t, pp)
-        else:
-            f = lambda t: eval_Zrs(args.rs, t, pp)
+        parts = _zrs2_parts if args.fn == "zrs2" else _zrs_parts
+        f = lambda t: parts(args.rs, t, pp)
     n, used = count_zeros_info(f, contour)
     _emit([{"count": n, "contour_points_used": used}],
           ["count", "contour_points_used"], cfg)

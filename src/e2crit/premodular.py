@@ -7,6 +7,18 @@ Near a lattice point the cubic combination suffers catastrophic cancellation
     Z2 = 3 (A^2 - P)/u + A^3 - 3 P A - Q
 with A = (zeta(u) - 1/u) - r*eta1 - s*eta2, P = wp - 1/u^2, Q = wp' + 2/u^3
 is used for small |u|; it is exact and keeps every term O(u)-bounded.
+
+The tau-derivatives at fixed (r, s) come in closed form from the heat
+equation 4 pi i d_tau theta1 = d_z^2 theta1, as Z = theta1'/theta1 + 2 pi i s
+with z = r + s*tau:
+    dZ/dtau   = -(wp' + 2 Z (wp + eta1)) / (4 pi i),
+    dwp/dtau  = (4 wp (wp - eta1) + 2 Z wp' - 2 g2/3) / (4 pi i),
+    dwp'/dtau = (6 wp' (wp - eta1) + Z (12 wp^2 - g2)) / (4 pi i),
+using wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp', and then
+    dZ2/dtau  = 3 (Z^2 - wp) dZ/dtau - 3 Z dwp/dtau - dwp'/dtau.
+The Laurent form is differentiated term by term instead (du/dtau = s,
+dzs/du = -P, dP/du = Q, and the coefficients move with g2 and g3), so its
+derivative keeps every term O(u)-bounded as well.
 """
 
 from __future__ import annotations
@@ -19,12 +31,23 @@ from enum import Enum
 from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_pair, as_tau
 from .errors import CountMismatch, Diverged, PoleAtLattice, Unclassified
 from .moebius import DomainTag, classify_domain
-from .qseries import PI, TWO_PI_I, _basic_direct, _pullback, _wp_family, reduce_lattice
+from .qseries import (
+    PI,
+    TWO_PI_I,
+    _basic_direct,
+    _basic_terms,
+    _derivs,
+    _eta1_direct,
+    _pullback,
+    _wp_family,
+    reduce_lattice,
+)
 from .zeros import BOUNDARY_ZERO_TOL, MAX_CONTOUR_POINTS, _winding, f0_contour, newton_refine
 
 CLASSIFY_TOL = 1e-12
 SMALL_U_FACTOR = 0.15
 LAURENT_TERMS = 13
+_FOUR_PI_I = 4j * PI
 
 
 class TriangleTag(Enum):
@@ -76,13 +99,32 @@ def classify(rs, tol: float = CLASSIFY_TOL) -> TriangleTag:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def eval_Zrs(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
-    """Hecke form Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2."""
+def _pullback_char(rs, tau, name: str):
+    """_pullback of tau with the characteristic rs carried along, after
+    rejecting a lattice characteristic, where the form has a pole."""
     r, s = as_pair(rs)
     if _is_lattice(r, s):
-        raise PoleAtLattice(f"Z_{{{r},{s}}} has a pole (lattice characteristic)")
-    tau1, _, mu, (r1, s1) = _pullback(as_tau(tau), (r, s))
+        raise PoleAtLattice(f"{name}_{{{r},{s}}} has a pole (lattice characteristic)")
+    return _pullback(as_tau(tau), (r, s))
+
+
+def eval_Zrs(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
+    """Hecke form Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2."""
+    tau1, _, mu, (r1, s1) = _pullback_char(rs, tau, "Z")
     return mu * _wp_family(*reduce_lattice(r1, s1), tau1, pp)[2]
+
+
+def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
+    """(Z_{r,s}, dZ_{r,s}/dtau) from one evaluation of the wp/Z family and
+    the eta1 series at the pulled-back point, Z in the operations of
+    eval_Zrs.  A weight-1 form lifts as Z(tau) = mu Z(tau1) with
+    dtau1/dtau = mu^-2, so dZ/dtau = mu^2 (c Z(tau1) + mu Z'(tau1))."""
+    tau1, c, mu, (r1, s1) = _pullback_char(rs, tau, "Z")
+    q = cmath.exp(TWO_PI_I * tau1)
+    wp, wpp, z = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
+    e1 = _eta1_direct(q, _basic_terms(q, pp))
+    dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
+    return mu * z, mu * mu * (c * z + mu * dz)
 
 
 def _laurent_coeffs(g2v: complex, g3v: complex, kmax: int = LAURENT_TERMS) -> list:
@@ -93,6 +135,19 @@ def _laurent_coeffs(g2v: complex, g3v: complex, kmax: int = LAURENT_TERMS) -> li
     for k in range(4, kmax + 1):
         c[k] = 3 * sum(c[m] * c[k - m] for m in range(2, k - 1)) / ((2 * k + 1) * (k - 3))
     return c
+
+
+def _laurent_coeffs_tau(c: list, g2p: complex, g3p: complex) -> list:
+    """tau-derivatives of the c_k of _laurent_coeffs, from g2' and g3'
+    through the same recursion (its sum over m is symmetric, so the product
+    rule doubles one half)."""
+    cp = [0j, 0j, g2p / 20, g3p / 28]
+    for k in range(4, len(c)):
+        acc = 0j
+        for m in range(2, k - 1):
+            acc += cp[m] * c[k - m]
+        cp.append(6 * acc / ((2 * k + 1) * (k - 3)))
+    return cp
 
 
 def _laurent_parts(u: complex, c: list) -> tuple[complex, complex, complex]:
@@ -110,8 +165,26 @@ def _laurent_parts(u: complex, c: list) -> tuple[complex, complex, complex]:
     return P, Q, zs
 
 
-def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy) -> complex:
-    """Z2 at tau as _pullback returns it."""
+def _laurent_tau_parts(u: complex, c: list, cp: list) -> tuple[complex, complex, complex, complex]:
+    """(P_t, Q_t, zs_t, dQ/du): the tau-derivatives at fixed u of the parts
+    _laurent_parts returns, from the coefficient derivatives cp, and
+    dQ/du = wp'' - 6/u^4."""
+    P_t = Q_t = zs_t = dQ_du = 0j
+    u2 = u * u
+    upow = 1.0  # u^{2k-4} starting at k = 2
+    for k in range(2, len(c)):
+        a = cp[k] * upow * u
+        P_t += a * u
+        Q_t += (2 * k - 2) * a
+        zs_t -= a * u2 / (2 * k - 1)
+        dQ_du += (2 * k - 2) * (2 * k - 3) * c[k] * upow
+        upow *= u2
+    return P_t, Q_t, zs_t, dQ_du
+
+
+def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool = False):
+    """Z2 at tau as _pullback returns it; with deriv, the pair
+    (Z2, dZ2/dtau) at fixed (r, s), Z2 in the same operations."""
     rh, sh = reduce_lattice(r, s)
     u = rh + sh * tau
     q = cmath.exp(TWO_PI_I * tau)
@@ -121,20 +194,46 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy) -> complex:
     if au < SMALL_U_FACTOR and au < SMALL_U_FACTOR * min(1.0, abs(tau), abs(tau - 1), abs(tau + 1)):
         e1, g2v, g3v = _basic_direct(tau, pp, q)
         e2v = tau * e1 - TWO_PI_I
-        P, Q, zs = _laurent_parts(u, _laurent_coeffs(g2v, g3v))
+        c = _laurent_coeffs(g2v, g3v)
+        P, Q, zs = _laurent_parts(u, c)
         A = zs - rh * e1 - sh * e2v
-        return 3 * (A * A - P) / u + (A**3 - 3 * P * A - Q)
-    wp, wpp, z_hecke = _wp_family(rh, sh, tau, pp, q)
-    return z_hecke**3 - 3 * wp * z_hecke - wpp
+        z2 = 3 * (A * A - P) / u + (A**3 - 3 * P * A - Q)
+        if not deriv:
+            return z2
+        # partial tau-derivatives at fixed u, then the chain rule du/dtau = sh
+        e1p, g2p, g3p = _derivs(e1, g2v, g3v)
+        P_t, Q_t, zs_t, dQ_du = _laurent_tau_parts(u, c, _laurent_coeffs_tau(c, g2p, g3p))
+        dP = Q * sh + P_t
+        dQ = dQ_du * sh + Q_t
+        dA = zs_t - P * sh - rh * e1p - sh * (e1 + tau * e1p)
+        dz2 = (3 * (2 * A * dA - dP) / u - 3 * (A * A - P) * sh / (u * u)
+               + 3 * A * A * dA - 3 * (dP * A + P * dA) - dQ)
+        return z2, dz2
+    wp, wpp, z = _wp_family(rh, sh, tau, pp, q)
+    z2 = z**3 - 3 * wp * z - wpp
+    if not deriv:
+        return z2
+    e1, g2v, _ = _basic_direct(tau, pp, q)
+    dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
+    dwp = (4 * wp * (wp - e1) + 2 * z * wpp - g2v * (2 / 3)) / _FOUR_PI_I
+    dwpp = (6 * wpp * (wp - e1) + z * (12 * wp * wp - g2v)) / _FOUR_PI_I
+    return z2, 3 * (z * z - wp) * dz - 3 * z * dwp - dwpp
 
 
 def eval_Zrs2(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Weight-3 pre-modular form Z2_{r,s}(tau) = Z^3 - 3 wp Z - wp'."""
-    r, s = as_pair(rs)
-    if _is_lattice(r, s):
-        raise PoleAtLattice(f"Z2_{{{r},{s}}} has a pole (lattice characteristic)")
-    tau1, _, mu, (r1, s1) = _pullback(as_tau(tau), (r, s))
+    tau1, _, mu, (r1, s1) = _pullback_char(rs, tau, "Z2")
     return mu**3 * _zrs2_at(r1, s1, tau1, pp)
+
+
+def _zrs2_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
+    """(Z2_{r,s}, dZ2_{r,s}/dtau) sharing one series evaluation, Z2 in the
+    operations of eval_Zrs2: the pair the contour counts and Newton take.
+    A weight-3 form lifts as Z2(tau) = mu^3 Z2(tau1), so
+    dZ2/dtau = mu^4 (3 c Z2(tau1) + mu Z2'(tau1))."""
+    tau1, c, mu, (r1, s1) = _pullback_char(rs, tau, "Z2")
+    z2, dz2 = _zrs2_at(r1, s1, tau1, pp, deriv=True)
+    return mu**3 * z2, mu**4 * (3 * c * z2 + mu * dz2)
 
 
 def blowup_FCs(C: float, s: float, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
@@ -206,7 +305,7 @@ def find_zero_in_F0(rs, pp: PrecisionPolicy = DEFAULT, t_top: float = 6.0,
     tag = classify(rs)
     if tag not in _EXPECTED_COUNT:
         raise ValueError(f"characteristic {rs} is {tag.value}; zero structure undefined")
-    f = lambda t: eval_Zrs2(rs, t, pp)
+    f = lambda t: _zrs2_parts(rs, t, pp)
     n, _, seed = _winding(f, f0_contour(t_top, cusp_delta), BOUNDARY_ZERO_TOL, MAX_CONTOUR_POINTS)
     expected = _EXPECTED_COUNT[tag]
     if n != expected:
@@ -214,7 +313,7 @@ def find_zero_in_F0(rs, pp: PrecisionPolicy = DEFAULT, t_top: float = 6.0,
     if expected == 0:
         return None
     try:
-        root = newton_refine(f, None, seed, tol=100 * pp.eps)
+        root = newton_refine(f, seed, tol=100 * pp.eps)
     except Diverged as exc:
         raise Diverged(f"Newton from the contour seed {seed} failed for Z2_{rs}: {exc}") from exc
     where = classify_domain(root, tol=1e-9)

@@ -36,7 +36,7 @@ from .moebius import (
     reduce_to_F0,
     transform_char,
 )
-from .premodular import blowup_FCs, cusp_value, eval_Zrs, eval_Zrs2
+from .premodular import _zrs2_parts, blowup_FCs, cusp_value, eval_Zrs, eval_Zrs2
 from .qseries import (
     PI,
     TWO_PI_I,
@@ -49,7 +49,7 @@ from .qseries import (
     eval_weierstrass,
     transform_quasi,
 )
-from .zeros import BranchState, count_zeros, eval_fC, f0_contour, solve_tauC
+from .zeros import BranchState, _fc_parts, count_zeros, eval_fC, f0_contour, solve_tauC
 
 
 @dataclass(frozen=True)
@@ -201,25 +201,26 @@ def triangle_grid(name: str):
 
 
 def criterion_3(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
-    """Argument-principle zero counts over the truncated F0."""
+    """Argument-principle zero counts over the truncated F0, each walk
+    gated by the tau-derivative."""
     out = []
     contour = f0_contour(6.0, 0.08)
-    n = count_zeros(lambda t: eval_Zrs2((1 / 3, 1 / 3), t, pp), contour)
+    n = count_zeros(lambda t: _zrs2_parts((1 / 3, 1 / 3), t, pp), contour)
     out.append(CheckResult("count Z2_(1/3,1/3) = 0", n == 0, f"count = {n}"))
     expected = {"T0": 0, "T1": 1, "T2": 1, "T3": 1}
     for name, want in expected.items():
-        counts = [count_zeros(lambda t, rs=rs: eval_Zrs2(rs, t, pp), contour)
+        counts = [count_zeros(lambda t, rs=rs: _zrs2_parts(rs, t, pp), contour)
                   for rs in triangle_grid(name)]
         ok = all(c == want for c in counts)
         out.append(CheckResult(f"grid counts in {name} all {want}", ok, f"{counts}"))
     for C in (-2.0, 0.25, 0.5, 0.75, 2.0):
-        n = count_zeros(lambda t: eval_fC(C, t, pp), contour)
+        n = count_zeros(lambda t: _fc_parts(C, t, pp)[:2], contour)
         out.append(CheckResult(f"count f_{C} = 1", n == 1, f"count = {n}"))
     # f_0 and f_1 vanish at a cusp like exp(-2 pi / delta): the widest
     # admissible horocircle cut keeps |f| above the boundary-zero floor
     wide = f0_contour(6.0, 0.2)
     for C in (0.0, 1.0):
-        n = count_zeros(lambda t: eval_fC(C, t, pp), wide)
+        n = count_zeros(lambda t: _fc_parts(C, t, pp)[:2], wide)
         out.append(CheckResult(f"count f_{C} = 0", n == 0, f"count = {n}"))
     return out
 
@@ -307,7 +308,7 @@ def criterion_7(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     counts = []
     for gam in enumerate_gamma02(8):
         C = -gam.d / gam.c
-        counts.append(count_zeros(lambda t: eval_fC(C, t, pp), contour))
+        counts.append(count_zeros(lambda t: _fc_parts(C, t, pp)[:2], contour))
     out.append(CheckResult("f_{-d/c} count over F0 is 1 per tile",
                            all(c == 1 for c in counts), f"{counts}"))
     return out

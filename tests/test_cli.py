@@ -173,6 +173,16 @@ class TestCount:
         assert code == 2
         assert "t_top" in err
 
+    def test_zero_near_the_low_edge_counted(self, capsys):
+        # f_C has a zero close to this rectangle's bottom edge; the count
+        # passes the tau-derivative, and the derivative gate refines the
+        # default 24 points per side until it is seen
+        code, out, _ = run_cli(capsys, "--format", "json", "count", "--fn", "fc",
+                               "--C", "-0.347830332744998",
+                               "--region=-0.2226198,0.7623387,0.0667083,1.1358003")
+        assert code == 0
+        assert json.loads(out)[0]["count"] == 5
+
     def test_fc_rectangle(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--fn", "fc", "--C", "0.5",
                                "--region", "0,1,0.9,1.2")

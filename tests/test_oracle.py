@@ -11,7 +11,12 @@ A value is compared on the scale of the terms its sum adds up (the same
 sum taken over absolute values), not on |value|, which may cancel.  The
 bands of Im tau cover points the library pulls back to the fundamental
 domain for every series, points it pulls back for the wp/Z family only
-(Im tau in [0.35, 0.70) at the default policy) and points it sums directly.
+(Im tau in [0.35, 0.70) at the default policy) and points it sums directly;
+above Im 120, where q underflows, the library's series are empty.
+
+The tau-derivatives of Z and Z2 are checked against a central difference of
+the same reference, in each branch of the Z2 evaluation (the cubic and the
+Laurent form near the lattice), at points summed directly and pulled back.
 """
 
 import math
@@ -21,16 +26,25 @@ import numpy as np
 import pytest
 
 from e2crit import eval_weierstrass, eval_Zrs, eval_Zrs2
+from e2crit.premodular import SMALL_U_FACTOR, _zrs2_parts, _zrs_parts
+from e2crit.qseries import _pullback, reduce_lattice
 
 DPS = 30
 TOL = 1e-12
+# relative error of the closed-form tau-derivatives; the reference's central
+# difference with step 1e-10 at 30 digits is good to about 1e-19
+DERIV_TOL = 1e-10
+DERIV_STEP = mp.mpf("1e-10")
 _LOG_CUT = math.log(1e-34)
-BANDS = ((0.05, 0.35), (0.35, 0.70), (0.70, 3.0))
+BANDS = ((0.05, 0.35), (0.35, 0.70), (0.70, 3.0), (120.0, 200.0))
 POINTS_PER_BAND = 16
 
 
 def _nterms(rho: float, power: int) -> int:
-    """N past the peak of k^power rho^k whose tail is below 1e-34."""
+    """N past the peak of k^power rho^k whose tail is below 1e-34; 0 where
+    rho underflows, as every term then does."""
+    if rho == 0.0:
+        return 0
     lr = math.log(rho)
     k = max(1, math.ceil((power + 1) / -lr))
     while (power + 1) * math.log(k) + k * lr - math.log1p(-rho) > _LOG_CUT:
@@ -57,8 +71,15 @@ def _reference(r: float, s: float, tau: complex):
     """{name: (value, magnitude)} for wp, wp', zeta, Z and Z2 at
     z = r + s*tau, |s| < 1."""
     with mp.workdps(DPS):
+        out = _reference_mp(r, s, mp.mpc(tau))
+        return {k: (complex(v), m) for k, (v, m) in out.items()}
+
+
+def _reference_mp(r: float, s: float, tau):
+    """_reference with the values as mpmath numbers at the working
+    precision, tau an mpmath number."""
+    with mp.workdps(DPS):
         pi = mp.pi
-        tau = mp.mpc(tau)
         e1, m_e1 = _eta1(tau)
         z = r + s * tau
         q = mp.exp(2j * pi * tau)
@@ -102,8 +123,7 @@ def _reference(r: float, s: float, tau: complex):
         zh = (zeta[0] - r * e1 - s * e2, zeta[1] + abs(r) * m_e1 + abs(s) * m_e2)
         z2 = (zh[0] ** 3 - 3 * wp[0] * zh[0] - wpp[0],
               zh[1] ** 3 + 3 * wp[1] * zh[1] + wpp[1])
-        out = {"wp": wp, "wpp": wpp, "zeta": zeta, "Z": zh, "Z2": z2}
-        return {k: (complex(v), m) for k, (v, m) in out.items()}
+        return {"wp": wp, "wpp": wpp, "zeta": zeta, "Z": zh, "Z2": z2}
 
 
 def _points(lo: float, hi: float, seed: int):
@@ -132,3 +152,55 @@ def test_family_matches_reference(band):
             assert err <= TOL, (name, r, s, tau, value, want, scale)
             worst = max(worst, err)
     assert worst > 0.0  # the comparison is not vacuous
+
+
+def _z2_branch(r: float, s: float, tau: complex) -> tuple[bool, bool]:
+    """(Laurent form, pulled back): the branch the library takes for
+    Z2_{r,s}(tau), by the switch of premodular._zrs2_at."""
+    tau1, c, _, (r1, s1) = _pullback(tau, (r, s))
+    rh, sh = reduce_lattice(r1, s1)
+    au = abs(rh + sh * tau1)
+    near = au < SMALL_U_FACTOR * min(1.0, abs(tau1), abs(tau1 - 1), abs(tau1 + 1))
+    return near, c != 0
+
+
+def _derivative_points(per_case: int = 5, seed: int = 31):
+    """per_case (r, s, tau) in each of the four cases of _z2_branch: Im tau
+    log-uniform in [0.05, 0.70) where the family is pulled back, two points
+    of each such case below Im 0.1, and in [0.70, 3] where it is summed
+    directly; half the characteristics are drawn within 0.1 of the lattice
+    point, where the Laurent form is used."""
+    rng = np.random.default_rng(seed)
+    cases = {(near, pulled): [] for near in (False, True) for pulled in (False, True)}
+    while any(len(v) < per_case for v in cases.values()):
+        pulled = bool(rng.integers(2))
+        lo, hi = (0.05, 0.70) if pulled else (0.70, 3.0)
+        width = 0.5 if rng.integers(2) else 0.1
+        r, s = (float(v) for v in rng.uniform(-width, width, 2))
+        if max(abs(r), abs(s)) < 0.01:
+            continue
+        tau = complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(lo), math.log(hi))))
+        case = _z2_branch(r, s, tau)
+        got = cases[case]
+        high = sum(t.imag >= 0.1 for _, _, t in got)
+        if case[1] == pulled and len(got) < per_case and (
+                not pulled or tau.imag < 0.1 or high < per_case - 2):
+            got.append((r, s, tau))
+    return cases
+
+
+@pytest.mark.parametrize("case", [(False, False), (False, True), (True, False), (True, True)],
+                         ids=["cubic-direct", "cubic-pulled", "laurent-direct", "laurent-pulled"])
+def test_tau_derivatives_match_reference(case):
+    points = _derivative_points()[case]
+    for r, s, tau in points:
+        with mp.workdps(DPS):
+            up = _reference_mp(r, s, mp.mpc(tau) + DERIV_STEP)
+            dn = _reference_mp(r, s, mp.mpc(tau) - DERIV_STEP)
+            want = {k: complex((up[k][0] - dn[k][0]) / (2 * DERIV_STEP)) for k in ("Z", "Z2")}
+        z, dz = _zrs_parts((r, s), tau)
+        z2, dz2 = _zrs2_parts((r, s), tau)
+        assert z == eval_Zrs((r, s), tau) and z2 == eval_Zrs2((r, s), tau)
+        for name, got in (("Z", dz), ("Z2", dz2)):
+            err = abs(got - want[name]) / abs(want[name])
+            assert err <= DERIV_TOL, (name, r, s, tau, got, want[name])

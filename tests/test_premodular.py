@@ -236,16 +236,17 @@ class TestFindZero:
     ])
     def test_contour_seed_sweep(self, tag, vertices, monkeypatch):
         # 30 characteristics per triangle, each barycentric weight >= 0.005;
-        # the contour walk seeds Newton, so a call costs the count plus a
-        # few Newton steps and no interior scan
+        # the gated contour walk seeds Newton, so a call costs the count
+        # plus a few Newton steps, one pair evaluation each, and no
+        # interior scan
         calls = [0]
-        inner = premodular.eval_Zrs2
+        inner = premodular._zrs2_parts
 
         def counted(rs, tau, pp=DEFAULT):
             calls[0] += 1
             return inner(rs, tau, pp)
 
-        monkeypatch.setattr(premodular, "eval_Zrs2", counted)
+        monkeypatch.setattr(premodular, "_zrs2_parts", counted)
         budget = len(f0_contour().points) + 40
         rng = np.random.default_rng(70 + int(tag.value[1]))
         margin = 0.005
@@ -258,7 +259,7 @@ class TestFindZero:
             root = find_zero_in_F0(rs)
             assert calls[0] <= budget, (rs, calls[0])
             assert classify_domain(root, tol=1e-9) is DomainTag.F0_INTERIOR
-            assert abs(inner(rs, root)) <= 100 * DEFAULT.eps
+            assert abs(eval_Zrs2(rs, root)) <= 100 * DEFAULT.eps
 
 
 class TestBlowup:

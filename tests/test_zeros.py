@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from e2crit import (
     PrecisionPolicy,
     count_zeros,
     count_zeros_info,
+    enumerate_gamma02,
     eval_Zrs2,
     eval_eta1,
     eval_fC,
@@ -29,6 +31,8 @@ from e2crit import (
 )
 from e2crit.moebius import DomainTag, classify_domain
 from e2crit import zeros
+from e2crit.premodular import _zrs2_parts
+from e2crit.verify import _TRIANGLE_VERTICES, triangle_grid
 from e2crit.zeros import _continue_to, _fc_parts, _outer_anchor, _winding, _zero_branch_anchor
 
 PI = math.pi
@@ -101,46 +105,137 @@ class TestCountZeros:
         assert info[0] == 1
 
 
+# f_C over a low rectangle with a zero close to its bottom edge: the plain
+# phase rule counts 4 at 24 points per side, the true count is 5
+LOW_EDGE_C = -0.347830332744998
+LOW_EDGE_BOX = (-0.2226198, 0.7623387, 0.0667083, 1.1358003)
+
+
+def _fc_pair(C):
+    return lambda t: _fc_parts(C, t, DEFAULT)[:2]
+
+
+def _branch_C(rng):
+    """A curve parameter on a random branch: (0.05, 0.95), or 0.2 to 10
+    below 0 or above 1, log-spaced."""
+    branch = rng.randrange(3)
+    if branch == 1:
+        return rng.uniform(0.05, 0.95)
+    d = 10 ** rng.uniform(math.log10(0.2), 1.0)
+    return -d if branch == 0 else 1 + d
+
+
+class TestDerivativeGate:
+    def test_low_edge_zero_counted(self):
+        for n in (6, 12, 24):
+            assert count_zeros(_fc_pair(LOW_EDGE_C), rect_contour(*LOW_EDGE_BOX, n=n)) == 5
+        assert count_zeros(lambda t: eval_fC(LOW_EDGE_C, t), rect_contour(*LOW_EDGE_BOX, n=48)) == 5
+
+    def test_low_rectangles_match_a_fine_count(self):
+        # 200 rectangles with the bottom edge at Im 0.05 to 0.1: the gated
+        # count at rect_contour's default 24 points per side equals the
+        # plain count at 144 per side
+        rng = random.Random(2026)
+        for _ in range(200):
+            C = _branch_C(rng)
+            re0 = rng.uniform(-0.5, 0.3)
+            box = (re0, re0 + rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.1), rng.uniform(0.6, 1.4))
+            gated = count_zeros(_fc_pair(C), rect_contour(*box))
+            fine = count_zeros(lambda t: eval_fC(C, t), rect_contour(*box, n=144))
+            assert gated == fine, (C, box)
+
+    def test_gated_f0_counts_within_100_points(self):
+        f0 = f0_contour()
+        for f in (_fc_pair(0.5), lambda t: _zrs2_parts((1 / 6, 1 / 6), t, DEFAULT)):
+            n, used = count_zeros_info(f, f0)
+            assert n == 1 and used <= 100
+
+    def test_opaque_callables_keep_the_phase_rule(self):
+        # without derivatives no segment of the base is bisected here
+        f0 = f0_contour()
+        assert count_zeros_info(lambda t: eval_fC(0.5, t), f0) == (1, len(f0.points))
+
+    def test_f0_base_phase_margin(self):
+        # a guard for opaque callers: over Z2 characteristics inside each
+        # triangle (barycentric weights >= 0.02, and the verification grid)
+        # and f_C on all three branches and at every -d/c with c <= 16, no
+        # base segment of f0_contour turns by more than pi/3, well inside
+        # the pi/2 acceptance step
+        pts = f0_contour().points
+        rng = random.Random(12)
+        funcs = []
+        for name, (v0, v1, v2) in _TRIANGLE_VERTICES.items():
+            chars = list(triangle_grid(name))
+            while len(chars) < 40:
+                x, y = rng.uniform(0.02, 0.96), rng.uniform(0.02, 0.96)
+                if x + y <= 0.98:
+                    chars.append((v0[0] + (v1[0] - v0[0]) * x + (v2[0] - v0[0]) * y,
+                                  v0[1] + (v1[1] - v0[1]) * x + (v2[1] - v0[1]) * y))
+            funcs += [lambda t, rs=rs: eval_Zrs2(rs, t) for rs in chars]
+        Cs = [_branch_C(rng) for _ in range(60)] + [-g.d / g.c for g in enumerate_gamma02(16)]
+        funcs += [lambda t, C=C: eval_fC(C, t) for C in Cs]
+        worst = 0.0
+        for f in funcs:
+            vals = [f(p) for p in pts]
+            worst = max(worst, max(abs(cmath.phase(b / a)) for a, b in zip(vals, vals[1:])))
+        assert worst < PI / 3
+
+
 class TestZeroSum:
-    """_winding's moment: the sum of the zeros inside the contour."""
+    """_winding's moment: the sum of the zeros inside the contour.  Each
+    polynomial comes with its derivative, as the library's counts pass it,
+    so the walk is gated and adds the Hermite end correction."""
 
     def test_one_zero(self):
         a = complex(0.5, 1.2)
-        n, used, zsum = _winding(lambda t: (t - a) * (t + 3), f0_contour(), 1e-9, 1 << 18)
+        f = lambda t: ((t - a) * (t + 3), 2 * t + 3 - a)
+        n, used, zsum = _winding(f, f0_contour(), 1e-9, 1 << 18)
         assert n == 1 and used >= len(f0_contour().points)
         assert abs(zsum - a) < 1e-2
 
     def test_two_zeros_give_their_sum(self):
         a, b = complex(0.3, 0.9), complex(0.8, 2.5)
-        n, _, zsum = _winding(lambda t: (t - a) * (t - b), f0_contour(), 1e-9, 1 << 18)
+        f = lambda t: ((t - a) * (t - b), 2 * t - a - b)
+        n, _, zsum = _winding(f, f0_contour(), 1e-9, 1 << 18)
         assert n == 2
         assert abs(zsum - (a + b)) < 2e-2
 
     def test_no_zero_gives_zero(self):
-        _, _, zsum = _winding(lambda t: t + 3, f0_contour(), 1e-9, 1 << 18)
+        _, _, zsum = _winding(lambda t: (t + 3, 1.0), f0_contour(), 1e-9, 1 << 18)
         assert abs(zsum) < 1e-2
 
 
 class TestNewton:
     def test_linear(self):
-        root = newton_refine(lambda t: t - 1j, lambda t: 1.0, complex(0.1, 1.2), 1e-14)
+        root = newton_refine(lambda t: (t - 1j, 1.0), complex(0.1, 1.2), 1e-14)
         assert abs(root.z - 1j) < 1e-13
 
     def test_fc_root(self):
         f = lambda t: eval_fC(0.5, t)
-        root = newton_refine(f, lambda t: eval_fC_prime(0.5, t), complex(0.5, 1.0), 1e-10)
+        root = newton_refine(lambda t: (f(t), eval_fC_prime(0.5, t)), complex(0.5, 1.0), 1e-10)
         assert abs(f(root.z)) < 1e-10
 
-    def test_zrs2_with_fd_derivative(self):
-        f = lambda t: eval_Zrs2((1 / 6, 1 / 6), t)
-        root = newton_refine(f, None, complex(0.7, 0.7), 1e-10)
+    def test_zrs2_with_closed_form_derivative(self):
+        # Newton on the (Z2, dZ2/dtau) pair of the closed form, one series
+        # evaluation per step, converges quadratically from a rough seed
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return _zrs2_parts((1 / 6, 1 / 6), t, DEFAULT)
+
+        root = newton_refine(f, complex(0.7, 0.7), 1e-10)
         assert classify_domain(root) is DomainTag.F0_INTERIOR
-        assert count_zeros(f, rect_contour(root.re - 0.1, root.re + 0.1,
-                                           root.im - 0.1, root.im + 0.1)) == 1
+        assert abs(eval_Zrs2((1 / 6, 1 / 6), root)) < 1e-10
+        assert len(calls) <= 8
+        # the converged root is the only zero near it, by a plain count
+        assert count_zeros(lambda t: eval_Zrs2((1 / 6, 1 / 6), t),
+                           rect_contour(root.re - 0.1, root.re + 0.1,
+                                        root.im - 0.1, root.im + 0.1)) == 1
 
     def test_divergence_reported(self):
         with pytest.raises(Diverged):
-            newton_refine(lambda t: t * t + 1e6, lambda t: 2 * t, complex(0.0, 1.0), 1e-12, itmax=5)
+            newton_refine(lambda t: (t * t + 1e6, 2 * t), complex(0.0, 1.0), 1e-12, itmax=5)
 
 
 class TestFC:
