@@ -1,7 +1,11 @@
-"""The series kernels: the two inner loops under every q-series evaluation.
+"""The series kernels: the three inner loops under every q-series evaluation.
 
-Both take the term count as their third argument, from which
-perfbench/tracer.py counts the terms summed.  These loops dominate the
+`eisenstein_sums` sums the sigma_1, sigma_3 and sigma_5 series of
+(eta1, g2, g3) in one pass, `horner` sums one of them (the eta1 series
+alone, where g2 and g3 are not read), and `wp_sums` sums the Lambert-type
+series of the Weierstrass family.  Each takes the term count as its third
+argument, from which perfbench/tracer.py counts the terms summed (one per
+index k, so a fused call counts n, not 3n).  These loops dominate the
 runtime of contour counting and curve continuation.
 """
 
@@ -12,6 +16,21 @@ def horner(coeffs, q, n):
     for c in coeffs[n:0:-1]:
         acc = (acc + c) * q
     return acc
+
+
+def eisenstein_sums(coeffs, q, n):
+    """(s1, s3, s5) with s_j = sum_{k=1..n} sigma_j(k) q**k, for coeffs[k]
+    the triple (sigma_1(k), sigma_3(k), sigma_5(k)).
+
+    Each sum runs horner's operations in horner's order, so it equals
+    horner over that column of coeffs bit for bit.
+    """
+    s1 = s3 = s5 = 0j
+    for c1, c3, c5 in coeffs[n:0:-1]:
+        s1 = (s1 + c1) * q
+        s3 = (s3 + c3) * q
+        s5 = (s5 + c5) * q
+    return s1, s3, s5
 
 
 def wp_sums(x, q, n):

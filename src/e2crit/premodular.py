@@ -35,7 +35,6 @@ from .qseries import (
     PI,
     TWO_PI_I,
     _basic_direct,
-    _basic_terms,
     _derivs,
     _eta1_direct,
     _pullback,
@@ -122,7 +121,7 @@ def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex
     tau1, c, mu, (r1, s1) = _pullback_char(rs, tau, "Z")
     q = cmath.exp(TWO_PI_I * tau1)
     wp, wpp, z = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
-    e1 = _eta1_direct(q, _basic_terms(q, pp))
+    e1 = _eta1_direct(q, pp)
     dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
     return mu * z, mu * mu * (c * z + mu * dz)
 
@@ -133,7 +132,10 @@ def _laurent_coeffs(g2v: complex, g3v: complex, kmax: int = LAURENT_TERMS) -> li
     c[2] = g2v / 20
     c[3] = g3v / 28
     for k in range(4, kmax + 1):
-        c[k] = 3 * sum(c[m] * c[k - m] for m in range(2, k - 1)) / ((2 * k + 1) * (k - 3))
+        acc = 0
+        for m in range(2, k - 1):
+            acc += c[m] * c[k - m]
+        c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
     return c
 
 
@@ -313,7 +315,7 @@ def find_zero_in_F0(rs, pp: PrecisionPolicy = DEFAULT, t_top: float = 6.0,
     if expected == 0:
         return None
     try:
-        root = newton_refine(f, seed, tol=100 * pp.eps)
+        root = newton_refine(f, seed, tol=1e-13)
     except Diverged as exc:
         raise Diverged(f"Newton from the contour seed {seed} failed for Z2_{rs}: {exc}") from exc
     where = classify_domain(root, tol=1e-9)

@@ -11,6 +11,11 @@ fundamental domain.  Every series is thus summed at a ratio of at most
 e^{-2 pi 0.35} = 0.111, and its length is the least that a closed-form
 geometric bound on the tail certifies, possibly 0.  Each evaluator then
 applies its weight once.
+
+The (eta1, g2, g3) series share one length and are summed in one pass by
+eisenstein_sums.  An evaluator sums and lifts only what it returns:
+eval_E2, eval_eta1, eval_eta2 and the wp/Z family read eta1 alone and sum
+its series alone, with horner.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 
-from ._kernels_py import horner, wp_sums
+from ._kernels_py import eisenstein_sums, horner, wp_sums
 from .domain import DEFAULT, PrecisionPolicy, as_pair, as_tau
 from .errors import PoleAtLattice, TruncationFailure
 from .moebius import reduce_to_F_ints
@@ -49,6 +54,17 @@ def _sigma(power: int, n: int) -> list:
                 arr[m] += dp
         _sigma_cache[power] = arr
     return arr
+
+
+_triples: list = []
+
+
+def _sigma_triples(n: int) -> list:
+    """(sigma_1(k), sigma_3(k), sigma_5(k)) for k = 1..n, the coefficients
+    of eisenstein_sums, as _sigma gives them (index 0 unused)."""
+    if len(_triples) <= n:
+        _triples[:] = zip(_sigma(1, n), _sigma(3, n), _sigma(5, n))
+    return _triples
 
 
 # the pull-back floors of the (eta1, g2, g3) series and the wp/Z family;
@@ -84,12 +100,19 @@ def _thresholds(tol: float, power: int) -> tuple:
     return tuple(th)
 
 
-def _truncation(rho: float, tol: float, power: int) -> int:
-    """A length n with sum_{k>n} k^power rho^k < tol: the least such n, or
-    one more where the bound of _thresholds is not tight."""
+def _length(rho: float, th: tuple) -> int:
+    """The length that th = _thresholds(tol, power) gives the ratio rho: a
+    length n with sum_{k>n} k^power rho^k < tol, the least such n, or one
+    more where the bound of _thresholds is not tight."""
     if not 0.0 <= rho <= RHO_CAP:
         raise TruncationFailure(f"series ratio rho={rho!r} outside [0, {RHO_CAP:.4f}]")
-    return bisect_right(_thresholds(tol, power), rho)
+    return bisect_right(th, rho)
+
+
+def _truncation(rho: float, tol: float, power: int) -> int:
+    """A length n with sum_{k>n} k^power rho^k < tol, as _length reads it
+    from _thresholds(tol, power)."""
+    return _length(rho, _thresholds(tol, power))
 
 
 def choose_truncation(im_tau: float, eps: float) -> int:
@@ -163,11 +186,18 @@ def _derivs(e1: complex, g2v: complex, g3v: complex):
             _I_PI * (3 * g3v * e1 - g2v * g2v / 6))
 
 
+# the _thresholds table of the (eta1, g2, g3) series for each eps seen
+_basic_tables: dict[float, tuple] = {}
+
+
 def _basic_terms(q: complex, pp: PrecisionPolicy) -> int:
     """Length of the (eta1, g2, g3) series at nome q."""
     # one length serves all three series: k^5 majorizes sigma_5 up to zeta(5),
     # and the tolerance target absorbs the largest prefactor (504 * 8 pi^6/27)
-    return _truncation(abs(q), pp.eps / 150000.0, 5)
+    th = _basic_tables.get(pp.eps)
+    if th is None:
+        th = _basic_tables[pp.eps] = _thresholds(pp.eps / 150000.0, 5)
+    return _length(abs(q), th)
 
 
 # prefactors of eta1 = pi^2/3 - 8 pi^2 s1, g2 = (4/3) pi^4 + 320 pi^4 s3 and
@@ -178,22 +208,21 @@ _G2_0, _G2_1 = (4.0 / 3.0) * PI**4, 320 * PI**4
 _G3_0 = 8 * PI**6 / 27
 
 
-def _eta1_direct(q: complex, n: int) -> complex:
-    """eta1 by its series at nome q, summed to n terms."""
+def _eta1_direct(q: complex, pp: PrecisionPolicy) -> complex:
+    """eta1 by its series alone at nome q, summed to the length _basic_direct
+    takes there."""
+    n = _basic_terms(q, pp)
     return _ETA1_0 - _ETA1_1 * horner(_sigma(1, n), q, n)
 
 
 def _basic_direct(tau: complex, pp: PrecisionPolicy, q: complex | None = None):
-    """(eta1, g2, g3) by direct series at tau as _pullback returns it.
-    q, when given, is exp(2 pi i tau)."""
+    """(eta1, g2, g3) by direct series at tau as _pullback returns it, the
+    three summed in one pass.  q, when given, is exp(2 pi i tau)."""
     if q is None:
         q = cmath.exp(TWO_PI_I * tau)
     n = _basic_terms(q, pp)
-    s3 = horner(_sigma(3, n), q, n)
-    s5 = horner(_sigma(5, n), q, n)
-    g2 = _G2_0 + _G2_1 * s3
-    g3 = _G3_0 * (1 - 504 * s5)
-    return _eta1_direct(q, n), g2, g3
+    s1, s3, s5 = eisenstein_sums(_sigma_triples(n), q, n)
+    return _ETA1_0 - _ETA1_1 * s1, _G2_0 + _G2_1 * s3, _G3_0 * (1 - 504 * s5)
 
 
 def _basic(tau: complex, pp: PrecisionPolicy):
@@ -201,6 +230,13 @@ def _basic(tau: complex, pp: PrecisionPolicy):
     tau1, c, mu, _ = _pullback(tau)
     vals = _basic_direct(tau1, pp)
     return _lift(vals, c, mu) if c else vals
+
+
+def _eta1(tau: complex, pp: PrecisionPolicy) -> complex:
+    """eta1 anywhere in H, as _basic gives it, from its series alone."""
+    tau1, c, mu, _ = _pullback(tau)
+    e1 = _eta1_direct(cmath.exp(TWO_PI_I * tau1), pp)
+    return _lift_eta1(e1, c, mu) if c else e1
 
 
 def transform_quasi(gamma, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
@@ -212,18 +248,18 @@ def transform_quasi(gamma, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex,
 
 def eval_eta1(tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Quasi-period eta1(tau) = pi^2/3 - 8 pi^2 sum sigma_1(k) q^k."""
-    return _basic(as_tau(tau), pp)[0]
+    return _eta1(as_tau(tau), pp)
 
 
 def eval_eta2(tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Second quasi-period via the Legendre relation eta2 = tau*eta1 - 2*pi*i."""
     t = as_tau(tau)
-    return t * _basic(t, pp)[0] - TWO_PI_I
+    return t * _eta1(t, pp) - TWO_PI_I
 
 
 def eval_E2(tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Normalized weight-2 Eisenstein series, (3/pi^2) * eta1."""
-    return 3 / PI**2 * _basic(as_tau(tau), pp)[0]
+    return 3 / PI**2 * _eta1(as_tau(tau), pp)
 
 
 def eval_invariants(tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
@@ -290,8 +326,8 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     tau1, c, mu, (r1, s1) = _pullback(t, (r, s))
     q = cmath.exp(TWO_PI_I * tau1)
     wp, wpp, z_hecke = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
-    # only eta1 is read: its series alone, at the length _basic_direct uses
-    e1 = _eta1_direct(q, _basic_terms(q, pp))
+    # only eta1 is read: its series alone
+    e1 = _eta1_direct(q, pp)
     if c:
         e1 = _lift_eta1(e1, c, mu)
     return mu * mu * wp, mu**3 * wpp, mu * z_hecke + r * e1 + s * (t * e1 - TWO_PI_I)

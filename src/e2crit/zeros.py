@@ -19,7 +19,7 @@ from .errors import (
     PhaseStepFailure,
 )
 from .moebius import DomainTag, classify_domain
-from .qseries import PI, TWO_PI_I, _basic, _derivs
+from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
@@ -203,21 +203,27 @@ def newton_refine(f, tau0, tol: float, itmax: int = 50) -> TauPoint:
     """Refine a root of a holomorphic function from a seed inside its basin.
 
     f(t) returns the pair (value, tau-derivative) at t, so each iteration
-    costs one evaluation.
+    costs one evaluation.  tol is relative to the root's size: the
+    iteration stops once a Newton step v/f' is shorter than
+    tol * max(1, |t|), and returns the iterate that step reaches.  Unlike a
+    bound on |f|, the step measures the distance to the root whatever the
+    scale of f', so a root is accepted at the same place however small or
+    large f' is near it.
     """
     t = as_tau(tau0)
     best_t, best_v = t, math.inf
     for _ in range(itmax):
         v, fp = f(t)
-        if abs(v) < tol:
-            return TauPoint.from_complex(t)
         if abs(v) < best_v:
             best_t, best_v = t, abs(v)
         if fp == 0:
             raise Diverged(f"vanishing derivative at {t}")
-        t = t - v / fp
+        step = v / fp
+        t = t - step
         if t.imag <= 0:
             raise Diverged(f"iterate left the upper half-plane near {best_t}")
+        if abs(step) < tol * max(1.0, abs(t)):
+            return TauPoint.from_complex(t)
     raise Diverged(f"no convergence after {itmax} iterations, best |f| = {best_v:.2e}")
 
 
@@ -225,14 +231,16 @@ def newton_refine(f, tau0, tol: float, itmax: int = 50) -> TauPoint:
 # f_C and the phi branches
 
 def _fc_parts(C: float, tau: complex, pp: PrecisionPolicy):
-    """f_C, df_C/dtau and df_C/dC sharing one series evaluation."""
+    """f_C, df_C/dtau and df_C/dC sharing one series evaluation; eta1' and
+    g2' in the operations of _derivs, which also forms the unread g3'."""
     e1, g2v, g3v = _basic(tau, pp)
     e2v = tau * e1 - TWO_PI_I
     lin = C * e1 - e2v
     d = C - tau
     d2 = d * d
     f = 12 * lin * lin - g2v * d2
-    e1p, g2p, _ = _derivs(e1, g2v, g3v)
+    e1p = _HALF_I_PI * (e1 * e1 - g2v / 12)
+    g2p = _I_PI * (2 * e1 * g2v - 3 * g3v)
     e2p = e1 + tau * e1p
     df_dtau = 24 * lin * (C * e1p - e2p) - g2p * d2 + 2 * g2v * d
     df_dC = 24 * lin * e1 - 2 * g2v * d

@@ -228,6 +228,16 @@ class TestCriticalPoints:
         assert len({p.gamma for p in pts}) == 112
         assert max(p.residual for p in pts) > 1e-8
 
+    def test_raw_residual_of_the_benchmark_check(self):
+        # perfbench's continuation workload fails an op when a point of
+        # critical_points_E2(16) has raw |E2'| >= 1e-8; the largest is
+        # 2.7e-9, at the tile (3,1;14,5), so a change to the root's last
+        # bits (such as stopping Newton one step early) can cross it
+        pts = critical_points_E2(16)
+        assert len(pts) == 32
+        for p in pts:
+            assert abs(3 / PI**2 * eval_derivatives(p.tau_star)[0]) < 1e-8, p.gamma
+
     def test_no_critical_points_in_c0_tiles(self):
         # |E2'| stays away from zero on a grid over F0 + m; heights stay
         # moderate because eta1' itself decays like q toward the cusp

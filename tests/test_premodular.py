@@ -3,6 +3,7 @@ classification, cusp behaviour, zero location and the blow-up family."""
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ class TestZrs2:
             wp, wpp, z_hecke = _wp_family(r, s, t, DEFAULT)
             direct = z_hecke**3 - 3 * wp * z_hecke - wpp
             assert abs(v - direct) < 1e-8 * (1 + abs(v))
+
+    def test_laurent_coeffs_match_the_recursion(self):
+        # c_k = 3/((2k+1)(k-3)) sum_{m=2}^{k-2} c_m c_{k-m}, c_2 = g2/20 and
+        # c_3 = g3/28, transcribed term by term and summed left to right
+        rng = random.Random(3)
+        for _ in range(2000):
+            g2v = complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+            g3v = complex(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4))
+            want = [0j, 0j, g2v / 20, g3v / 28]
+            for k in range(4, premodular.LAURENT_TERMS + 1):
+                terms = [want[m] * want[k - m] for m in range(2, k - 1)]
+                total = terms[0]
+                for t in terms[1:]:
+                    total = total + t
+                want.append(3 * total / ((2 * k + 1) * (k - 3)))
+            assert premodular._laurent_coeffs(g2v, g3v) == want
 
     @pytest.mark.parametrize("tag,vertices", [
         (TriangleTag.T0, ((0.5, 0.0), (0.5, 0.5), (0.0, 0.5))),

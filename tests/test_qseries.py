@@ -301,6 +301,53 @@ class TestLegendre:
             assert abs(eval_eta2(t) - indep) < 3e-12
 
 
+class TestFusedSeries:
+    def test_eisenstein_sums_equal_three_horner_sums(self):
+        rng = random.Random(13)
+        coeffs = qseries._sigma_triples(MAX_TERMS)
+        for n in range(MAX_TERMS + 1):
+            for _ in range(3):
+                q = cmath.rect(RHO_CAP * rng.random(), rng.uniform(-PI, PI))
+                want = tuple(qseries.horner(_sigma(p, n), q, n) for p in (1, 3, 5))
+                assert qseries.eisenstein_sums(coeffs, q, n) == want, (n, q)
+
+    def test_basic_direct_equals_three_horner_sums(self):
+        rng = random.Random(14)
+        for _ in range(500):
+            t = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.35, 4.0))
+            q = cmath.exp(2j * PI * t)
+            n = qseries._basic_terms(q, DEFAULT)
+            s1, s3, s5 = (qseries.horner(_sigma(p, n), q, n) for p in (1, 3, 5))
+            want = (PI**2 / 3 - 8 * PI**2 * s1, (4.0 / 3.0) * PI**4 + 320 * PI**4 * s3,
+                    8 * PI**6 / 27 * (1 - 504 * s5))
+            assert qseries._basic_direct(t, DEFAULT) == want, t
+
+    def test_eta1_evaluators_equal_basic(self):
+        # eval_eta1, eval_eta2 and eval_E2 sum the eta1 series alone and lift
+        # it alone: the values derived from _basic, bit for bit, directly
+        # and pulled back
+        rng = random.Random(15)
+        pulled = 0
+        for _ in range(2000):
+            t = complex(rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.003), math.log(4))))
+            pulled += t.imag < DEFAULT.min_im_direct
+            e1 = qseries._basic(t, DEFAULT)[0]
+            assert eval_eta1(t) == e1, t
+            assert eval_eta2(t) == t * e1 - 2j * PI, t
+            assert eval_E2(t) == 3 / PI**2 * e1, t
+        assert 500 < pulled < 1500
+
+    def test_one_fused_sum_per_basic_evaluation(self, monkeypatch):
+        calls = []
+        inner = qseries.eisenstein_sums
+        monkeypatch.setattr(qseries, "eisenstein_sums",
+                            lambda *args: calls.append(args) or inner(*args))
+        monkeypatch.setattr(qseries, "horner", None)
+        for t in (complex(0.2, 1.1), complex(0.3, 0.1)):
+            eval_invariants(t)
+        assert len(calls) == 2
+
+
 class TestChooseTruncation:
     @staticmethod
     def tail(rho, n, kmax=4000):

@@ -30,7 +30,7 @@ from e2crit import (
     sqrt_g2_over_12,
 )
 from e2crit.moebius import DomainTag, classify_domain
-from e2crit import zeros
+from e2crit import qseries, zeros
 from e2crit.premodular import _zrs2_parts
 from e2crit.verify import _TRIANGLE_VERTICES, triangle_grid
 from e2crit.zeros import _continue_to, _fc_parts, _outer_anchor, _winding, _zero_branch_anchor
@@ -233,6 +233,26 @@ class TestNewton:
                            rect_contour(root.re - 0.1, root.re + 0.1,
                                         root.im - 0.1, root.im + 0.1)) == 1
 
+    def test_step_tolerance_with_small_derivative(self):
+        # f' = 1e-9 near the root: |f| < tol already 0.05 away from it, where
+        # a bound on |f| would stop; the Newton step measures the distance
+        a = complex(0.3, 1.0)
+        f = lambda t: (1e-9 * (t - a) * (1 + (t - a)), 1e-9 * (1 + 2 * (t - a)))
+        root = newton_refine(f, a + 0.05, 1e-10)
+        assert abs(root.z - a) < 1e-14
+
+    def test_returns_the_stepped_iterate(self):
+        # the last step, below tol, is taken: the linear root is exact
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t - 1j, 1.0
+
+        root = newton_refine(f, complex(0.1, 1.2), 1e-14)
+        assert root.z == 1j
+        assert len(calls) == 2
+
     def test_divergence_reported(self):
         with pytest.raises(Diverged):
             newton_refine(lambda t: (t * t + 1e6, 2 * t), complex(0.0, 1.0), 1e-12, itmax=5)
@@ -301,6 +321,25 @@ class TestEvalFCLean:
         for C, x, y in zip(Cs, res, ims):
             tau = complex(x, y)
             assert eval_fC(float(C), tau) == _fc_parts(float(C), tau, PrecisionPolicy())[0]
+
+
+class TestFCPartsBitwise:
+    def test_equal_to_the_full_derivative_triple(self):
+        # _fc_parts forms eta1' and g2' alone; they are _derivs' first two
+        # values, so every output matches the formulation through _derivs
+        rng = random.Random(11)
+        pp = PrecisionPolicy()
+        for _ in range(1000):
+            tau = complex(rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.003), math.log(4))))
+            C = rng.uniform(-3, 4)
+            e1, g2v, g3v = qseries._basic(tau, pp)
+            lin = C * e1 - (tau * e1 - 2j * PI)
+            d = C - tau
+            e1p, g2p, _ = qseries._derivs(e1, g2v, g3v)
+            want = (12 * lin * lin - g2v * (d * d),
+                    24 * lin * (C * e1p - (e1 + tau * e1p)) - g2p * (d * d) + 2 * g2v * d,
+                    24 * lin * e1 - 2 * g2v * d)
+            assert _fc_parts(C, tau, pp) == want, (C, tau)
 
 
 class TestPhi:
