@@ -12,11 +12,13 @@ from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_tau
 from .errors import ConsistencyFailure, ExcludedPoint, RootBracketFailure
 from .moebius import MoebiusMap, enumerate_gamma02, reduce_to_F0
 from .premodular import find_zero_in_F0
-from .qseries import PI, _basic, eval_derivatives
+from .qseries import PI, _basic, _eta1, eval_derivatives
 from .zeros import (
     BranchState,
     _continue_to,
     _fc_parts,
+    _phi,
+    branch_of,
     eval_fC,
     eval_phi,
     solve_tauC,
@@ -31,17 +33,6 @@ _BRANCH_RANGE = {
     "zero": (0.0, 1.0),
     "plus": (1.0, math.inf),
 }
-
-
-def branch_of(C: float) -> str:
-    """Curve branch carrying tau(C)."""
-    if C < 0:
-        return "minus"
-    if 0 < C < 1:
-        return "zero"
-    if C > 1:
-        return "plus"
-    raise ValueError(f"C = {C} is outside the curve parameter set")
 
 
 @dataclass(frozen=True)
@@ -161,9 +152,9 @@ def detect_phi_sign(tau, pp: PrecisionPolicy = DEFAULT) -> int:
     priori; this empirical test locks it at the seed point of a trace.
     """
     t = as_tau(tau)
-    vals = {}
-    for sign in (1, -1):
-        vals[sign] = abs(eval_phi(BranchState(sign=sign), t, pp).imag)
+    # one square-root walk and one eta1 serve both branches
+    e1, w = _eta1(t, pp), sqrt_g2_over_12(t, pp)
+    vals = {sign: abs(_phi(t, e1, w, sign).imag) for sign in (1, -1)}
     best = min(vals, key=vals.get)
     if vals[best] > 1e-6 * (1 + abs(t)):
         raise ConsistencyFailure(f"neither phi branch vanishes at {t}")

@@ -19,7 +19,7 @@ from .errors import (
     PhaseStepFailure,
 )
 from .moebius import DomainTag, classify_domain
-from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic
+from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
@@ -319,17 +319,22 @@ def sqrt_g2_over_12(tau, pp: PrecisionPolicy = DEFAULT, anchor: complex | None =
     return w
 
 
+def _phi(t: complex, e1: complex, w: complex, sign: int) -> complex:
+    """phi_sign(t) from e1 = eta1(t) and w = sqrt(g2(t)/12)."""
+    denom = e1 + sign * w
+    if abs(denom) < 1e-13 * (1 + abs(e1)):
+        raise ZeroDivisionError(f"eta1 {'+' if sign > 0 else '-'} sqrt(g2/12) vanishes at {t}")
+    return t - TWO_PI_I / denom
+
+
 def eval_phi(branch: BranchState, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """phi_{+-}(tau) = tau - 2 pi i / (eta1 +- sqrt(g2/12)) on the branch's
     continuous square-root selection; updates branch.anchor."""
     t = as_tau(tau)
-    e1, _, _ = _basic(t, pp)
+    e1 = _eta1(t, pp)
     w = sqrt_g2_over_12(t, pp, branch.anchor)
     branch.anchor = w
-    denom = e1 + branch.sign * w
-    if abs(denom) < 1e-13 * (1 + abs(e1)):
-        raise ZeroDivisionError(f"eta1 {'+' if branch.sign > 0 else '-'} sqrt(g2/12) vanishes at {t}")
-    return t - TWO_PI_I / denom
+    return _phi(t, e1, w, branch.sign)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +381,51 @@ def _asymptotic_seed(C: float) -> complex | None:
     return complex(a, b)
 
 
-@lru_cache(maxsize=8)
-def _zero_branch_anchor(pp: PrecisionPolicy) -> tuple:
-    """_newton_fc's root triple at C = 1/2, seeded from a coarse scan of
-    Re = 1/2; a constant of the policy, so computed once for each."""
+# the ladder nodes C = k/8 of each branch: its anchor k, and its range of k
+_LADDER_ANCHOR = {"minus": -8, "zero": 4, "plus": 16}
+_LADDER_RANGE = {"minus": (-8, -1), "zero": (1, 7), "plus": (9, 16)}
+
+
+def branch_of(C: float) -> str:
+    """Curve branch carrying tau(C)."""
+    if C < 0:
+        return "minus"
+    if 0 < C < 1:
+        return "zero"
+    if C > 1:
+        return "plus"
+    raise ValueError(f"C = {C} is outside the curve parameter set")
+
+
+def _nearest_node(C: float) -> int:
+    """k of the ladder node C = k/8 nearest to C on C's branch."""
+    lo, hi = _LADDER_RANGE[branch_of(C)]
+    return min(hi, max(lo, round(8 * C)))
+
+
+@lru_cache(maxsize=256)
+def _ladder_node(k: int, pp: PrecisionPolicy) -> tuple:
+    """_newton_fc's root triple at the ladder node C = k/8, k in -8..16 with
+    k not 0 or 8; a constant of the policy, so built once for each, on first
+    use.
+
+    The branch anchors are the nodes k = -8, 4 and 16 (C = -1, 1/2, 2): the
+    outer two are seeded from the asymptotic expansion, C = 1/2 from a
+    coarse scan of Re = 1/2.  Every other node is continued straight from
+    its branch's anchor, never from a neighbouring node: its root does not
+    depend on which nodes were built before it, and is bit for bit the
+    continuation from the anchor (at C = -1/2, where critical_points_E2
+    starts its chain of hints, a one-ulp move shifts the critical points).
+    """
+    C = k / 8
+    anchor_k = _LADDER_ANCHOR[branch_of(C)]
+    if k != anchor_k:
+        return _continue_to(anchor_k / 8, _ladder_node(anchor_k, pp), C, pp)
+    if k != 4:
+        root = _newton_fc(C, _asymptotic_seed(C), pp)
+        if root is None:
+            raise Diverged(f"anchor solve failed for branch of C = {C}")
+        return root
     best_b, best_v = None, math.inf
     b = 0.87
     while b <= 1.31:
@@ -390,17 +436,6 @@ def _zero_branch_anchor(pp: PrecisionPolicy) -> tuple:
     root = _newton_fc(0.5, complex(0.5, best_b), pp)
     if root is None:
         raise Diverged("line-scan seed for C = 1/2 did not converge")
-    return root
-
-
-@lru_cache(maxsize=16)
-def _outer_anchor(C: float, pp: PrecisionPolicy) -> tuple:
-    """_newton_fc's root triple at the outer anchor C = -1 or C = 2, seeded
-    from the asymptotic expansion; a constant of the policy, so computed
-    once for each."""
-    root = _newton_fc(C, _asymptotic_seed(C), pp)
-    if root is None:
-        raise Diverged(f"anchor solve failed for branch of C = {C}")
     return root
 
 
@@ -447,10 +482,15 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
                cusp_delta: float = 0.08) -> TauPoint:
     """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
 
-    Seeding: an explicit hint, else the large-|C| asymptotic inversion, else
-    continuation in C from the branch's anchor (C = -1, 1/2 or 2, each
-    solved once per policy).  With verify=True the result is certified by
-    an argument-principle count over the truncated F0.
+    Seeding: an explicit hint, else the large-|C| asymptotic inversion
+    (C <= -0.8 or C >= 1.8), else continuation in C from the nearest node
+    C = k/8 of the branch's ladder (k = -8..-1, 1..7 or 9..16, each node
+    built once per policy on first use, see _ladder_node).  Inside
+    (-1, 2) that node lies at most 1/16 away, or 1/8 next to C = 0 and 1:
+    one continuation step of a few Newton iterations.  At a node the node's
+    root is returned as built, and no cold solve depends on the calls made
+    before it.  With verify=True the result is certified by an
+    argument-principle count over the truncated F0.
     """
     C = as_real(C, "C")
     if C in (0.0, 1.0):
@@ -465,12 +505,9 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
             if root is not None and classify_domain(root[0]) is DomainTag.OUTSIDE:
                 root = None
     if root is None:
-        if 0.0 < C < 1.0:
-            anchor_C, anchor = 0.5, _zero_branch_anchor(pp)
-        else:
-            anchor_C = -1.0 if C < 0.0 else 2.0
-            anchor = _outer_anchor(anchor_C, pp)
-        root = anchor if C == anchor_C else _continue_to(anchor_C, anchor, C, pp)
+        k = _nearest_node(C)
+        node = _ladder_node(k, pp)
+        root = node if C == k / 8 else _continue_to(k / 8, node, C, pp)
     t = root[0]
     f, scale = _fc_value(C, t, pp)
     if not abs(f) <= max(ROOT_RESIDUAL, 1e-13 * scale):

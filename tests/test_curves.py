@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from e2crit import (
+    DEFAULT,
     BranchState,
     ExcludedPoint,
     appendix_bstar,
@@ -180,6 +181,32 @@ class TestPhiSignLock:
         assert detect_phi_sign(solve_tauC(0.5)) == 1
         assert detect_phi_sign(solve_tauC(-2.0)) == -1
         assert detect_phi_sign(solve_tauC(3.0)) == -1
+
+    def test_one_walk_for_both_signs(self, monkeypatch):
+        # the sign is that of the smaller |Im phi| from two eval_phi calls,
+        # each with its own square-root walk; detect_phi_sign walks once
+        calls = []
+        basic = zeros._basic
+        monkeypatch.setattr(zeros, "_basic", lambda *a: calls.append(a) or basic(*a))
+        for C in (0.3, 0.5, -0.4, -2.0, 1.3, 3.0):
+            t = solve_tauC(C)
+            calls.clear()
+            sign = detect_phi_sign(t)
+            one_walk = len(calls)
+            calls.clear()
+            vals = {s: abs(eval_phi(BranchState(sign=s), t).imag) for s in (1, -1)}
+            assert sign == min(vals, key=vals.get)
+            assert one_walk == len(calls) // 2
+
+    def test_eval_phi_reads_eta1_alone(self):
+        # bit for bit the value with eta1 taken from (eta1, g2, g3)
+        rng = random.Random(29)
+        for _ in range(200):
+            t = complex(rng.uniform(-1.0, 2.0), math.exp(rng.uniform(math.log(0.05), math.log(3.0))))
+            for sign in (1, -1):
+                w = zeros.sqrt_g2_over_12(t)
+                e1 = zeros._basic(t, DEFAULT)[0]
+                assert eval_phi(BranchState(sign=sign), t) == t - 2j * PI / (e1 + sign * w)
 
 
 class TestHessian:

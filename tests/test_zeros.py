@@ -33,7 +33,14 @@ from e2crit.moebius import DomainTag, classify_domain
 from e2crit import qseries, zeros
 from e2crit.premodular import _zrs2_parts
 from e2crit.verify import _TRIANGLE_VERTICES, triangle_grid
-from e2crit.zeros import _continue_to, _fc_parts, _outer_anchor, _winding, _zero_branch_anchor
+from e2crit.zeros import (
+    _asymptotic_seed,
+    _continue_to,
+    _fc_parts,
+    _ladder_node,
+    _newton_fc,
+    _winding,
+)
 
 PI = math.pi
 RNG = np.random.default_rng(17)
@@ -414,30 +421,37 @@ class TestSolveTauC:
         assert abs(hinted.z - exact.z) < 1e-11
 
     def test_zero_branch_anchor_once_per_policy(self):
+        # 0.3, 0.6 and 0.45 use the nodes k = 2, 5 and the anchor k = 4,
+        # which both other nodes are continued from: three builds in all
         pp = PrecisionPolicy(eps=1e-11)
-        misses = _zero_branch_anchor.cache_info().misses
-        for C in (0.3, 0.6, 0.45):
-            t = solve_tauC(C, pp)
-            assert abs(eval_fC(C, t, pp)) < 1e-9
-        assert _zero_branch_anchor.cache_info().misses == misses + 1
+        misses = _ladder_node.cache_info().misses
+        for _ in range(2):
+            for C in (0.3, 0.6, 0.45):
+                t = solve_tauC(C, pp)
+                assert abs(eval_fC(C, t, pp)) < 1e-9
+        assert _ladder_node.cache_info().misses == misses + 3
 
     def test_outer_anchors_once_per_policy(self):
+        # -0.3, -0.5, -0.7 use the minus nodes k = -2, -4, -6 and 1.4, 1.2
+        # the plus nodes k = 11, 10, each continued from its anchor k = -8
+        # or 16: seven builds, each once
         pp = PrecisionPolicy(eps=3e-12)
-        misses = _outer_anchor.cache_info().misses
-        for C in (-0.3, 1.4, -0.5, 1.2, -0.7):
-            t = solve_tauC(C, pp)
-            assert abs(eval_fC(C, t, pp)) < 1e-9
-        assert _outer_anchor.cache_info().misses == misses + 2
+        misses = _ladder_node.cache_info().misses
+        for _ in range(2):
+            for C in (-0.3, 1.4, -0.5, 1.2, -0.7):
+                t = solve_tauC(C, pp)
+                assert abs(eval_fC(C, t, pp)) < 1e-9
+        assert _ladder_node.cache_info().misses == misses + 7
 
     def test_warm_solve_work_bound(self, monkeypatch):
-        # C = 1.5 continues from the C = 2 anchor; once that is cached, one
-        # or two predictor steps and the residual check remain
-        solve_tauC(1.5)
+        # C = 1.55 continues from the ladder node C = 1.5; once that is
+        # cached, one predictor step remains
+        solve_tauC(1.55)
         calls = []
         fc_parts = zeros._fc_parts
         monkeypatch.setattr(zeros, "_fc_parts",
                             lambda *args: calls.append(args) or fc_parts(*args))
-        solve_tauC(1.5)
+        solve_tauC(1.55)
         assert len(calls) <= 12
 
     def test_continuation_rejects_a_root_outside_F0(self, monkeypatch):
@@ -471,6 +485,83 @@ class TestSolveTauC:
                      lambda: eval_fC_prime(C, 1j)):
             with pytest.raises(ValueError, match="finite"):
                 call()
+
+
+LADDER = [k for k in range(-8, 17) if k not in (0, 8)]
+ANCHOR = {"minus": -8, "zero": 4, "plus": 16}
+
+
+def _ladder_Cs(n, seed):
+    """Seeded C in (-0.8, 1.8), where cold solves start from the ladder, at
+    least 0.05 from 0 and 1."""
+    rng = random.Random(seed)
+    Cs = []
+    while len(Cs) < n:
+        C = rng.uniform(-0.8, 1.8)
+        if min(abs(C), abs(C - 1)) >= 0.05:
+            Cs.append(C)
+    return Cs
+
+
+class TestAnchorLadder:
+    def test_history_independence(self):
+        Cs = _ladder_Cs(60, 41)
+        _ladder_node.cache_clear()
+        forward = [solve_tauC(C).z for C in Cs]
+        _ladder_node.cache_clear()
+        backward = [solve_tauC(C).z for C in reversed(Cs)]
+        assert forward == backward[::-1]
+
+    def test_nodes_are_continued_from_their_anchor(self):
+        # bit for bit: C = -1/2 (k = -4) starts the hint chain of
+        # critical_points_E2, whose points must not move by an ulp
+        for k in LADDER:
+            C = k / 8
+            a = ANCHOR[zeros.branch_of(C)]
+            anchor = _ladder_node(a, DEFAULT)
+            if k == a:
+                expect = anchor[0]
+            elif -0.8 < C < 1.8:
+                expect = _continue_to(a / 8, anchor, C, DEFAULT)[0]
+            else:
+                # C = -7/8 and 15/8 are solved from the asymptotic seed
+                expect = _newton_fc(C, _asymptotic_seed(C), DEFAULT)[0]
+            assert solve_tauC(C).z == expect, k
+            if k != a:
+                assert _ladder_node(k, DEFAULT)[0] == _continue_to(a / 8, anchor, C, DEFAULT)[0]
+
+    def test_cold_solve_work_bound(self, monkeypatch):
+        # one predictor step from the nearest node: at most 5 f_C
+        # evaluations here, against up to 34 from the three anchors alone
+        Cs = _ladder_Cs(300, 43)
+        for C in Cs:
+            solve_tauC(C)
+        calls = []
+        fc_parts = zeros._fc_parts
+        monkeypatch.setattr(zeros, "_fc_parts",
+                            lambda *args: calls.append(args) or fc_parts(*args))
+        for C in Cs:
+            calls.clear()
+            solve_tauC(C)
+            assert len(calls) <= 6, C
+
+    def test_nodes_built_once_per_policy(self):
+        pp = PrecisionPolicy(eps=2e-12)
+        misses = _ladder_node.cache_info().misses
+        for _ in range(2):
+            for k in LADDER:
+                _ladder_node(k, pp)
+        assert _ladder_node.cache_info().misses == misses + len(LADDER)
+        # a solve at a node returns the node; one between nodes builds none
+        for C in (-0.3, 0.3, 1.3, -0.5, 0.5, 1.5):
+            t = solve_tauC(C, pp)
+            assert abs(eval_fC(C, t, pp)) < 1e-9
+        assert _ladder_node.cache_info().misses == misses + len(LADDER)
+
+    def test_nearest_node(self):
+        assert [zeros._nearest_node(C) for C in (-5.0, -0.9, -0.5, -0.01)] == [-8, -7, -4, -1]
+        assert [zeros._nearest_node(C) for C in (0.01, 0.3, 0.99)] == [1, 2, 7]
+        assert [zeros._nearest_node(C) for C in (1.01, 1.3, 1.97, 9.0)] == [9, 10, 16, 16]
 
 
 class TestBoundaryExclusion:
