@@ -1,8 +1,9 @@
-"""The series kernels: the three inner loops under every q-series evaluation.
+"""The series kernels: the four inner loops under every q-series evaluation.
 
 `eisenstein_sums` sums the sigma_1, sigma_3 and sigma_5 series of
-(eta1, g2, g3) in one pass, `horner` sums one of them (the eta1 series
-alone, where g2 and g3 are not read), and `wp_sums` sums the Lambert-type
+(eta1, g2, g3) in one pass, `eta1_g2_sums` the sigma_1 and sigma_3 series
+alone (where g3 is not read), `horner` one series (the eta1 series alone,
+where g2 and g3 are not read either), and `wp_sums` the Lambert-type
 series of the Weierstrass family.  Each takes the term count as its third
 argument, from which perfbench/tracer.py counts the terms summed (one per
 index k, so a fused call counts n, not 3n).  These loops dominate the
@@ -31,6 +32,17 @@ def eisenstein_sums(coeffs, q, n):
         s3 = (s3 + c3) * q
         s5 = (s5 + c5) * q
     return s1, s3, s5
+
+
+def eta1_g2_sums(coeffs, q, n):
+    """(s1, s3), the first two sums of eisenstein_sums over the same
+    triples coeffs, in its operations and order, so each equals its
+    column of eisenstein_sums bit for bit."""
+    s1 = s3 = 0j
+    for c1, c3, _ in coeffs[n:0:-1]:
+        s1 = (s1 + c1) * q
+        s3 = (s3 + c3) * q
+    return s1, s3
 
 
 def wp_sums(x, q, n):

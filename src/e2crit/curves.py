@@ -12,7 +12,7 @@ from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_tau
 from .errors import ConsistencyFailure, ExcludedPoint, RootBracketFailure
 from .moebius import MoebiusMap, enumerate_gamma02, reduce_to_F0
 from .premodular import find_zero_in_F0
-from .qseries import PI, _basic, _eta1, eval_derivatives
+from .qseries import PI, _eta1, _eta1_g2, eval_derivatives
 from .zeros import (
     BranchState,
     _continue_to,
@@ -56,10 +56,10 @@ class CriticalPoint:
     scaled_residual: float
 
 
-def _line_values(b: float, pp: PrecisionPolicy) -> tuple[float, float, float]:
-    """(eta1, g2, g3) on Re tau = 1/2, where all three are real."""
-    e1, g2v, g3v = _basic(complex(0.5, b), pp)
-    return e1.real, g2v.real, g3v.real
+def _line_values(b: float, pp: PrecisionPolicy) -> tuple[float, float]:
+    """(eta1, g2) on Re tau = 1/2, where both are real."""
+    e1, g2v = _eta1_g2(complex(0.5, b), pp)
+    return e1.real, g2v.real
 
 
 def _bisect(fn, lo: float, hi: float, tol: float = 1e-13, what: str = "root"):
@@ -89,7 +89,7 @@ def theta_pair(b: float, pp: PrecisionPolicy = DEFAULT) -> tuple[float, float]:
     theta1 = eta1^2/(eta1^2 - g2/12), both real for b in [1/2, sqrt(3)/2]."""
     if not (0.499 <= b <= SQRT3_2 + 1e-9):
         raise ValueError(f"b = {b} outside [1/2, sqrt(3)/2]")
-    e1, g2v, _ = _line_values(b, pp)
+    e1, g2v = _line_values(b, pp)
     return b * e1 / (2 * PI), e1 * e1 / (e1 * e1 - g2v / 12)
 
 
@@ -98,7 +98,7 @@ def special_tau_half(pp: PrecisionPolicy = DEFAULT) -> TauPoint:
     of eta1 + sqrt(g2/12) - 2 pi/b on (sqrt(3)/2, 6/5)."""
 
     def fn(b):
-        e1, g2v, _ = _line_values(b, pp)
+        e1, g2v = _line_values(b, pp)
         return e1 + math.sqrt(max(g2v, 0.0) / 12) - 2 * PI / b
 
     b_hat = _bisect(fn, SQRT3_2 + 1e-9, 1.2, tol=1e-13, what="tau(1/2)")
@@ -116,7 +116,7 @@ def special_tau_minus_C(pp: PrecisionPolicy = DEFAULT) -> tuple[TauPoint, float]
 
     b1 = _bisect(fn, 0.5 + 1e-9, SQRT3_2 - 1e-9, tol=1e-13, what="tau_-")
     tau_m = complex(0.5, b1)
-    e1, g2v, _ = _line_values(b1, pp)
+    e1, g2v = _line_values(b1, pp)
     disc = e1 * e1 - g2v / 12
     c_minus = 0.5 - 2 * PI * math.sqrt(-g2v / 12) / disc
     if abs(eval_fC(c_minus, tau_m, pp)) > 1e-8:
@@ -136,7 +136,7 @@ def special_b0(pp: PrecisionPolicy = DEFAULT) -> float:
     via_half = 1.0 / (4.0 * special_tau_half(pp).im)
 
     def fn(b):
-        e1, g2v, _ = _line_values(b, pp)
+        e1, g2v = _line_values(b, pp)
         return e1 * e1 - g2v / 12
 
     direct = _bisect(fn, 5 / 24 + 1e-9, 1 / (2 * math.sqrt(3)) - 1e-9, tol=1e-13, what="b0")
@@ -228,7 +228,7 @@ def hessian_detG2(sign, tau, pp: PrecisionPolicy = DEFAULT,
     t = as_tau(tau)
     if abs(t - RHO) < 1e-8:
         raise ExcludedPoint("both trivial critical points degenerate at e^{i pi/3}")
-    e1, g2v, _ = _basic(t, pp)
+    e1, g2v = _eta1_g2(t, pp)
     if branch is None:
         branch = BranchState(sign=sgn, anchor=sqrt_g2_over_12(t, pp))
     else:

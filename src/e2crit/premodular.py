@@ -37,6 +37,7 @@ from .qseries import (
     _basic_direct,
     _derivs,
     _eta1_direct,
+    _eta1_g2_direct,
     _pullback,
     _wp_family,
     reduce_lattice,
@@ -215,7 +216,7 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool 
     z2 = z**3 - 3 * wp * z - wpp
     if not deriv:
         return z2
-    e1, g2v, _ = _basic_direct(tau, pp, q)
+    e1, g2v = _eta1_g2_direct(q, pp)
     dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
     dwp = (4 * wp * (wp - e1) + 2 * z * wpp - g2v * (2 / 3)) / _FOUR_PI_I
     dwpp = (6 * wpp * (wp - e1) + z * (12 * wp * wp - g2v)) / _FOUR_PI_I
@@ -224,8 +225,9 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool 
 
 def eval_Zrs2(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Weight-3 pre-modular form Z2_{r,s}(tau) = Z^3 - 3 wp Z - wp'."""
-    tau1, _, mu, (r1, s1) = _pullback_char(rs, tau, "Z2")
-    return mu**3 * _zrs2_at(r1, s1, tau1, pp)
+    tau1, c, mu, (r1, s1) = _pullback_char(rs, tau, "Z2")
+    z2 = _zrs2_at(r1, s1, tau1, pp)
+    return mu**3 * z2 if c else z2
 
 
 def _zrs2_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
@@ -235,6 +237,8 @@ def _zrs2_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, comple
     dZ2/dtau = mu^4 (3 c Z2(tau1) + mu Z2'(tau1))."""
     tau1, c, mu, (r1, s1) = _pullback_char(rs, tau, "Z2")
     z2, dz2 = _zrs2_at(r1, s1, tau1, pp, deriv=True)
+    if not c:
+        return z2, dz2
     return mu**3 * z2, mu**4 * (3 * c * z2 + mu * dz2)
 
 

@@ -12,10 +12,16 @@ e^{-2 pi 0.35} = 0.111, and its length is the least that a closed-form
 geometric bound on the tail certifies, possibly 0.  Each evaluator then
 applies its weight once.
 
-The (eta1, g2, g3) series share one length and are summed in one pass by
-eisenstein_sums.  An evaluator sums and lifts only what it returns:
-eval_E2, eval_eta1, eval_eta2 and the wp/Z family read eta1 alone and sum
-its series alone, with horner.
+The (eta1, g2, g3) series share one length.  An evaluator sums and lifts
+only what its caller reads:
+- _basic and _basic_direct sum all three in one pass (eisenstein_sums), for
+  eval_invariants, eval_derivatives, and f_C with its derivatives and Z2
+  near the lattice, which read g3;
+- _eta1_g2 and _eta1_g2_direct sum eta1 and g2 alone (eta1_g2_sums), for
+  f_C's value and scale, sqrt(g2/12), transform_quasi, the derivative of
+  Z2 and the curve-line values;
+- eval_E2, eval_eta1, eval_eta2 and the wp/Z family read eta1 alone and sum
+  its series alone (horner).
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 
-from ._kernels_py import eisenstein_sums, horner, wp_sums
+from ._kernels_py import eisenstein_sums, eta1_g2_sums, horner, wp_sums
 from .domain import DEFAULT, PrecisionPolicy, as_pair, as_tau
 from .errors import PoleAtLattice, TruncationFailure
 from .moebius import reduce_to_F_ints
@@ -107,12 +113,6 @@ def _length(rho: float, th: tuple) -> int:
     if not 0.0 <= rho <= RHO_CAP:
         raise TruncationFailure(f"series ratio rho={rho!r} outside [0, {RHO_CAP:.4f}]")
     return bisect_right(th, rho)
-
-
-def _truncation(rho: float, tol: float, power: int) -> int:
-    """A length n with sum_{k>n} k^power rho^k < tol, as _length reads it
-    from _thresholds(tol, power)."""
-    return _length(rho, _thresholds(tol, power))
 
 
 def choose_truncation(im_tau: float, eps: float) -> int:
@@ -232,6 +232,24 @@ def _basic(tau: complex, pp: PrecisionPolicy):
     return _lift(vals, c, mu) if c else vals
 
 
+def _eta1_g2_direct(q: complex, pp: PrecisionPolicy):
+    """(eta1, g2) at nome q, as _basic_direct gives them, summed without
+    the g3 series."""
+    n = _basic_terms(q, pp)
+    s1, s3 = eta1_g2_sums(_sigma_triples(n), q, n)
+    return _ETA1_0 - _ETA1_1 * s1, _G2_0 + _G2_1 * s3
+
+
+def _eta1_g2(tau: complex, pp: PrecisionPolicy):
+    """(eta1, g2) anywhere in H, as _basic gives them, with neither g3 nor
+    its weight summed."""
+    tau1, c, mu, _ = _pullback(tau)
+    e1, g2v = _eta1_g2_direct(cmath.exp(TWO_PI_I * tau1), pp)
+    if c:
+        return _lift_eta1(e1, c, mu), mu**4 * g2v
+    return e1, g2v
+
+
 def _eta1(tau: complex, pp: PrecisionPolicy) -> complex:
     """eta1 anywhere in H, as _basic gives it, from its series alone."""
     tau1, c, mu, _ = _pullback(tau)
@@ -243,7 +261,9 @@ def transform_quasi(gamma, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex,
     """(eta1(gamma.tau), g2(gamma.tau)) computed from values at tau via the
     transformation laws."""
     t = as_tau(tau)
-    return _lift(_basic(t, pp), gamma.c, gamma.mu(t))[:2]
+    e1, g2v = _eta1_g2(t, pp)
+    mu = gamma.mu(t)
+    return _lift_eta1(e1, gamma.c, mu), mu**4 * g2v
 
 
 def eval_eta1(tau, pp: PrecisionPolicy = DEFAULT) -> complex:
@@ -281,6 +301,12 @@ def reduce_lattice(r: float, s: float) -> tuple[float, float]:
     return r - math.floor(r + 0.5), s - math.floor(s + 0.5)
 
 
+# the _thresholds table of the wp/Z family for each eps seen, and the
+# prefactors of wp and wp'
+_family_tables: dict[float, tuple] = {}
+_WP_K, _WPP_K = -4 * PI**2, -8j * PI**3
+
+
 def _wp_family(rh: float, sh: float, tau: complex, pp: PrecisionPolicy,
                q: complex | None = None):
     """(wp, wp', Z_{rh,sh}) at z = rh + sh*tau, for (rh, sh) as reduce_lattice
@@ -295,9 +321,9 @@ def _wp_family(rh: float, sh: float, tau: complex, pp: PrecisionPolicy,
         raise PoleAtLattice(f"z reduces to the lattice point {rh} + {sh}*tau")
     # parity: evaluate the sign-canonical representative so that wp(z) == wp(-z)
     # and zeta(z) == -zeta(-z) hold exactly as evaluated
-    sign = 1.0
-    if sh < 0.0 or (sh == 0.0 and rh < 0.0):
-        rh, sh, sign = -rh, -sh, -1.0
+    flip = sh < 0.0 or (sh == 0.0 and rh < 0.0)
+    if flip:
+        rh, sh = -rh, -sh
     if q is None:
         q = cmath.exp(TWO_PI_I * tau)
     x = cmath.exp(TWO_PI_I * (rh + sh * tau))
@@ -305,13 +331,20 @@ def _wp_family(rh: float, sh: float, tau: complex, pp: PrecisionPolicy,
     # high up x underflows to 0, but rho <= |x| as sh <= 1/2, so the series
     # is then empty and wp_sums never divides by x
     rho = math.exp(-2 * PI * (1.0 - sh) * tau.imag)
-    n = _truncation(rho, pp.eps / (64 * PI**3), 3)
-    sp, spp, sz = wp_sums(x, q, n)
+    th = _family_tables.get(pp.eps)
+    if th is None:
+        th = _family_tables[pp.eps] = _thresholds(pp.eps / (64 * PI**3), 3)
+    sp, spp, sz = wp_sums(x, q, _length(rho, th))
     one_minus = 1 - x
-    wp = -4 * PI**2 * (1.0 / 12.0 + x / one_minus**2 + sp)
-    wpp = -8j * PI**3 * (x / one_minus**2 + 2 * x * x / one_minus**3 + spp)
+    # one_minus**2 and **3 as CPython's complex power forms them
+    om2 = one_minus * one_minus
+    x_om2 = x / om2
+    wp = _WP_K * (1.0 / 12.0 + x_om2 + sp)
+    wpp = _WPP_K * (x_om2 + 2 * x * x / (one_minus * om2) + spp)
     z_hecke = 2j * PI * sh - 1j * PI * (1 + x) / one_minus - TWO_PI_I * sz
-    return wp, sign * wpp, sign * z_hecke
+    if flip:
+        return wp, -1.0 * wpp, -1.0 * z_hecke
+    return wp, wpp, z_hecke
 
 
 def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex, complex]:

@@ -19,7 +19,7 @@ from .errors import (
     PhaseStepFailure,
 )
 from .moebius import DomainTag, classify_domain
-from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1
+from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1, _eta1_g2
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
@@ -111,9 +111,12 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int):
 
     f(p) returns the value of f, or the pair (f(p), f'(p)); a pair at the
     first contour point switches on the derivative gate of count_zeros_info
-    for the whole walk.  The walk accumulates dlog = log(f(p1)/f(p0)) over
-    each accepted segment; dlog.imag is the phase step, so the count is the
-    winding number of the sampled polyline.  Each segment also adds
+    for the whole walk.  f is called once per contour point and bisection
+    midpoint: the closing point, equal to the first, reuses its value but
+    is still counted among the points evaluated, so that count is
+    len(contour.points) plus the midpoints.  The walk accumulates
+    dlog = log(f(p1)/f(p0)) over each accepted segment; dlog.imag is the
+    phase step, so the count is the winding number of the sampled polyline.  Each segment also adds
     (p0 + p1) dlog to a moment, and moment / (4 pi i) is the midpoint rule
     for the contour integral of tau f'(tau)/f(tau) over 2 pi i: the sum of
     the zeros inside, counted with multiplicity, less that of the poles
@@ -122,19 +125,22 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int):
     seeds Newton at no extra evaluation.  With pairs each segment also adds
     the Hermite end correction (p1 - p0)^2/6 (f'/f(p1) - f'/f(p0)), which
     lowers that error to the fourth power of the spacing, again at no extra
-    evaluation.
+    evaluation.  Plain values form neither f'/f nor that correction.
     """
     def node(p, out):
-        v, d = out if gated else (out, 0.0)
+        v = out[0] if gated else out
         if abs(v) < min_abs:
             raise BoundaryZero(f"|f| = {abs(v):.2e} < {min_abs:.0e} at contour point {p}")
-        g = d / v
+        if not gated:
+            return p, v, None, None
+        g = out[1] / v
         return p, v, g, abs(g)
 
     pts = contour.points
     first = f(pts[0])
     gated = type(first) is tuple
-    nodes = [node(pts[0], first)] + [node(p, f(p)) for p in pts[1:]]
+    nodes = [node(pts[0], first)] + [node(p, f(p)) for p in pts[1:-1]]
+    nodes.append(nodes[0])
     used = len(pts)
     budget = max_points - used
     max_step = contour.max_step
@@ -148,14 +154,19 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int):
             p1, v1, g1, r1 = b
             dlog = cmath.log(v1 / v0)
             dphi = dlog.imag
-            h = p1 - p0
-            if abs(dphi) < max_step and (not gated or abs(h) * max(r0, r1) < 1.0):
-                total += dphi
-                moment += (p0 + p1) * dlog + h * h * (g1 - g0) / 6
-                continue
+            if abs(dphi) < max_step:
+                if not gated:
+                    total += dphi
+                    moment += (p0 + p1) * dlog
+                    continue
+                h = p1 - p0
+                if abs(h) * max(r0, r1) < 1.0:
+                    total += dphi
+                    moment += (p0 + p1) * dlog + h * h * (g1 - g0) / 6
+                    continue
             if budget <= 0:
                 raise PhaseStepFailure("adaptive subdivision budget exhausted")
-            if abs(h) < 1e-14:
+            if abs(p1 - p0) < 1e-14:
                 raise PhaseStepFailure(f"phase step {dphi:.3f} irreducible near {p0}")
             mid = 0.5 * (p0 + p1)
             m = node(mid, f(mid))
@@ -172,6 +183,9 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int):
 def count_zeros_info(f, contour: Contour, min_abs: float = BOUNDARY_ZERO_TOL,
                      max_points: int = MAX_CONTOUR_POINTS) -> tuple[int, int]:
     """(winding number of f along the contour, points evaluated).
+
+    The points evaluated are the contour's points, the closing one included
+    though its value is the first one's, and the bisection midpoints.
 
     Adaptive phase accumulation: a segment is bisected until the phase step
     between its endpoints is below contour.max_step, and the result is the
@@ -251,7 +265,7 @@ def eval_fC(C: float, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """f_C(tau) = 12 (C eta1 - eta2)^2 - g2 (C - tau)^2, in the operations
     of _fc_parts without its derivatives."""
     C, t = as_real(C, "C"), as_tau(tau)
-    e1, g2v, _ = _basic(t, pp)
+    e1, g2v = _eta1_g2(t, pp)
     lin = C * e1 - (t * e1 - TWO_PI_I)
     d = C - t
     return 12 * lin * lin - g2v * (d * d)
@@ -266,7 +280,7 @@ def _fc_value(C: float, t: complex, pp: PrecisionPolicy) -> tuple[complex, float
     """(f_C(t), fc_scale(C, t)) from one series evaluation, f_C in the
     operations of eval_fC (which keeps its own copy: it is the integrand of
     every f_C contour count, where the scale would be wasted)."""
-    e1, g2v, _ = _basic(t, pp)
+    e1, g2v = _eta1_g2(t, pp)
     lin = C * e1 - (t * e1 - TWO_PI_I)
     d = C - t
     return 12 * lin * lin - g2v * (d * d), 1.0 + abs(g2v) * abs(d) ** 2
@@ -295,7 +309,7 @@ def sqrt_g2_over_12(tau, pp: PrecisionPolicy = DEFAULT, anchor: complex | None =
     """
     t = as_tau(tau)
     if anchor is not None:
-        _, g2v, _ = _basic(t, pp)
+        g2v = _eta1_g2(t, pp)[1]
         w = cmath.sqrt(g2v / 12)
         if abs(w - anchor) > abs(w + anchor):
             w = -w
@@ -304,14 +318,14 @@ def sqrt_g2_over_12(tau, pp: PrecisionPolicy = DEFAULT, anchor: complex | None =
             raise BranchJump(f"sqrt(g2/12) jumped from {anchor} to {w} at {t}")
         return w
     b_top = max(6.0, t.imag + 1.0)
-    _, g2v, _ = _basic(complex(t.real, b_top), pp)
+    g2v = _eta1_g2(complex(t.real, b_top), pp)[1]
     w = cmath.sqrt(g2v / 12)
     if w.real < 0:
         w = -w
     b = b_top
     while b > t.imag:
         b = max(t.imag, b - max(0.04, 0.25 * (b - t.imag)))
-        _, g2v, _ = _basic(complex(t.real, b), pp)
+        g2v = _eta1_g2(complex(t.real, b), pp)[1]
         wn = cmath.sqrt(g2v / 12)
         if abs(wn - w) > abs(wn + w):
             wn = -wn
@@ -354,7 +368,7 @@ def _newton_fc(C: float, t: complex, pp: PrecisionPolicy, itmax: int = 60):
             return None
         step = f / fp
         t = t - step
-        if t.imag <= 1e-9 or abs(t - start) > 1.5:
+        if not (t.imag > 1e-9 and abs(t - start) <= 1.5):
             return None
         if abs(step) < 1e-13 * max(1.0, abs(t)):
             return t, fp, fC_d
@@ -372,7 +386,7 @@ def _asymptotic_seed(C: float) -> complex | None:
             return None
         b = math.log(24 * PI * abs(C - a) / den) / (2 * PI)
         cosv = -(b + 7 / (4 * PI)) * 24 * PI * math.exp(-2 * PI * b)
-        if abs(cosv) > 0.995:
+        if not abs(cosv) <= 0.995:
             return None
         if C > 0.5:
             a = math.acos(cosv) / (2 * PI)
@@ -400,7 +414,7 @@ def branch_of(C: float) -> str:
 def _nearest_node(C: float) -> int:
     """k of the ladder node C = k/8 nearest to C on C's branch."""
     lo, hi = _LADDER_RANGE[branch_of(C)]
-    return min(hi, max(lo, round(8 * C)))
+    return round(min(hi, max(lo, 8 * C)))
 
 
 @lru_cache(maxsize=256)

@@ -186,8 +186,8 @@ class TestPhiSignLock:
         # the sign is that of the smaller |Im phi| from two eval_phi calls,
         # each with its own square-root walk; detect_phi_sign walks once
         calls = []
-        basic = zeros._basic
-        monkeypatch.setattr(zeros, "_basic", lambda *a: calls.append(a) or basic(*a))
+        series = zeros._eta1_g2
+        monkeypatch.setattr(zeros, "_eta1_g2", lambda *a: calls.append(a) or series(*a))
         for C in (0.3, 0.5, -0.4, -2.0, 1.3, 3.0):
             t = solve_tauC(C)
             calls.clear()

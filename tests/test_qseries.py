@@ -24,7 +24,7 @@ from e2crit import (
     eval_Zrs2,
 )
 from e2crit import qseries
-from e2crit.qseries import MAX_TERMS, RHO_CAP, _sigma, _thresholds, _truncation
+from e2crit.qseries import MAX_TERMS, RHO_CAP, _length, _sigma, _thresholds
 
 PI = math.pi
 RHO = cmath.exp(1j * PI / 3)
@@ -311,6 +311,29 @@ class TestFusedSeries:
                 want = tuple(qseries.horner(_sigma(p, n), q, n) for p in (1, 3, 5))
                 assert qseries.eisenstein_sums(coeffs, q, n) == want, (n, q)
 
+    def test_eta1_g2_sums_equal_the_first_two_columns(self):
+        rng = random.Random(16)
+        coeffs = qseries._sigma_triples(MAX_TERMS)
+        for n in range(MAX_TERMS + 1):
+            for _ in range(3):
+                q = cmath.rect(RHO_CAP * rng.random(), rng.uniform(-PI, PI))
+                want = qseries.eisenstein_sums(coeffs, q, n)[:2]
+                assert qseries.eta1_g2_sums(coeffs, q, n) == want, (n, q)
+
+    def test_eta1_g2_equals_basic(self):
+        # directly, at a given nome, and pulled back
+        rng = random.Random(17)
+        pulled = 0
+        for _ in range(2000):
+            t = complex(rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.003), math.log(4))))
+            pulled += t.imag < DEFAULT.min_im_direct
+            assert qseries._eta1_g2(t, DEFAULT) == qseries._basic(t, DEFAULT)[:2], t
+            t1 = qseries._pullback(t)[0]
+            q = cmath.exp(2j * PI * t1)
+            want = qseries._basic_direct(t1, DEFAULT)[:2]
+            assert qseries._eta1_g2_direct(q, DEFAULT) == want, t
+        assert 500 < pulled < 1500
+
     def test_basic_direct_equals_three_horner_sums(self):
         rng = random.Random(14)
         for _ in range(500):
@@ -401,7 +424,7 @@ class TestTruncationTable:
         for b in _thresholds(tol, power):
             rhos += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
         for rho in (float(r) for r in rhos if 0.0 <= r <= RHO_CAP):
-            n = _truncation(rho, tol, power)
+            n = _length(rho, _thresholds(tol, power))
             assert 0 <= n <= MAX_TERMS
             before, at = self.tails(rho, tol, power, n)
             assert at < tol, (rho, n)
@@ -411,18 +434,18 @@ class TestTruncationTable:
     @pytest.mark.parametrize("rho", [0.95, 0.99, 1.5, math.nan, math.inf])
     def test_failure_near_one(self, rho):
         with pytest.raises(TruncationFailure):
-            _truncation(rho, 1e-12 / 150000.0, 5)
+            _length(rho, _thresholds(1e-12 / 150000.0, 5))
 
     @pytest.mark.parametrize("divisor,power", PAIRS)
     def test_cap_is_the_boundary(self, divisor, power):
-        assert _truncation(RHO_CAP, 1e-12 / divisor, power) > 0
+        assert _length(RHO_CAP, _thresholds(1e-12 / divisor, power)) > 0
         for rho in (math.nextafter(RHO_CAP, 1.0), -1e-300):
             with pytest.raises(TruncationFailure):
-                _truncation(rho, 1e-12 / divisor, power)
+                _length(rho, _thresholds(1e-12 / divisor, power))
 
     def test_failure_beyond_max_terms(self):
         with pytest.raises(TruncationFailure, match="256 terms"):
-            _truncation(0.001, 1e-300 / 150000.0, 5)
+            _length(0.001, _thresholds(1e-300 / 150000.0, 5))
 
 
 class TestPrecisionPolicy:
@@ -434,3 +457,81 @@ class TestPrecisionPolicy:
                 PrecisionPolicy(**{knob: 0.5})
         pp = PrecisionPolicy()
         assert pp.eps == 1e-12 and pp.min_im_direct == DEFAULT.min_im_direct == 0.35
+
+
+def _outcome(call):
+    """The value of call(), or the type of the exception it raises."""
+    try:
+        return call()
+    except Exception as exc:  # compared, not hidden: both sides must agree
+        return type(exc)
+
+
+class TestEta1G2Callers:
+    """The callers that read eta1 and g2 alone equal, bit for bit, their
+    formulation through _basic, which also sums g3."""
+
+    @staticmethod
+    def taus(seed, n):
+        # Im tau log-uniform in [0.035, 3.5]: about half are pulled back
+        rng = random.Random(seed)
+        return rng, [complex(rng.uniform(-2, 2), math.exp(rng.uniform(math.log(0.035), math.log(3.5))))
+                     for _ in range(n)]
+
+    def through_basic(self, monkeypatch):
+        from e2crit import curves, premodular, zeros
+        basic = lambda t, pp: qseries._basic(t, pp)[:2]
+        monkeypatch.setattr(zeros, "_eta1_g2", basic)
+        monkeypatch.setattr(curves, "_eta1_g2", basic)
+        monkeypatch.setattr(premodular, "_eta1_g2_direct",
+                            lambda q, pp: qseries._basic_direct(None, pp, q)[:2])
+
+    def test_fc_value_scale_and_square_root(self, monkeypatch):
+        from e2crit import zeros
+        rng, taus = self.taus(31, 400)
+        assert 150 < sum(t.imag < DEFAULT.min_im_direct for t in taus) < 250
+        Cs = [rng.uniform(-3, 4) for _ in taus]
+        anchors = [cmath.sqrt(eval_invariants(t)[0] / 12) * complex(rng.uniform(0.8, 1.2), rng.uniform(-0.2, 0.2))
+                   * rng.choice((1, -1)) for t in taus]
+
+        def run():
+            return [(zeros._fc_value(C, t, DEFAULT), zeros.fc_scale(C, t), zeros.eval_fC(C, t),
+                     _outcome(lambda: zeros.sqrt_g2_over_12(t)),
+                     _outcome(lambda: zeros.sqrt_g2_over_12(t, DEFAULT, a)))
+                    for C, t, a in zip(Cs, taus, anchors)]
+
+        got = run()
+        self.through_basic(monkeypatch)
+        assert got == run()
+
+    def test_zrs2_parts(self, monkeypatch):
+        from e2crit import premodular
+        rng, taus = self.taus(32, 400)
+        chars = [(rng.uniform(0.05, 0.95), rng.uniform(-0.45, 0.45)) for _ in taus]
+        run = lambda: [premodular._zrs2_parts(rs, t) for rs, t in zip(chars, taus)]
+        got = run()
+        self.through_basic(monkeypatch)
+        assert got == run()
+
+    def test_hessian_and_line_values(self, monkeypatch):
+        from e2crit import curves
+        rng, taus = self.taus(33, 100)
+        bs = [rng.uniform(0.3, 3.0) for _ in taus]
+        run = lambda: ([_outcome(lambda: curves.hessian_detG2(sign, t)) for t in taus for sign in (1, -1)],
+                       [curves._line_values(b, DEFAULT) for b in bs])
+        got = run()
+        self.through_basic(monkeypatch)
+        hessians, lines = run()
+        assert got[0] == hessians
+        assert got[1] == [(e1.real, g2v.real) for e1, g2v, _ in
+                          (qseries._basic(complex(0.5, b), DEFAULT) for b in bs)] == lines
+
+    def test_transform_quasi(self):
+        from e2crit.moebius import MoebiusMap
+        gammas = [MoebiusMap(*m) for m in
+                  ((1, 0, 0, 1), (1, 1, 0, 1), (0, -1, 1, 0), (1, 0, 2, 1), (2, 1, 3, 2), (1, -1, 4, -3))]
+        rng, taus = self.taus(34, 400)
+        for t in taus:
+            gamma = rng.choice(gammas)
+            want = qseries._lift(qseries._basic(t, DEFAULT), gamma.c, gamma.mu(t))[:2]
+            assert qseries.transform_quasi(gamma, t) == want, (gamma, t)

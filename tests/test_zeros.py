@@ -111,6 +111,23 @@ class TestCountZeros:
         assert isinstance(info, tuple) and len(info) == 2
         assert info[0] == 1
 
+    def test_closing_point_evaluated_once(self):
+        # a plain callable with one zero inside and no bisection: each
+        # contour point but the closing one is evaluated, and the closing
+        # one is still counted among the points used
+        contour = f0_contour()
+        calls = []
+        info = count_zeros_info(lambda t: calls.append(t) or t - complex(0.5, 1.0), contour)
+        assert info == (1, len(contour.points))
+        assert calls == list(contour.points[:-1])
+
+    def test_closing_point_evaluated_once_with_pairs(self):
+        contour = rect_contour(-1.0, 2.0, 0.5, 2.0)
+        calls = []
+        info = count_zeros_info(lambda t: calls.append(t) or (t - complex(0.5, 1.0), 1.0), contour)
+        assert info == (1, len(contour.points))
+        assert calls == list(contour.points[:-1])
+
 
 # f_C over a low rectangle with a zero close to its bottom edge: the plain
 # phase rule counts 4 at 24 points per side, the true count is 5
@@ -478,6 +495,12 @@ class TestSolveTauC:
         assert abs(-offered[0].conjugate() - start) < 0.2
         assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
         assert abs(t - solve_tauC(C_to).z) < 1e-12
+
+    @pytest.mark.parametrize("C", [1e308, -1e308])
+    def test_huge_C_diverges(self, C):
+        # the iterates overflow to inf and NaN; every guard fails on them
+        with pytest.raises(Diverged):
+            solve_tauC(C)
 
     @pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_C(self, C):
