@@ -18,9 +18,9 @@ from .zeros import (
     _continue_to,
     _fc_parts,
     _phi,
+    _root_near,
     branch_of,
     eval_fC,
-    eval_phi,
     solve_tauC,
     sqrt_g2_over_12,
 )
@@ -228,13 +228,18 @@ def hessian_detG2(sign, tau, pp: PrecisionPolicy = DEFAULT,
     t = as_tau(tau)
     if abs(t - RHO) < 1e-8:
         raise ExcludedPoint("both trivial critical points degenerate at e^{i pi/3}")
+    # one (eta1, g2) evaluation serves eta1, the square root and phi
     e1, g2v = _eta1_g2(t, pp)
     if branch is None:
-        branch = BranchState(sign=sgn, anchor=sqrt_g2_over_12(t, pp))
+        branch = BranchState(sign=sgn)
     else:
         branch.sign = sgn
-    phi = eval_phi(branch, t, pp)
-    w = branch.anchor
+    if branch.anchor is None:
+        w = sqrt_g2_over_12(t, pp)
+    else:
+        w = _root_near(g2v, branch.anchor, t)
+    branch.anchor = w
+    phi = _phi(t, e1, w, sgn)
     return (3 * abs(g2v) / (4 * PI**4 * t.imag)) * abs(e1 + sgn * w) ** 2 * phi.imag
 
 

@@ -110,8 +110,8 @@ def _pullback_char(rs, tau, name: str):
 
 def eval_Zrs(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Hecke form Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2."""
-    tau1, _, mu, (r1, s1) = _pullback_char(rs, tau, "Z")
-    return mu * _wp_family(*reduce_lattice(r1, s1), tau1, pp)[2]
+    tau1, _, mu, (r1, s1), at = _pullback_char(rs, tau, "Z")
+    return mu * _wp_family(*reduce_lattice(r1, s1), tau1, pp, None if at is None else at.q)[2]
 
 
 def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
@@ -119,10 +119,10 @@ def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex
     the eta1 series at the pulled-back point, Z in the operations of
     eval_Zrs.  A weight-1 form lifts as Z(tau) = mu Z(tau1) with
     dtau1/dtau = mu^-2, so dZ/dtau = mu^2 (c Z(tau1) + mu Z'(tau1))."""
-    tau1, c, mu, (r1, s1) = _pullback_char(rs, tau, "Z")
-    q = cmath.exp(TWO_PI_I * tau1)
+    tau1, c, mu, (r1, s1), at = _pullback_char(rs, tau, "Z")
+    q = cmath.exp(TWO_PI_I * tau1) if at is None else at.q
     wp, wpp, z = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
-    e1 = _eta1_direct(q, pp)
+    e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
     dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
     return mu * z, mu * mu * (c * z + mu * dz)
 
@@ -185,17 +185,20 @@ def _laurent_tau_parts(u: complex, c: list, cp: list) -> tuple[complex, complex,
     return P_t, Q_t, zs_t, dQ_du
 
 
-def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool = False):
+def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool = False,
+             at=None):
     """Z2 at tau as _pullback returns it; with deriv, the pair
-    (Z2, dZ2/dtau) at fixed (r, s), Z2 in the same operations."""
+    (Z2, dZ2/dtau) at fixed (r, s), Z2 in the same operations.  at is
+    tau's lattice data as _pullback returns it, read in place of the nome
+    and the series when given."""
     rh, sh = reduce_lattice(r, s)
     u = rh + sh * tau
-    q = cmath.exp(TWO_PI_I * tau)
+    q = cmath.exp(TWO_PI_I * tau) if at is None else at.q
     # the Laurent switch radius is SMALL_U_FACTOR * min(1, |tau|, |tau - 1|,
     # |tau + 1|) <= SMALL_U_FACTOR, so most points skip forming the minimum
     au = abs(u)
     if au < SMALL_U_FACTOR and au < SMALL_U_FACTOR * min(1.0, abs(tau), abs(tau - 1), abs(tau + 1)):
-        e1, g2v, g3v = _basic_direct(tau, pp, q)
+        e1, g2v, g3v = _basic_direct(tau, pp, q) if at is None else at.basic(pp)
         e2v = tau * e1 - TWO_PI_I
         c = _laurent_coeffs(g2v, g3v)
         P, Q, zs = _laurent_parts(u, c)
@@ -216,7 +219,7 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool 
     z2 = z**3 - 3 * wp * z - wpp
     if not deriv:
         return z2
-    e1, g2v = _eta1_g2_direct(q, pp)
+    e1, g2v = _eta1_g2_direct(q, pp) if at is None else at.eta1_g2(pp)
     dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
     dwp = (4 * wp * (wp - e1) + 2 * z * wpp - g2v * (2 / 3)) / _FOUR_PI_I
     dwpp = (6 * wpp * (wp - e1) + z * (12 * wp * wp - g2v)) / _FOUR_PI_I
@@ -225,8 +228,8 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool 
 
 def eval_Zrs2(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Weight-3 pre-modular form Z2_{r,s}(tau) = Z^3 - 3 wp Z - wp'."""
-    tau1, c, mu, (r1, s1) = _pullback_char(rs, tau, "Z2")
-    z2 = _zrs2_at(r1, s1, tau1, pp)
+    tau1, c, mu, (r1, s1), at = _pullback_char(rs, tau, "Z2")
+    z2 = _zrs2_at(r1, s1, tau1, pp, False, at)
     return mu**3 * z2 if c else z2
 
 
@@ -235,8 +238,8 @@ def _zrs2_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, comple
     operations of eval_Zrs2: the pair the contour counts and Newton take.
     A weight-3 form lifts as Z2(tau) = mu^3 Z2(tau1), so
     dZ2/dtau = mu^4 (3 c Z2(tau1) + mu Z2'(tau1))."""
-    tau1, c, mu, (r1, s1) = _pullback_char(rs, tau, "Z2")
-    z2, dz2 = _zrs2_at(r1, s1, tau1, pp, deriv=True)
+    tau1, c, mu, (r1, s1), at = _pullback_char(rs, tau, "Z2")
+    z2, dz2 = _zrs2_at(r1, s1, tau1, pp, True, at)
     if not c:
         return z2, dz2
     return mu**3 * z2, mu**4 * (3 * c * z2 + mu * dz2)

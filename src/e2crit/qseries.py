@@ -22,6 +22,14 @@ only what its caller reads:
   Z2 and the curve-line values;
 - eval_E2, eval_eta1, eval_eta2 and the wp/Z family read eta1 alone and sum
   its series alone (horner).
+
+At a registered point (a point of the polylines zeros.f0_contour keeps, see
+register_points) what depends on tau alone is formed once and read after:
+_pullback reads the translation and reduction at both floors, and the nome
+and the three series values at tau1 (each once per eps, on first use) are
+read from the point's _Pulled.  They are the floats the same functions give
+off the registry, so every value is unchanged; off it, an evaluation pays
+one dict lookup.
 """
 
 from __future__ import annotations
@@ -131,9 +139,11 @@ def choose_truncation(im_tau: float, eps: float) -> int:
 # weight-2/4/6 series, the modular pull-back seam and the transformation laws
 
 def _pullback(tau: complex, rs=None):
-    """(tau1, c, mu, rs1): the point tau1 at which the series are summed, with
-    tau = gamma . tau1, c the lower-left entry of gamma and mu = c tau1 + d;
-    a form of weight w is mu^w times its value at tau1.
+    """(tau1, c, mu, rs1, at): the point tau1 at which the series are summed,
+    with tau = gamma . tau1, c the lower-left entry of gamma and
+    mu = c tau1 + d; a form of weight w is mu^w times its value at tau1.
+    at is the lattice data of tau1 (a _Pulled) when tau is a registered
+    point, else None.
 
     tau is translated by the integer k nearest Re tau (c = 0, mu = 1), then
     reduced to F if its height is below the floor: min_im_direct = 0.35 for
@@ -143,26 +153,113 @@ def _pullback(tau: complex, rs=None):
     at a ratio of at most e^{-2 pi 0.35} = 0.111 (RHO_CAP).  rs, when given,
     is carried to rs1 with Z_{r,s}(tau) = mu Z_{rs1}(tau1); Z is 1-periodic
     in r, so k s is reduced exactly into [-1/2, 1/2) and a large Re tau
-    costs no digits.
+    costs no digits.  At a registered point the translation and reduction
+    are read from its _Pulled, where _Pulled formed them in the same
+    operations.
     """
-    k = round(tau.real)
+    pair = _lookup(tau)
+    # -0.0 hashes and compares as the registered +0.0, but keeps its sign
+    # through the pull-back
+    if pair is not None and (tau.real or math.copysign(1.0, tau.real) > 0.0):
+        if rs is None:
+            return pair[0].pulled
+        at = pair[1]
+        k, abd, tau1, c, mu = at.k, at.abd, at.tau1, at.c, at.mu
+    else:
+        at = None
+        k = round(tau.real)
+        if k:
+            tau -= k
+        if tau.imag >= (_FLOOR if rs is None else _FAMILY_FLOOR):
+            if rs is None:
+                return tau, 0, 1, None, None
+            tau1, c, mu, abd = tau, 0, 1, None
+        else:
+            tau1, a, b, c, d = reduce_to_F_ints(tau)
+            mu = c * tau1 + d
+            if rs is None:
+                return tau1, c, mu, None, None
+            abd = a, b, d
+    r, s = rs
     if k:
-        tau -= k
-        if rs is not None:
-            r, s = rs
-            if -1 <= k <= 1:
-                rs = (r + k * s, s)
-            else:
-                p, m = s.as_integer_ratio()
-                h = m // 2
-                rs = (r + ((k * p + h) % m - h) / m, s)
-    if tau.imag >= (_FLOOR if rs is None else _FAMILY_FLOOR):
-        return tau, 0, 1, rs
-    tau1, a, b, c, d = reduce_to_F_ints(tau)
-    if rs is not None:
-        r, s = rs
-        rs = (d * r + b * s, c * r + a * s)
-    return tau1, c, c * tau1 + d, rs
+        if -1 <= k <= 1:
+            r = r + k * s
+        else:
+            p, m = s.as_integer_ratio()
+            h = m // 2
+            r = r + ((k * p + h) % m - h) / m
+    if abd is not None:
+        a, b, d = abd
+        r, s = d * r + b * s, c * r + a * s
+    return tau1, c, mu, (r, s), at
+
+
+class _Pulled:
+    """A registered point tau pulled back at one floor, as _pullback pulls
+    back an unregistered one, with what the evaluators read at tau1: the
+    nome q there and, formed on first use for each eps, the series values
+    at q that _eta1_direct, _eta1_g2_direct and _basic_direct give."""
+
+    __slots__ = ("k", "abd", "tau1", "c", "mu", "q", "pulled", "_e1", "_e1g2", "_basic")
+
+    def __init__(self, tau: complex, floor: float):
+        self.k = k = round(tau.real)
+        if k:
+            tau -= k
+        self.abd = None
+        self.c, self.mu = 0, 1
+        if tau.imag < floor:
+            tau, a, b, c, d = reduce_to_F_ints(tau)
+            self.abd, self.c, self.mu = (a, b, d), c, c * tau + d
+        self.tau1 = tau
+        self.q = cmath.exp(TWO_PI_I * tau)
+        # _pullback's value at tau without a characteristic
+        self.pulled = (tau, self.c, self.mu, None, self)
+        self._e1, self._e1g2, self._basic = {}, {}, {}
+
+    def eta1(self, pp: PrecisionPolicy) -> complex:
+        v = self._e1.get(pp.eps)
+        if v is None:
+            v = self._e1[pp.eps] = _eta1_direct(self.q, pp)
+        return v
+
+    def eta1_g2(self, pp: PrecisionPolicy):
+        v = self._e1g2.get(pp.eps)
+        if v is None:
+            v = self._e1g2[pp.eps] = _eta1_g2_direct(self.q, pp)
+        return v
+
+    def basic(self, pp: PrecisionPolicy):
+        v = self._basic.get(pp.eps)
+        if v is None:
+            v = self._basic[pp.eps] = _basic_direct(self.tau1, pp, self.q)
+        return v
+
+
+# the registered points: tau -> its _Pulled at the (eta1, g2, g3) floor and
+# at the wp/Z family floor, one object where the two pull-backs agree
+_registry: dict[complex, tuple] = {}
+_lookup = _registry.get
+
+
+def register_points(points) -> None:
+    """Make points the registered points, the ones whose lattice data
+    _pullback reads (the points of the polylines f0_contour keeps).  A
+    point already registered keeps its data; one no longer listed drops
+    it.  A point with real part -0.0 is not registered."""
+    kept = dict(_registry)
+    _registry.clear()
+    for p in points:
+        if p in _registry or (p.real == 0.0 and math.copysign(1.0, p.real) < 0.0):
+            continue
+        pair = kept.get(p)
+        if pair is None:
+            low = _Pulled(p, _FLOOR)
+            # below _FLOOR both floors reduce tau - k to F, above
+            # _FAMILY_FLOOR neither reduces: one pull-back serves both
+            family = _Pulled(p, _FAMILY_FLOOR) if _FLOOR <= p.imag < _FAMILY_FLOOR else low
+            pair = low, family
+        _registry[p] = pair
 
 
 def _lift_eta1(e1: complex, c: int, mu: complex) -> complex:
@@ -227,8 +324,8 @@ def _basic_direct(tau: complex, pp: PrecisionPolicy, q: complex | None = None):
 
 def _basic(tau: complex, pp: PrecisionPolicy):
     """(eta1, g2, g3) anywhere in H."""
-    tau1, c, mu, _ = _pullback(tau)
-    vals = _basic_direct(tau1, pp)
+    tau1, c, mu, _, at = _pullback(tau)
+    vals = _basic_direct(tau1, pp) if at is None else at.basic(pp)
     return _lift(vals, c, mu) if c else vals
 
 
@@ -243,8 +340,8 @@ def _eta1_g2_direct(q: complex, pp: PrecisionPolicy):
 def _eta1_g2(tau: complex, pp: PrecisionPolicy):
     """(eta1, g2) anywhere in H, as _basic gives them, with neither g3 nor
     its weight summed."""
-    tau1, c, mu, _ = _pullback(tau)
-    e1, g2v = _eta1_g2_direct(cmath.exp(TWO_PI_I * tau1), pp)
+    tau1, c, mu, _, at = _pullback(tau)
+    e1, g2v = _eta1_g2_direct(cmath.exp(TWO_PI_I * tau1), pp) if at is None else at.eta1_g2(pp)
     if c:
         return _lift_eta1(e1, c, mu), mu**4 * g2v
     return e1, g2v
@@ -252,8 +349,8 @@ def _eta1_g2(tau: complex, pp: PrecisionPolicy):
 
 def _eta1(tau: complex, pp: PrecisionPolicy) -> complex:
     """eta1 anywhere in H, as _basic gives it, from its series alone."""
-    tau1, c, mu, _ = _pullback(tau)
-    e1 = _eta1_direct(cmath.exp(TWO_PI_I * tau1), pp)
+    tau1, c, mu, _, at = _pullback(tau)
+    e1 = _eta1_direct(cmath.exp(TWO_PI_I * tau1), pp) if at is None else at.eta1(pp)
     return _lift_eta1(e1, c, mu) if c else e1
 
 
@@ -356,11 +453,11 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     """
     r, s = as_pair(z)
     t = as_tau(tau)
-    tau1, c, mu, (r1, s1) = _pullback(t, (r, s))
-    q = cmath.exp(TWO_PI_I * tau1)
+    tau1, c, mu, (r1, s1), at = _pullback(t, (r, s))
+    q = cmath.exp(TWO_PI_I * tau1) if at is None else at.q
     wp, wpp, z_hecke = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
     # only eta1 is read: its series alone
-    e1 = _eta1_direct(q, pp)
+    e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
     if c:
         e1 = _lift_eta1(e1, c, mu)
     return mu * mu * wp, mu**3 * wpp, mu * z_hecke + r * e1 + s * (t * e1 - TWO_PI_I)

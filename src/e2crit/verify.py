@@ -29,9 +29,8 @@ from .curves import (
 from .domain import DEFAULT, PrecisionPolicy
 from .errors import E2CritError
 from .moebius import (
-    IDENTITY,
     S_INVERT,
-    T_SHIFT,
+    MoebiusMap,
     enumerate_gamma02,
     reduce_to_F0,
     transform_char,
@@ -79,20 +78,28 @@ def _random_taus(rng, n, im_lo=0.4, im_hi=5.0):
     return [complex(rng.uniform(-1.0, 2.0), rng.uniform(im_lo, im_hi)) for _ in range(n)]
 
 
+# the generator words T, T^-1 and S as integer tuples (a, b, c, d)
+_WORDS = ((1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0))
+
+
 def _random_sl2z(rng, n, max_entry=10):
     """Deterministic sample of n distinct SL(2,Z) matrices with entries bounded
-    by max_entry, built from random generator words."""
-    words = [T_SHIFT, T_SHIFT.inverse(), S_INVERT]
+    by max_entry, built from random generator words.  A word is multiplied
+    out in plain integers and signed as MoebiusMap signs it once, at the
+    end: the product of the signed factors differs from it by sign alone."""
     out = []
     seen = set()
     while len(out) < n:
-        g = IDENTITY
+        a, b, c, d = 1, 0, 0, 1
         for _ in range(rng.randrange(1, 9)):
-            g = g @ words[rng.randrange(0, 3)]
-        key = (g.a, g.b, g.c, g.d)
-        if max(abs(v) for v in key) <= max_entry and key not in seen:
+            wa, wb, wc, wd = _WORDS[rng.randrange(0, 3)]
+            a, b, c, d = a * wa + b * wc, a * wb + b * wd, c * wa + d * wc, c * wb + d * wd
+        if c < 0 or (c == 0 and d < 0):
+            a, b, c, d = -a, -b, -c, -d
+        key = (a, b, c, d)
+        if max(abs(a), abs(b), abs(c), abs(d)) <= max_entry and key not in seen:
             seen.add(key)
-            out.append(g)
+            out.append(MoebiusMap(a, b, c, d))
     return out
 
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from cmath import phase
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,11 +21,14 @@ from .errors import (
     PhaseStepFailure,
 )
 from .moebius import DomainTag, classify_domain
-from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1, _eta1_g2
+from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1, _eta1_g2, register_points
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
 MAX_CONTOUR_POINTS = 1 << 18
+# f0_contour keeps this many polylines, and their points are the registered
+# points of qseries (see register_points)
+F0_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -59,9 +64,19 @@ def rect_contour(re0: float, re1: float, im0: float, im1: float, n: int = 24) ->
     return Contour(tuple(pts))
 
 
+# the polylines f0_contour has built, by (t_top, cusp_delta), least
+# recently used first
+_f0_kept: OrderedDict = OrderedDict()
+
+
 def f0_contour(t_top: float = 6.0, cusp_delta: float = 0.08) -> Contour:
     """Boundary of F0 truncated at Im = t_top, with horocircle cuts of
     Euclidean diameter cusp_delta tangent at the cusps 0 and 1.
+
+    The last F0_KEPT polylines asked for are kept, least recently used
+    dropped first, and the points of those kept are the registered points
+    of qseries.register_points: each one's pull-backs are formed once, and
+    the series values there once per eps, on first use.
 
     The base polyline has 82 points (83 with the closing one): 16 log-spaced
     on each vertical edge, 5 on each horocircle, 32 on the arc and 8 on the
@@ -70,7 +85,20 @@ def f0_contour(t_top: float = 6.0, cusp_delta: float = 0.08) -> Contour:
     Z2 and f_C counts of the verification suites), inside the pi/2
     acceptance step; the walk bisects wherever that step or the derivative
     gate requires."""
-    t_top, cusp_delta = as_real(t_top, "t_top"), as_real(cusp_delta, "cusp_delta")
+    key = as_real(t_top, "t_top"), as_real(cusp_delta, "cusp_delta")
+    contour = _f0_kept.get(key)
+    if contour is not None:
+        _f0_kept.move_to_end(key)
+        return contour
+    contour = _f0_kept[key] = _f0_polyline(*key)
+    if len(_f0_kept) > F0_KEPT:
+        _f0_kept.popitem(last=False)
+    register_points(p for kept in _f0_kept.values() for p in kept.points)
+    return contour
+
+
+def _f0_polyline(t_top: float, cusp_delta: float) -> Contour:
+    """f0_contour's polyline, built."""
     if t_top < 3 or not (0 < cusp_delta <= 0.25):
         raise ValueError("t_top >= 3 and cusp_delta in (0, 0.25] required")
     d = cusp_delta
@@ -106,78 +134,129 @@ def f0_contour(t_top: float = 6.0, cusp_delta: float = 0.08) -> Contour:
     return Contour(tuple(pts))
 
 
-def _winding(f, contour: Contour, min_abs: float, max_points: int):
-    """(winding number, points evaluated, sum of the enclosed zeros).
+def _boundary_zero(p, v, min_abs: float) -> BoundaryZero:
+    """The error for the value v at the contour point p, below min_abs."""
+    return BoundaryZero(f"|f| = {abs(v):.2e} < {min_abs:.0e} at contour point {p}")
+
+
+def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: bool = True):
+    """(winding number, points evaluated, sum of the enclosed zeros or None).
 
     f(p) returns the value of f, or the pair (f(p), f'(p)); a pair at the
     first contour point switches on the derivative gate of count_zeros_info
-    for the whole walk.  f is called once per contour point and bisection
-    midpoint: the closing point, equal to the first, reuses its value but
-    is still counted among the points evaluated, so that count is
-    len(contour.points) plus the midpoints.  The walk accumulates
-    dlog = log(f(p1)/f(p0)) over each accepted segment; dlog.imag is the
-    phase step, so the count is the winding number of the sampled polyline.  Each segment also adds
-    (p0 + p1) dlog to a moment, and moment / (4 pi i) is the midpoint rule
-    for the contour integral of tau f'(tau)/f(tau) over 2 pi i: the sum of
-    the zeros inside, counted with multiplicity, less that of the poles
-    (L. M. Delves and J. N. Lyness, Math. Comp. 21, 1967).  For one simple
-    zero it is that zero, to about the square of the sample spacing, so it
-    seeds Newton at no extra evaluation.  With pairs each segment also adds
-    the Hermite end correction (p1 - p0)^2/6 (f'/f(p1) - f'/f(p0)), which
-    lowers that error to the fourth power of the spacing, again at no extra
-    evaluation.  Plain values form neither f'/f nor that correction.
+    for the whole walk.  f is called once per contour point, in order, and
+    then once per bisection midpoint: the closing point, equal to the
+    first, reuses its value but is still counted among the points
+    evaluated, so that count is len(contour.points) plus the midpoints.
+    The walk adds up the phase step phase(f(p1)/f(p0)) over each accepted
+    segment, so the count is the winding number of the sampled polyline; a
+    rejected segment is bisected depth first, its left half first.
+
+    Only a walk over pairs with zero_sum forms the zero sum (find_zero_in_F0
+    reads it; count_zeros_info does not ask for it); otherwise the third
+    value is None.  Each accepted segment then adds (p0 + p1) dlog,
+    dlog = log(f(p1)/f(p0)) (its imaginary part is the phase step), to a
+    moment, and moment / (4 pi i) is the midpoint rule for the contour
+    integral of tau f'(tau)/f(tau) over 2 pi i: the sum of the zeros
+    inside, counted with multiplicity, less that of the poles (L. M. Delves
+    and J. N. Lyness, Math. Comp. 21, 1967).  Each segment also adds the
+    Hermite end correction (p1 - p0)^2/6 (f'/f(p1) - f'/f(p0)), which
+    lowers the rule's error from the square of the sample spacing to its
+    fourth power.  For one simple zero the sum is that zero, so it seeds
+    Newton at no extra evaluation.
     """
-    def node(p, out):
+    def value(p, out):
         v = out[0] if gated else out
         if abs(v) < min_abs:
-            raise BoundaryZero(f"|f| = {abs(v):.2e} < {min_abs:.0e} at contour point {p}")
-        if not gated:
-            return p, v, None, None
+            raise _boundary_zero(p, v, min_abs)
+        return v
+
+    def node(p, out):
+        v = value(p, out)
         g = out[1] / v
         return p, v, g, abs(g)
 
+    def midpoint(p0, p1, dphi):
+        """The midpoint of the rejected segment [p0, p1] and f there."""
+        nonlocal budget
+        if budget <= 0:
+            raise PhaseStepFailure("adaptive subdivision budget exhausted")
+        if abs(p1 - p0) < 1e-14:
+            raise PhaseStepFailure(f"phase step {dphi:.3f} irreducible near {p0}")
+        budget -= 1
+        mid = 0.5 * (p0 + p1)
+        return mid, f(mid)
+
     pts = contour.points
+    max_step = contour.max_step
+    budget = max_points - len(pts)
+    total = 0.0
+    moment = None
     first = f(pts[0])
     gated = type(first) is tuple
-    nodes = [node(pts[0], first)] + [node(p, f(p)) for p in pts[1:-1]]
-    nodes.append(nodes[0])
-    used = len(pts)
-    budget = max_points - used
-    max_step = contour.max_step
-    total = 0.0
-    moment = 0j
-    for i in range(len(nodes) - 1):
-        stack = [(nodes[i], nodes[i + 1])]
-        while stack:
-            a, b = stack.pop()
-            p0, v0, g0, r0 = a
-            p1, v1, g1, r1 = b
-            dlog = cmath.log(v1 / v0)
-            dphi = dlog.imag
+    if not gated:
+        vals = [value(pts[0], first)]
+        for p in pts[1:-1]:
+            v = f(p)
+            if abs(v) < min_abs:
+                raise _boundary_zero(p, v, min_abs)
+            vals.append(v)
+        vals.append(vals[0])
+        p0, v0 = pts[0], vals[0]
+        for p1, v1 in zip(pts[1:], vals[1:]):
+            dphi = phase(v1 / v0)
             if abs(dphi) < max_step:
-                if not gated:
-                    total += dphi
-                    moment += (p0 + p1) * dlog
-                    continue
-                h = p1 - p0
-                if abs(h) * max(r0, r1) < 1.0:
-                    total += dphi
-                    moment += (p0 + p1) * dlog + h * h * (g1 - g0) / 6
-                    continue
-            if budget <= 0:
-                raise PhaseStepFailure("adaptive subdivision budget exhausted")
-            if abs(p1 - p0) < 1e-14:
-                raise PhaseStepFailure(f"phase step {dphi:.3f} irreducible near {p0}")
-            mid = 0.5 * (p0 + p1)
-            m = node(mid, f(mid))
-            used += 1
-            budget -= 1
-            stack.append((m, b))
-            stack.append((a, m))
+                total += dphi
+            else:
+                # bisect; stack holds the right ends of the pending halves,
+                # and the segment ends back at (p1, v1)
+                stack = []
+                while True:
+                    if abs(dphi) < max_step:
+                        total += dphi
+                        if not stack:
+                            break
+                        p0, v0 = p1, v1
+                        p1, v1 = stack.pop()
+                    else:
+                        stack.append((p1, v1))
+                        p1, out = midpoint(p0, p1, dphi)
+                        v1 = value(p1, out)
+                    dphi = phase(v1 / v0)
+            p0, v0 = p1, v1
+    else:
+        nodes = [node(pts[0], first)] + [node(p, f(p)) for p in pts[1:-1]]
+        nodes.append(nodes[0])
+        if zero_sum:
+            moment = 0j
+        a = nodes[0]
+        for b in nodes[1:]:
+            stack = []
+            while True:
+                p0, v0, g0, r0 = a
+                p1, v1, g1, r1 = b
+                if zero_sum:
+                    dlog = cmath.log(v1 / v0)
+                    dphi = dlog.imag
+                else:
+                    dphi = phase(v1 / v0)
+                if abs(dphi) < max_step:
+                    h = p1 - p0
+                    if abs(h) * max(r0, r1) < 1.0:
+                        total += dphi
+                        if zero_sum:
+                            moment += (p0 + p1) * dlog + h * h * (g1 - g0) / 6
+                        if not stack:
+                            break
+                        a, b = b, stack.pop()
+                        continue
+                stack.append(b)
+                b = node(*midpoint(p0, p1, dphi))
+            a = b
     n = total / (2 * PI)
     if abs(n - round(n)) > 1e-3:
         raise PhaseStepFailure(f"winding number {n} not close to an integer")
-    return int(round(n)), used, moment / (4j * PI)
+    return int(round(n)), max_points - budget, None if moment is None else moment / (4j * PI)
 
 
 def count_zeros_info(f, contour: Contour, min_abs: float = BOUNDARY_ZERO_TOL,
@@ -202,8 +281,11 @@ def count_zeros_info(f, contour: Contour, min_abs: float = BOUNDARY_ZERO_TOL,
     C = -0.347830332744998 over the rectangle (-0.2226198, 0.7623387,
     0.0667083, 1.1358003) counts 5 with pairs at rect_contour's default 24
     points per side, and 4 without them unless 48 or more are used.
+
+    The walk forms no zero sum, with pairs or without: it sums phase steps
+    alone (find_zero_in_F0 is the walk that forms one, see _winding).
     """
-    return _winding(f, contour, min_abs, max_points)[:2]
+    return _winding(f, contour, min_abs, max_points, zero_sum=False)[:2]
 
 
 def count_zeros(f, contour: Contour, min_abs: float = BOUNDARY_ZERO_TOL,
@@ -309,14 +391,7 @@ def sqrt_g2_over_12(tau, pp: PrecisionPolicy = DEFAULT, anchor: complex | None =
     """
     t = as_tau(tau)
     if anchor is not None:
-        g2v = _eta1_g2(t, pp)[1]
-        w = cmath.sqrt(g2v / 12)
-        if abs(w - anchor) > abs(w + anchor):
-            w = -w
-        # neither root continues the anchor: the path step was too large
-        if abs(w - anchor) > 0.8 * (abs(w) + abs(anchor)) + 1e-12:
-            raise BranchJump(f"sqrt(g2/12) jumped from {anchor} to {w} at {t}")
-        return w
+        return _root_near(_eta1_g2(t, pp)[1], anchor, t)
     b_top = max(6.0, t.imag + 1.0)
     g2v = _eta1_g2(complex(t.real, b_top), pp)[1]
     w = cmath.sqrt(g2v / 12)
@@ -330,6 +405,18 @@ def sqrt_g2_over_12(tau, pp: PrecisionPolicy = DEFAULT, anchor: complex | None =
         if abs(wn - w) > abs(wn + w):
             wn = -wn
         w = wn
+    return w
+
+
+def _root_near(g2v: complex, anchor: complex, t: complex) -> complex:
+    """The square root of g2v/12, g2v = g2(t), nearer to anchor; BranchJump
+    where neither root continues it."""
+    w = cmath.sqrt(g2v / 12)
+    if abs(w - anchor) > abs(w + anchor):
+        w = -w
+    # neither root continues the anchor: the path step was too large
+    if abs(w - anchor) > 0.8 * (abs(w) + abs(anchor)) + 1e-12:
+        raise BranchJump(f"sqrt(g2/12) jumped from {anchor} to {w} at {t}")
     return w
 
 

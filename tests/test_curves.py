@@ -8,6 +8,7 @@ import pytest
 
 from e2crit import (
     DEFAULT,
+    BranchJump,
     BranchState,
     ExcludedPoint,
     appendix_bstar,
@@ -231,6 +232,61 @@ class TestHessian:
         assert hessian_detG2("plus", t) == hessian_detG2(1, t)
         with pytest.raises(ValueError):
             hessian_detG2("up", t)
+
+
+def _old_hessian_detG2(sign, tau, pp=DEFAULT, branch=None):
+    """hessian_detG2 as it was, with three series evaluations at tau: the
+    reference for its values, errors and branch anchors."""
+    from e2crit.domain import as_tau
+    from e2crit.qseries import _eta1_g2
+    sgn = {"plus": 1, "minus": -1, 1: 1, -1: -1}.get(sign)
+    if sgn is None:
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    t = as_tau(tau)
+    if abs(t - curves.RHO) < 1e-8:
+        raise ExcludedPoint("both trivial critical points degenerate at e^{i pi/3}")
+    e1, g2v = _eta1_g2(t, pp)
+    if branch is None:
+        branch = BranchState(sign=sgn, anchor=zeros.sqrt_g2_over_12(t, pp))
+    else:
+        branch.sign = sgn
+    phi = eval_phi(branch, t, pp)
+    w = branch.anchor
+    return (3 * abs(g2v) / (4 * PI**4 * t.imag)) * abs(e1 + sgn * w) ** 2 * phi.imag
+
+
+class TestHessianParity:
+    """One (eta1, g2) evaluation gives what three gave: the same values,
+    errors and branch anchors."""
+
+    @staticmethod
+    def outcome(fn, sign, t, branch):
+        try:
+            value = fn(sign, t, DEFAULT, branch)
+        except Exception as exc:  # compared, not hidden: both sides must agree
+            value = (type(exc), str(exc))
+        return value, None if branch is None else (branch.sign, branch.anchor)
+
+    def test_against_three_evaluations(self):
+        rng = random.Random(4242)
+        jumps = 0
+        for _ in range(150):
+            t = complex(rng.uniform(-1, 2), math.exp(rng.uniform(math.log(0.05), math.log(4))))
+            w = zeros.sqrt_g2_over_12(t)
+            for sign in ("plus", "minus"):
+                # no state, a state without an anchor, and anchors near either
+                # root or far from both in size, where the root jumps
+                anchors = [None, w * rng.uniform(0.8, 1.2), -w * rng.uniform(0.8, 1.2),
+                           w * complex(0, rng.choice((0.05, 20.0)))]
+                for anchor in anchors:
+                    old = self.outcome(_old_hessian_detG2, sign, t, BranchState(1, anchor))
+                    assert self.outcome(hessian_detG2, sign, t, BranchState(1, anchor)) == old
+                    jumps += type(old[0]) is tuple and old[0][0] is BranchJump
+                assert self.outcome(hessian_detG2, sign, t, None) == self.outcome(_old_hessian_detG2, sign, t, None)
+        assert jumps >= 100
+        t = complex(0.5, SQRT3_2)
+        for fn in (_old_hessian_detG2, hessian_detG2):
+            assert self.outcome(fn, "plus", t, None)[0][0] is ExcludedPoint
 
 
 class TestCriticalPoints:

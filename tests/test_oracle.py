@@ -157,7 +157,7 @@ def test_family_matches_reference(band):
 def _z2_branch(r: float, s: float, tau: complex) -> tuple[bool, bool]:
     """(Laurent form, pulled back): the branch the library takes for
     Z2_{r,s}(tau), by the switch of premodular._zrs2_at."""
-    tau1, c, _, (r1, s1) = _pullback(tau, (r, s))
+    tau1, c, _, (r1, s1), _ = _pullback(tau, (r, s))
     rh, sh = reduce_lattice(r1, s1)
     au = abs(rh + sh * tau1)
     near = au < SMALL_U_FACTOR * min(1.0, abs(tau1), abs(tau1 - 1), abs(tau1 + 1))

@@ -25,6 +25,7 @@ from e2crit import (
 )
 from e2crit import qseries
 from e2crit.qseries import MAX_TERMS, RHO_CAP, _length, _sigma, _thresholds
+from tests_helpers import float_bits
 
 PI = math.pi
 RHO = cmath.exp(1j * PI / 3)
@@ -535,3 +536,73 @@ class TestEta1G2Callers:
             gamma = rng.choice(gammas)
             want = qseries._lift(qseries._basic(t, DEFAULT), gamma.c, gamma.mu(t))[:2]
             assert qseries.transform_quasi(gamma, t) == want, (gamma, t)
+
+
+class TestLatticeData:
+    """The lattice data of the registered points (the points of the
+    polylines f0_contour keeps) changes no evaluation, cold or warm."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self):
+        from e2crit import zeros
+        zeros._f0_kept.clear()
+        qseries.register_points(())
+        yield
+        zeros._f0_kept.clear()
+        qseries.register_points(())
+
+    @staticmethod
+    def evaluators(pp):
+        from e2crit import premodular, zeros
+        out = []
+        for C in (-0.7, 0.5, 2.5):
+            out += [lambda t, C=C: zeros.eval_fC(C, t, pp),
+                    lambda t, C=C: zeros._fc_parts(C, t, pp),
+                    lambda t, C=C: zeros.fc_scale(C, t, pp)]
+        # (0.02, 0.003) takes the Laurent form of Z2 at 66 of the 83 points
+        for rs in ((1 / 6, 1 / 6), (0.7, 0.2), (0.3, 0.45), (0.02, 0.003)):
+            out += [lambda t, rs=rs: premodular.eval_Zrs2(rs, t, pp),
+                    lambda t, rs=rs: premodular._zrs2_parts(rs, t, pp),
+                    lambda t, rs=rs: premodular.eval_Zrs(rs, t, pp),
+                    lambda t, rs=rs: premodular._zrs_parts(rs, t, pp),
+                    lambda t, rs=rs: eval_weierstrass(rs, t, pp)]
+        return out
+
+    def run(self, pp, points):
+        return [float_bits(_outcome(lambda: fn(t))) for t in points for fn in self.evaluators(pp)]
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10])
+    def test_values_cold_and_warm(self, eps):
+        from e2crit import zeros
+        pp = PrecisionPolicy(eps)
+        shapes = ((6.0, 0.08), (6.0, 0.2))
+        points = [p for shape in shapes for p in zeros._f0_polyline(*shape).points]
+        off = self.run(pp, points)
+        for shape in shapes:
+            zeros.f0_contour(*shape)
+        assert all(qseries._pullback(p)[4] is not None for p in points)
+        assert self.run(pp, points) == off
+        assert self.run(pp, points) == off
+
+    def test_negative_zero_real_part(self):
+        from e2crit import zeros
+        left = [p for p in zeros._f0_polyline(6.0, 0.08).points if p.real == 0.0]
+        assert len(left) == 17
+        mirrored = [complex(-0.0, p.imag) for p in left]
+        off = self.run(DEFAULT, mirrored)
+        zeros.f0_contour()
+        self.run(DEFAULT, left)
+        assert all(qseries._pullback(t)[4] is None for t in mirrored)
+        assert self.run(DEFAULT, mirrored) == off
+
+    def test_registry_stays_bounded(self):
+        from e2crit import zeros
+        base = len(zeros.f0_contour().points) - 1
+        for i in range(40):
+            zeros.f0_contour(3.0 + i / 7, 0.05 + i / 400)
+            assert len(zeros._f0_kept) <= zeros.F0_KEPT
+            assert len(qseries._registry) <= zeros.F0_KEPT * base
+            assert set(qseries._registry) == {p for kept in zeros._f0_kept.values() for p in kept.points}
+        # the default polyline was dropped, and is registered again when asked for
+        assert (6.0, 0.08) not in zeros._f0_kept
+        assert all(p in qseries._registry for p in zeros.f0_contour().points)

@@ -29,10 +29,12 @@ from e2crit import (
     solve_tauC,
     sqrt_g2_over_12,
 )
+from e2crit.errors import PhaseStepFailure
 from e2crit.moebius import DomainTag, classify_domain
 from e2crit import qseries, zeros
 from e2crit.premodular import _zrs2_parts
 from e2crit.verify import _TRIANGLE_VERTICES, triangle_grid
+from tests_helpers import float_bits
 from e2crit.zeros import (
     _asymptotic_seed,
     _continue_to,
@@ -595,3 +597,129 @@ class TestBoundaryExclusion:
         pts += [0.5 + 0.5 * cmath.exp(1j * th) for th in np.linspace(0.3, PI - 0.3, 10)]
         for C in (-2.0, -0.5, 0.25, 0.5, 0.75, 2.0, 5.0):
             assert min(abs(eval_fC(C, p)) for p in pts) > 1e-7
+
+
+def _old_winding(f, contour, min_abs, max_points):
+    """The walk as it was when every walk formed the zero sum: the reference
+    for _winding's counts, points, exceptions and zero sum."""
+    def node(p, out):
+        v = out[0] if gated else out
+        if abs(v) < min_abs:
+            raise BoundaryZero(f"|f| = {abs(v):.2e} < {min_abs:.0e} at contour point {p}")
+        if not gated:
+            return p, v, None, None
+        g = out[1] / v
+        return p, v, g, abs(g)
+
+    pts = contour.points
+    first = f(pts[0])
+    gated = type(first) is tuple
+    nodes = [node(pts[0], first)] + [node(p, f(p)) for p in pts[1:-1]]
+    nodes.append(nodes[0])
+    used = len(pts)
+    budget = max_points - used
+    max_step = contour.max_step
+    total = 0.0
+    moment = 0j
+    for i in range(len(nodes) - 1):
+        stack = [(nodes[i], nodes[i + 1])]
+        while stack:
+            a, b = stack.pop()
+            p0, v0, g0, r0 = a
+            p1, v1, g1, r1 = b
+            dlog = cmath.log(v1 / v0)
+            dphi = dlog.imag
+            if abs(dphi) < max_step:
+                if not gated:
+                    total += dphi
+                    moment += (p0 + p1) * dlog
+                    continue
+                h = p1 - p0
+                if abs(h) * max(r0, r1) < 1.0:
+                    total += dphi
+                    moment += (p0 + p1) * dlog + h * h * (g1 - g0) / 6
+                    continue
+            if budget <= 0:
+                raise PhaseStepFailure("adaptive subdivision budget exhausted")
+            if abs(p1 - p0) < 1e-14:
+                raise PhaseStepFailure(f"phase step {dphi:.3f} irreducible near {p0}")
+            mid = 0.5 * (p0 + p1)
+            m = node(mid, f(mid))
+            used += 1
+            budget -= 1
+            stack.append((m, b))
+            stack.append((a, m))
+    n = total / (2 * PI)
+    if abs(n - round(n)) > 1e-3:
+        raise PhaseStepFailure(f"winding number {n} not close to an integer")
+    return int(round(n)), used, moment / (4j * PI)
+
+
+def _walk_outcome(call):
+    """The value of call(), or the type and message of the walk exception it raises."""
+    try:
+        return call()
+    except (BoundaryZero, PhaseStepFailure) as exc:
+        return type(exc), str(exc)
+
+
+class TestWalkParity:
+    """_winding against the walk it replaced: plain walks sum phases alone,
+    gated ones form the zero sum only when asked, and neither changes a
+    count, a point, the bisection order or an exception."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(2718)
+        f0 = f0_contour()
+        rects = [rect_contour(re0, re0 + rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.1), rng.uniform(0.6, 1.4),
+                              n=rng.choice((24, 48)))
+                 for re0 in (rng.uniform(-0.5, 0.3) for _ in range(6))]
+        out = []
+        for name, (v0, v1, v2) in _TRIANGLE_VERTICES.items():
+            x, y = rng.uniform(0.1, 0.45), rng.uniform(0.1, 0.45)
+            rs = (v0[0] + (v1[0] - v0[0]) * x + (v2[0] - v0[0]) * y,
+                  v0[1] + (v1[1] - v0[1]) * x + (v2[1] - v0[1]) * y)
+            out.append((lambda t, rs=rs: eval_Zrs2(rs, t), lambda t, rs=rs: _zrs2_parts(rs, t), f0))
+        for C in (rng.uniform(-3, -0.2), rng.uniform(0.1, 0.9), rng.uniform(1.2, 4)):
+            out.append((lambda t, C=C: eval_fC(C, t), lambda t, C=C: _fc_parts(C, t, DEFAULT)[:2], f0))
+        for box in rects:
+            C = rng.uniform(-1, 2)
+            out.append((lambda t, C=C: eval_fC(C, t), lambda t, C=C: _fc_parts(C, t, DEFAULT)[:2], box))
+        return out
+
+    def test_counts_points_and_zero_sums(self):
+        bisected = 0
+        for plain, paired, contour in self.cases():
+            for f in (plain, paired):
+                want = _old_winding(f, contour, 1e-9, 1 << 18)
+                assert count_zeros_info(f, contour) == want[:2]
+                bisected += want[1] > len(contour.points)
+            got = _winding(paired, contour, 1e-9, 1 << 18)
+            assert float_bits(got) == float_bits(want)
+        assert bisected >= 6
+
+    def test_exceptions(self):
+        exhausted = 0
+        for plain, paired, contour in self.cases():
+            for f in (plain, paired):
+                used = _old_winding(f, contour, 1e-9, 1 << 18)[1]
+                for max_points in (len(contour.points), (len(contour.points) + used) // 2):
+                    want = _walk_outcome(lambda: _old_winding(f, contour, 1e-9, max_points)[:2])
+                    assert _walk_outcome(lambda: count_zeros_info(f, contour, 1e-9, max_points)) == want
+                    exhausted += want == (PhaseStepFailure, "adaptive subdivision budget exhausted")
+        assert exhausted >= 6
+        # f_0 vanishes at the cusps below the boundary-zero floor
+        for f in (lambda t: eval_fC(0.0, t), lambda t: _fc_parts(0.0, t, DEFAULT)[:2]):
+            want = _walk_outcome(lambda: _old_winding(f, f0_contour(), 1e-9, 1 << 18))
+            assert want[0] is BoundaryZero
+            assert _walk_outcome(lambda: count_zeros_info(f, f0_contour())) == want
+        # a zero on the left edge, off every dyadic midpoint, with the floor
+        # at 1e-300: bisection runs down to the irreducible step
+        a = complex(0.0, 0.5 + 1 / 7)
+        contour = rect_contour(0, 1, 0.5, 1.5, n=3)
+        for f in (lambda t: t - a, lambda t: (t - a, 1.0)):
+            want = _walk_outcome(lambda: _old_winding(f, contour, 1e-300, 1 << 18))
+            assert want[0] is PhaseStepFailure and "irreducible" in want[1]
+            assert _walk_outcome(lambda: count_zeros_info(f, contour, 1e-300)) == want
+            assert _walk_outcome(lambda: _winding(f, contour, 1e-300, 1 << 18)) == want

@@ -15,3 +15,16 @@ def random_sl2z(rng, max_entry=10, max_len=8):
             g = g @ [_T, _TI, _S][int(rng.integers(0, 3))]
         if max(abs(v) for v in (g.a, g.b, g.c, g.d)) <= max_entry:
             return g
+
+
+def float_bits(x):
+    """x with every float, in tuples and complex numbers too, as its hex
+    string, so that equal values compare equal only bit for bit (-0.0 and
+    0.0 differ)."""
+    if isinstance(x, tuple):
+        return tuple(float_bits(v) for v in x)
+    if isinstance(x, complex):
+        return x.real.hex(), x.imag.hex()
+    if isinstance(x, float):
+        return x.hex()
+    return x
