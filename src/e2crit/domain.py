@@ -59,9 +59,13 @@ class CharPair:
 
 
 def as_pair(rs) -> tuple[float, float]:
-    """Accept CharPair or a plain pair."""
+    """Accept CharPair or a plain pair, return it as two finite floats."""
     r, s = (rs.r, rs.s) if isinstance(rs, CharPair) else rs
-    return as_real(r, "r"), as_real(s, "s")
+    r, s = float(r), float(s)
+    if not (math.isfinite(r) and math.isfinite(s)):
+        name, v = ("s", s) if math.isfinite(r) else ("r", r)
+        raise ValueError(f"{name} must be finite, got {v}")
+    return r, s
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,28 @@ Near a lattice point the cubic combination suffers catastrophic cancellation
 (Z ~ 1/u with u = r + s*tau reduced), so a rearranged Laurent form
     Z2 = 3 (A^2 - P)/u + A^3 - 3 P A - Q
 with A = (zeta(u) - 1/u) - r*eta1 - s*eta2, P = wp - 1/u^2, Q = wp' + 2/u^3
-is used for small |u|; it is exact and keeps every term O(u)-bounded.
+is used for |u| < SMALL_U_FACTOR R, R = min(1, |tau|, |tau - 1|, |tau + 1|);
+it is exact and keeps every term O(u)-bounded.
+
+The Laurent length.  P, Q and A sum the coefficients c_k of
+wp(u) = 1/u^2 + sum_{k>=2} c_k u^{2k-2} up to k = K, the least K that a
+closed-form tail bound certifies, capped at LAURENT_TERMS.  At tau as
+_pullback returns it, R is the shortest lattice vector and R, Im tau >= 0.7.
+Discs of radius R/2 about the lattice points are disjoint, so at most
+(2x/R + 1)^2 - 1 nonzero ones lie within x, whence
+sum' |w|^-4 <= (8 + 16/3) R^-4 and, as c_k = (2k-1) G_2k,
+    |c_k| <= B (2k-1) R^(-2k),   |dc_k/dtau| <= B 2k (2k-1) R^(-2k) / Im tau,
+with B = 13.34.  Carried through 3 (A^2 - P)/u - Q and its tau-derivative,
+the terms past c_K move Z2 and dZ2/dtau by at most
+    |u| F sum_{k>K} W_k t^(2k-4),   t = |u|/R,   W_k = 16 k^2 (2k-1),
+F = B / 0.7^5.  The largest part is the derivative's
+dQ/du s + Q_t + 3 dP/u - 3 P s/u^2, at most
+|u| (2k-1)(8k^2 - 2k + 3) t^(2k-4) R^-4 / Im tau per dropped k; every
+other part carries a further t^2 <= SMALL_U_FACTOR^2 against |A|, |dA|
+<= 16 |u| and |P| <= 2, which the factor 2 in W_k covers.  K is the least
+length whose bound is below eps |u|: the branch holds Z2 to eps on the
+scale of its O(u) terms, where an absolute eps would leave its small
+values no digits.
 
 The tau-derivatives at fixed (r, s) come in closed form from the heat
 equation 4 pi i d_tau theta1 = d_z^2 theta1, as Z = theta1'/theta1 + 2 pi i s
@@ -14,8 +35,10 @@ with z = r + s*tau:
     dZ/dtau   = -(wp' + 2 Z (wp + eta1)) / (4 pi i),
     dwp/dtau  = (4 wp (wp - eta1) + 2 Z wp' - 2 g2/3) / (4 pi i),
     dwp'/dtau = (6 wp' (wp - eta1) + Z (12 wp^2 - g2)) / (4 pi i),
-using wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp', and then
-    dZ2/dtau  = 3 (Z^2 - wp) dZ/dtau - 3 Z dwp/dtau - dwp'/dtau.
+using wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp'.  Composed in
+dZ2/dtau = 3 (Z^2 - wp) dZ/dtau - 3 Z dwp/dtau - dwp'/dtau, they collapse
+to one line in Z2 itself:
+    dZ2/dtau  = (-6 (wp + eta1) Z2 - 9 wp' (wp + Z^2) + 3 Z (g2 - 12 wp^2)) / (4 pi i).
 The Laurent form is differentiated term by term instead (du/dtau = s,
 dzs/du = -P, dP/du = Q, and the coefficients move with g2 and g3), so its
 derivative keeps every term O(u)-bounded as well.
@@ -25,13 +48,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_pair, as_tau
 from .errors import CountMismatch, Diverged, PoleAtLattice, Unclassified
 from .moebius import DomainTag, classify_domain
 from .qseries import (
+    _FAMILY_FLOOR,
     PI,
     TWO_PI_I,
     _basic_direct,
@@ -48,6 +74,10 @@ CLASSIFY_TOL = 1e-12
 SMALL_U_FACTOR = 0.15
 LAURENT_TERMS = 13
 _FOUR_PI_I = 4j * PI
+# B and F of the Laurent tail bound in the module docstring; R and Im tau
+# are at least _FAMILY_FLOOR where _pullback leaves tau
+_COEFF_BOUND = 13.34
+_TAIL_FACTOR = _COEFF_BOUND / _FAMILY_FLOOR**5
 
 
 class TriangleTag(Enum):
@@ -127,16 +157,45 @@ def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex
     return mu * z, mu * mu * (c * z + mu * dz)
 
 
+def _tail_weight(k: int) -> int:
+    """W_k of the Laurent tail bound in the module docstring."""
+    return 16 * k * k * (2 * k - 1)
+
+
+@lru_cache(maxsize=None)
+def _laurent_thresholds(tol: float) -> tuple:
+    """th with the Laurent tail past c_K below tol |u| whenever
+    t = |u|/R < th[K - 2], for K = 2..LAURENT_TERMS - 1.
+
+    For k > K the ratio W_{k+1} t^2 / W_k of consecutive terms of the
+    bound is at most r_K = W_{K+2} SMALL_U_FACTOR^2 / W_{K+1}, as the
+    branch has t < SMALL_U_FACTOR, so the tail is at most its first term
+    over 1 - r_K, which solves for th[K - 2] in closed form.  No K below 2
+    is certified: dropping c_2 moves Q by 2 c_2 u, which is not o(u).
+    """
+    th = []
+    for k in range(2, LAURENT_TERMS):
+        w = _tail_weight(k + 1)
+        r = _tail_weight(k + 2) * SMALL_U_FACTOR**2 / w
+        th.append((tol * (1.0 - r) / (_TAIL_FACTOR * w)) ** (1.0 / (2 * k - 2)))
+    return tuple(th)
+
+
+def _laurent_length(t: float, eps: float) -> int:
+    """K, the last index of the Laurent coefficients summed at t = |u|/R:
+    the least K whose tail bound is below eps |u|, or LAURENT_TERMS where
+    none below it is certified."""
+    return 2 + bisect_right(_laurent_thresholds(eps), t)
+
+
 def _laurent_coeffs(g2v: complex, g3v: complex, kmax: int = LAURENT_TERMS) -> list:
     """Coefficients c_k of wp(u) = 1/u^2 + sum_{k>=2} c_k u^{2k-2}."""
-    c = [0j] * (kmax + 1)
-    c[2] = g2v / 20
-    c[3] = g3v / 28
+    c = [0j, 0j, g2v / 20, g3v / 28][:kmax + 1]
     for k in range(4, kmax + 1):
         acc = 0
         for m in range(2, k - 1):
             acc += c[m] * c[k - m]
-        c[k] = 3 * acc / ((2 * k + 1) * (k - 3))
+        c.append(3 * acc / ((2 * k + 1) * (k - 3)))
     return c
 
 
@@ -144,7 +203,7 @@ def _laurent_coeffs_tau(c: list, g2p: complex, g3p: complex) -> list:
     """tau-derivatives of the c_k of _laurent_coeffs, from g2' and g3'
     through the same recursion (its sum over m is symmetric, so the product
     rule doubles one half)."""
-    cp = [0j, 0j, g2p / 20, g3p / 28]
+    cp = [0j, 0j, g2p / 20, g3p / 28][:len(c)]
     for k in range(4, len(c)):
         acc = 0j
         for m in range(2, k - 1):
@@ -194,13 +253,14 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool 
     rh, sh = reduce_lattice(r, s)
     u = rh + sh * tau
     q = cmath.exp(TWO_PI_I * tau) if at is None else at.q
-    # the Laurent switch radius is SMALL_U_FACTOR * min(1, |tau|, |tau - 1|,
-    # |tau + 1|) <= SMALL_U_FACTOR, so most points skip forming the minimum
+    # the Laurent switch radius is SMALL_U_FACTOR R with R <= 1, so most
+    # points skip forming R
     au = abs(u)
-    if au < SMALL_U_FACTOR and au < SMALL_U_FACTOR * min(1.0, abs(tau), abs(tau - 1), abs(tau + 1)):
+    R = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1)) if au < SMALL_U_FACTOR else 0.0
+    if au < SMALL_U_FACTOR * R:
         e1, g2v, g3v = _basic_direct(tau, pp, q) if at is None else at.basic(pp)
         e2v = tau * e1 - TWO_PI_I
-        c = _laurent_coeffs(g2v, g3v)
+        c = _laurent_coeffs(g2v, g3v, _laurent_length(au / R, pp.eps))
         P, Q, zs = _laurent_parts(u, c)
         A = zs - rh * e1 - sh * e2v
         z2 = 3 * (A * A - P) / u + (A**3 - 3 * P * A - Q)
@@ -220,10 +280,8 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool 
     if not deriv:
         return z2
     e1, g2v = _eta1_g2_direct(q, pp) if at is None else at.eta1_g2(pp)
-    dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
-    dwp = (4 * wp * (wp - e1) + 2 * z * wpp - g2v * (2 / 3)) / _FOUR_PI_I
-    dwpp = (6 * wpp * (wp - e1) + z * (12 * wp * wp - g2v)) / _FOUR_PI_I
-    return z2, 3 * (z * z - wp) * dz - 3 * z * dwp - dwpp
+    return z2, (-6 * (wp + e1) * z2 - 9 * wpp * (wp + z * z)
+                + 3 * z * (g2v - 12 * wp * wp)) / _FOUR_PI_I
 
 
 def eval_Zrs2(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
@@ -242,7 +300,8 @@ def _zrs2_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, comple
     z2, dz2 = _zrs2_at(r1, s1, tau1, pp, True, at)
     if not c:
         return z2, dz2
-    return mu**3 * z2, mu**4 * (3 * c * z2 + mu * dz2)
+    mu3 = mu**3
+    return mu3 * z2, mu3 * mu * (3 * c * z2 + mu * dz2)
 
 
 def blowup_FCs(C: float, s: float, tau, pp: PrecisionPolicy = DEFAULT) -> complex:

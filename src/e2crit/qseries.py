@@ -431,14 +431,16 @@ def _wp_family(rh: float, sh: float, tau: complex, pp: PrecisionPolicy,
     th = _family_tables.get(pp.eps)
     if th is None:
         th = _family_tables[pp.eps] = _thresholds(pp.eps / (64 * PI**3), 3)
-    sp, spp, sz = wp_sums(x, q, _length(rho, th))
-    one_minus = 1 - x
-    # one_minus**2 and **3 as CPython's complex power forms them
-    om2 = one_minus * one_minus
-    x_om2 = x / om2
-    wp = _WP_K * (1.0 / 12.0 + x_om2 + sp)
-    wpp = _WPP_K * (x_om2 + 2 * x * x / (one_minus * om2) + spp)
-    z_hecke = 2j * PI * sh - 1j * PI * (1 + x) / one_minus - TWO_PI_I * sz
+    n = _length(rho, th)
+    # the empty series is certified at most points high in F
+    sp, spp, sz = wp_sums(x, q, n) if n else (0, 0, 0)
+    # x/(1-x)^2, x/(1-x)^2 + 2x^2/(1-x)^3 and (1+x)/(1-x) from one reciprocal
+    a = 1 / (1 - x)
+    xa = x * a
+    xa2 = xa * a
+    wp = _WP_K * (1.0 / 12.0 + xa2 + sp)
+    wpp = _WPP_K * (xa2 * (1 + 2 * xa) + spp)
+    z_hecke = 2j * PI * sh - 1j * PI * (1 + x) * a - TWO_PI_I * sz
     if flip:
         return wp, -1.0 * wpp, -1.0 * z_hecke
     return wp, wpp, z_hecke

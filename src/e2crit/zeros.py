@@ -21,7 +21,7 @@ from .errors import (
     PhaseStepFailure,
 )
 from .moebius import DomainTag, classify_domain
-from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1, _eta1_g2, register_points
+from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_g2, register_points
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
@@ -284,7 +284,12 @@ def count_zeros_info(f, contour: Contour, min_abs: float = BOUNDARY_ZERO_TOL,
 
     The walk forms no zero sum, with pairs or without: it sums phase steps
     alone (find_zero_in_F0 is the walk that forms one, see _winding).
+
+    A value below min_abs raises BoundaryZero; min_abs must be a finite
+    positive float, else ValueError is raised before f is called.
     """
+    if not (min_abs > 0.0 and math.isfinite(min_abs)):
+        raise ValueError(f"min_abs must be a finite positive float, got {min_abs!r}")
     return _winding(f, contour, min_abs, max_points, zero_sum=False)[:2]
 
 
@@ -392,6 +397,12 @@ def sqrt_g2_over_12(tau, pp: PrecisionPolicy = DEFAULT, anchor: complex | None =
     t = as_tau(tau)
     if anchor is not None:
         return _root_near(_eta1_g2(t, pp)[1], anchor, t)
+    return _sqrt_walk(t, pp)[0]
+
+
+def _sqrt_walk(t: complex, pp: PrecisionPolicy) -> tuple[complex, complex]:
+    """(sqrt(g2(t)/12) continued down the vertical path of sqrt_g2_over_12,
+    eta1(t)): the walk's last step reads (eta1, g2) at t itself."""
     b_top = max(6.0, t.imag + 1.0)
     g2v = _eta1_g2(complex(t.real, b_top), pp)[1]
     w = cmath.sqrt(g2v / 12)
@@ -400,12 +411,12 @@ def sqrt_g2_over_12(tau, pp: PrecisionPolicy = DEFAULT, anchor: complex | None =
     b = b_top
     while b > t.imag:
         b = max(t.imag, b - max(0.04, 0.25 * (b - t.imag)))
-        g2v = _eta1_g2(complex(t.real, b), pp)[1]
+        e1, g2v = _eta1_g2(complex(t.real, b), pp)
         wn = cmath.sqrt(g2v / 12)
         if abs(wn - w) > abs(wn + w):
             wn = -wn
         w = wn
-    return w
+    return w, e1
 
 
 def _root_near(g2v: complex, anchor: complex, t: complex) -> complex:
@@ -432,8 +443,13 @@ def eval_phi(branch: BranchState, tau, pp: PrecisionPolicy = DEFAULT) -> complex
     """phi_{+-}(tau) = tau - 2 pi i / (eta1 +- sqrt(g2/12)) on the branch's
     continuous square-root selection; updates branch.anchor."""
     t = as_tau(tau)
-    e1 = _eta1(t, pp)
-    w = sqrt_g2_over_12(t, pp, branch.anchor)
+    # one (eta1, g2) series evaluation at t: the walk's last step, or the
+    # one the anchored root reads
+    if branch.anchor is None:
+        w, e1 = _sqrt_walk(t, pp)
+    else:
+        e1, g2v = _eta1_g2(t, pp)
+        w = _root_near(g2v, branch.anchor, t)
     branch.anchor = w
     return _phi(t, e1, w, branch.sign)
 

@@ -17,6 +17,9 @@ above Im 120, where q underflows, the library's series are empty.
 The tau-derivatives of Z and Z2 are checked against a central difference of
 the same reference, in each branch of the Z2 evaluation (the cubic and the
 Laurent form near the lattice), at points summed directly and pulled back.
+Near the lattice, down to |u|/R = 1e-4 where the Laurent form sums its
+coefficients no further than c_3, Z2 and its derivative are checked against
+the reference at 50 digits, on the scale of the Laurent form's terms.
 """
 
 import math
@@ -26,7 +29,8 @@ import numpy as np
 import pytest
 
 from e2crit import eval_weierstrass, eval_Zrs, eval_Zrs2
-from e2crit.premodular import SMALL_U_FACTOR, _zrs2_parts, _zrs_parts
+from e2crit.domain import DEFAULT
+from e2crit.premodular import SMALL_U_FACTOR, _laurent_length, _zrs2_parts, _zrs_parts
 from e2crit.qseries import _pullback, reduce_lattice
 
 DPS = 30
@@ -75,10 +79,10 @@ def _reference(r: float, s: float, tau: complex):
         return {k: (complex(v), m) for k, (v, m) in out.items()}
 
 
-def _reference_mp(r: float, s: float, tau):
-    """_reference with the values as mpmath numbers at the working
-    precision, tau an mpmath number."""
-    with mp.workdps(DPS):
+def _reference_mp(r: float, s: float, tau, dps: int = DPS):
+    """_reference with the values as mpmath numbers at dps digits, tau an
+    mpmath number."""
+    with mp.workdps(dps):
         pi = mp.pi
         e1, m_e1 = _eta1(tau)
         z = r + s * tau
@@ -204,3 +208,73 @@ def test_tau_derivatives_match_reference(case):
         for name, got in (("Z", dz), ("Z2", dz2)):
             err = abs(got - want[name]) / abs(want[name])
             assert err <= DERIV_TOL, (name, r, s, tau, got, want[name])
+
+
+# the Laurent form summed to the length its tail bound certifies, near the
+# lattice: at the appendix characteristics ((2 - s)/2, s), |u|/R is at least
+# s/2 (pulled back) and s Im tau (direct); the blow-up characteristic
+# (-C s, s) at s = 2e-4 reaches |u|/R = 1e-4 and below.  The cubic the
+# reference sums cancels to |u|^3 of its terms, so it is summed at NEAR_DPS
+# digits
+NEAR_DPS = 50
+NEAR_CHARS = (((2 - 1e-3) / 2, 1e-3), ((2 - 4e-3) / 2, 4e-3), (-0.3 * 2e-4, 2e-4))
+NEAR_PER_CASE = 6
+
+
+def _laurent_point(r: float, s: float, tau: complex) -> tuple[float, bool, float, float]:
+    """(|u|/R, pulled back, scale, derivative scale) at the point tau1
+    where premodular._zrs2_at sums Z2_{r,s}(tau).
+
+    The scales are the sizes of the Laurent form's leading terms there,
+    lifted as Z2 and its derivative lift: 3 |A|^2/|u| for Z2, and
+    6 |A| |dA|/|u| + 3 |A|^2 |s1|/|u|^2 for its tau-derivative, with
+    |A| <= 2 pi |s1| + 5 |u| and |dA| <= 16 |u|.  Z2 itself may be far
+    smaller (it is O(q) as s1 -> 0 high in F), and the characteristic as
+    _pullback carries it is rounded on the scale of its integer part,
+    which moves u by an ulp of that.
+    """
+    tau1, c, mu, (r1, s1), _ = _pullback(tau, (r, s))
+    rh, sh = reduce_lattice(r1, s1)
+    au = abs(rh + sh * tau1)
+    t = au / min(1.0, abs(tau1), abs(tau1 - 1), abs(tau1 + 1))
+    a = 2 * math.pi * abs(sh) + 5 * au
+    scale = 3 * a * a / au
+    dscale = 96 * a + 3 * a * a * abs(sh) / (au * au)
+    m = abs(mu)
+    return t, c != 0, m**3 * scale, m**4 * (3 * abs(c) * scale + m * dscale)
+
+
+def _near_points(rs, pulled: bool, seed: int):
+    """NEAR_PER_CASE points tau where Z2_rs takes the Laurent form, summed
+    directly or pulled back: of 400 seeded ones, those of least and
+    greatest |u|/R and evenly spaced ranks between."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < 400:
+        lo, hi = (0.02, 0.70) if pulled else (0.70, 3.0)
+        tau = complex(rng.uniform(-1.0, 1.0), math.exp(rng.uniform(math.log(lo), math.log(hi))))
+        t, was_pulled, scale, dscale = _laurent_point(*rs, tau)
+        if was_pulled == pulled and t < SMALL_U_FACTOR:
+            found.append((t, tau, scale, dscale))
+    found.sort(key=lambda f: f[0])
+    step = (len(found) - 1) / (NEAR_PER_CASE - 1)
+    return [found[round(i * step)] for i in range(NEAR_PER_CASE)]
+
+
+@pytest.mark.parametrize("pulled", [False, True], ids=["direct", "pulled"])
+@pytest.mark.parametrize("rs", NEAR_CHARS, ids=["appendix-1e-3", "appendix-4e-3", "blowup-2e-4"])
+def test_short_laurent_form_matches_reference(rs, pulled):
+    r, s = rs
+    points = _near_points(rs, pulled, seed=int(1e6 * s) + pulled)
+    # each case sums the form to c_5 or less somewhere, where it summed to c_13
+    assert min(_laurent_length(p[0], DEFAULT.eps) for p in points) <= 5
+    for t, tau, scale, dscale in points:
+        with mp.workdps(NEAR_DPS):
+            at = _reference_mp(r, s, mp.mpc(tau), NEAR_DPS)["Z2"][0]
+            up = _reference_mp(r, s, mp.mpc(tau) + DERIV_STEP, NEAR_DPS)["Z2"][0]
+            dn = _reference_mp(r, s, mp.mpc(tau) - DERIV_STEP, NEAR_DPS)["Z2"][0]
+            want, dwant = complex(at), complex((up - dn) / (2 * DERIV_STEP))
+        z2, dz2 = _zrs2_parts(rs, tau)
+        assert z2 == eval_Zrs2(rs, tau)
+        assert abs(z2 - want) <= TOL * scale, (rs, tau, t, z2, want, scale)
+        assert abs(dz2 - dwant) <= DERIV_TOL * dscale, (rs, tau, t, dz2, dwant, dscale)

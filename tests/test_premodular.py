@@ -163,6 +163,77 @@ class TestZrs2:
         assert max(rhos) <= math.exp(-2 * PI * DEFAULT.min_im_direct) * (1 + 1e-12)
 
 
+def _pulled_points(n: int, seed: int):
+    """n seeded tau anywhere in H, as _pullback leaves them for the wp/Z
+    family, with R = min(1, |tau|, |tau - 1|, |tau + 1|) there."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        tau = complex(rng.uniform(-2.0, 2.0), math.exp(rng.uniform(math.log(0.02), math.log(4.0))))
+        tau1 = qseries._pullback(tau, (0.1, 0.1))[0]
+        out.append((tau1, min(1.0, abs(tau1), abs(tau1 - 1), abs(tau1 + 1))))
+    return out
+
+
+class TestLaurentLength:
+    # |Z2 summed to the certified length - Z2 summed to LAURENT_TERMS| and
+    # the same for dZ2/dtau, relative to |u|: the rule certifies eps |u|
+    # for the dropped terms, and the two sums round alike up to an ulp of
+    # terms O(u)
+    AGREE = 2 * DEFAULT.eps
+
+    def test_coefficient_bound(self):
+        # |c_k| <= B (2k-1) R^-2k and |c_k'| <= B 2k (2k-1) R^-2k / Im tau
+        # at every tau _pullback leaves, R >= 0.7 and Im tau >= 0.7 there
+        worst = 0.0
+        for tau, R in _pulled_points(400, seed=41):
+            assert R >= qseries._FAMILY_FLOOR and tau.imag >= qseries._FAMILY_FLOOR
+            e1, g2v, g3v = qseries._basic_direct(tau, DEFAULT)
+            c = premodular._laurent_coeffs(g2v, g3v, 24)
+            cp = premodular._laurent_coeffs_tau(c, *qseries._derivs(e1, g2v, g3v)[1:])
+            for k in range(2, 25):
+                bound = premodular._COEFF_BOUND * (2 * k - 1) * R ** (-2 * k)
+                assert abs(c[k]) <= bound, (tau, k)
+                assert abs(cp[k]) <= bound * 2 * k / tau.imag, (tau, k)
+                worst = max(worst, abs(c[k]) / bound)
+        assert worst > 0.1  # the bound is not vacuous
+
+    @pytest.mark.parametrize("eps", [1e-16, 1e-14, DEFAULT.eps, 1e-10, 1e-6, 0.5])
+    def test_length_monotone_and_capped(self, eps):
+        ts = np.geomspace(1e-12, premodular.SMALL_U_FACTOR, 400)
+        lengths = [premodular._laurent_length(float(t), eps) for t in ts]
+        assert all(a <= b for a, b in zip(lengths, lengths[1:]))
+        assert 2 <= lengths[0] and lengths[-1] <= premodular.LAURENT_TERMS
+
+    def test_cap_certified_at_the_default_eps(self):
+        # at the default eps the bound certifies LAURENT_TERMS up to the
+        # switch radius, so the cap drops nothing the bound counts there
+        t = premodular.SMALL_U_FACTOR
+        tail = premodular._TAIL_FACTOR * sum(premodular._tail_weight(k) * t ** (2 * k - 4)
+                                             for k in range(premodular.LAURENT_TERMS + 1, 200))
+        assert tail < DEFAULT.eps
+        assert premodular._laurent_length(1e-3, DEFAULT.eps) <= 5
+
+    def test_short_form_agrees_with_thirteen_terms(self, monkeypatch):
+        rng = random.Random(43)
+        points = []
+        for tau, R in _pulled_points(300, seed=42):
+            t = math.exp(rng.uniform(math.log(1e-6), math.log(premodular.SMALL_U_FACTOR)))
+            u = t * R * cmath.exp(1j * rng.uniform(0.0, 2 * PI))
+            sh = u.imag / tau.imag
+            rh = u.real - sh * tau.real
+            u = rh + sh * tau
+            if abs(u) < premodular.SMALL_U_FACTOR * R:
+                points.append((rh, sh, tau, u, premodular._laurent_length(abs(u) / R, DEFAULT.eps)))
+        short = [premodular._zrs2_at(rh, sh, tau, DEFAULT, True) for rh, sh, tau, _, _ in points]
+        monkeypatch.setattr(premodular, "_laurent_length", lambda t, eps: premodular.LAURENT_TERMS)
+        for (rh, sh, tau, u, kmax), got in zip(points, short):
+            full = premodular._zrs2_at(rh, sh, tau, DEFAULT, True)
+            for a, b in zip(got, full):
+                assert abs(a - b) <= self.AGREE * abs(u), (tau, rh, sh, kmax)
+        assert min(p[-1] for p in points) <= 3
+
+
 class TestClassify:
     @pytest.mark.parametrize("rs,tag", [
         ((1 / 3, 1 / 3), TriangleTag.T0),

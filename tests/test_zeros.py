@@ -108,6 +108,17 @@ class TestCountZeros:
             with pytest.raises(ValueError, match=name):
                 rect_contour(*bounds)
 
+    @pytest.mark.parametrize("min_abs", [0.0, -1.0, -0.0, math.nan, math.inf])
+    def test_min_abs_must_be_finite_and_positive(self, min_abs):
+        # an exact zero at a contour point once escaped as ZeroDivisionError
+        # with min_abs = 0; the floor is now checked before f is called
+        calls = []
+        f = lambda t: calls.append(t) or t - complex(0.5, 1.5)
+        for count in (count_zeros_info, count_zeros):
+            with pytest.raises(ValueError, match="min_abs"):
+                count(f, rect_contour(0, 1, 0.5, 1.5), min_abs=min_abs)
+        assert not calls
+
     def test_count_zeros_info_is_a_pair(self):
         info = count_zeros_info(lambda t: eval_fC(0.5, t), f0_contour())
         assert isinstance(info, tuple) and len(info) == 2
@@ -393,6 +404,28 @@ class TestPhi:
         assert abs(phi.real) < 1e-8
         expect = T + math.exp(2 * PI * T) / (24 * PI) + 7 / (4 * PI)
         assert abs(phi.imag - expect) < 1e-4 * expect
+
+    @pytest.mark.parametrize("anchored", [False, True], ids=["walk", "anchored"])
+    def test_eval_phi_reads_eta1_with_the_root(self, anchored, monkeypatch):
+        # eval_phi makes no series evaluation beyond its square root's: the
+        # anchored root's one (eta1, g2) evaluation at tau, or the walk's,
+        # whose last step is at tau; the value is that of eta1 and the root
+        # read apart, bit for bit
+        t = complex(0.31, 0.83)
+        anchor = sqrt_g2_over_12(t) if anchored else None
+        sums = []
+        for name in ("horner", "eta1_g2_sums", "eisenstein_sums"):
+            kernel = getattr(qseries, name)
+            monkeypatch.setattr(qseries, name,
+                                lambda *a, _k=kernel, _n=name: sums.append(_n) or _k(*a))
+        w = sqrt_g2_over_12(t, DEFAULT, anchor)
+        root_sums = list(sums)
+        assert root_sums == ["eta1_g2_sums"] * (1 if anchored else len(root_sums))
+        for sign in (1, -1):
+            sums.clear()
+            phi = eval_phi(BranchState(sign=sign, anchor=anchor), t)
+            assert sums == root_sums
+            assert phi == t - 2j * PI / (qseries._eta1(t, DEFAULT) + sign * w)
 
     def test_vanishing_at_roots(self):
         for C, sign in ((0.5, 1), (0.3, 1), (-2.0, -1), (3.0, -1)):
