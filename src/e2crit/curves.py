@@ -12,13 +12,17 @@ from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_tau
 from .errors import ConsistencyFailure, ExcludedPoint, RootBracketFailure
 from .moebius import MoebiusMap, enumerate_gamma02, reduce_to_F0
 from .premodular import find_zero_in_F0
-from .qseries import PI, _eta1, _eta1_g2, eval_derivatives
+from .qseries import PI, _eta1_g2, eval_derivatives
 from .zeros import (
+    CONTINUATION_STEP,
     BranchState,
+    _accepted,
     _continue_to,
     _fc_parts,
+    _newton_fc,
     _phi,
     _root_near,
+    _sqrt_walk,
     branch_of,
     eval_fC,
     solve_tauC,
@@ -152,8 +156,8 @@ def detect_phi_sign(tau, pp: PrecisionPolicy = DEFAULT) -> int:
     priori; this empirical test locks it at the seed point of a trace.
     """
     t = as_tau(tau)
-    # one square-root walk and one eta1 serve both branches
-    e1, w = _eta1(t, pp), sqrt_g2_over_12(t, pp)
+    # one square-root walk serves both branches, and its last step reads eta1
+    w, e1 = _sqrt_walk(t, pp)
     vals = {sign: abs(_phi(t, e1, w, sign).imag) for sign in (1, -1)}
     best = min(vals, key=vals.get)
     if vals[best] > 1e-6 * (1 + abs(t)):
@@ -166,11 +170,23 @@ def trace_curve(branch: str, c_lo: float, c_hi: float, steps: int,
     """Sample tau(C) on an arctan-uniform grid of `steps` points in
     [c_lo, c_hi] by continuation, ascending in C.
 
-    The first sample is a cold solve.  Each next one is continued from the
-    last by _continue_to, in a single step when the samples lie closer than
-    one continuation step (there is no minimum count), with every accepted
-    root inside F0.  The tangent predictor takes the Jacobian evaluated with
-    the first sample's residual, then the one of Newton's last iterate.
+    The first sample is a cold solve, and the second is continued from it
+    by _continue_to: a tangent step in C, from the Jacobian at the first
+    sample, in a single step when the samples lie closer than one
+    continuation step (there is no minimum count).  From the third sample
+    on, Newton starts from the cubic Hermite extrapolation, in s = arctan C,
+    through the last two samples and their slopes
+
+        dtau/ds = -(df_C/dC / df_C/dtau) (1 + C^2),
+
+    taken from the Jacobian of Newton's last iterate at each, so the guess
+    costs no series evaluation.  With the grid step h in s, the guess is
+    5 tau(i-2) + 2 h tau'(i-2) - 4 tau(i-1) + 4 h tau'(i-1), off the root
+    by O(h^4) where the tangent guess is off by O(h^2).  Its root is taken
+    under _continue_to's guards (_accepted) when the guess lies in the
+    upper half-plane and h is below CONTINUATION_STEP, where _continue_to
+    would also take a single step; otherwise the sample is continued by
+    _continue_to.  Every accepted root lies inside F0.
     """
     if branch not in _BRANCH_RANGE:
         raise ValueError(f"unknown branch {branch!r}")
@@ -187,16 +203,32 @@ def trace_curve(branch: str, c_lo: float, c_hi: float, steps: int,
     a0, a1 = math.atan(c_lo), math.atan(c_hi)
     grid = [math.tan(a0 + (a1 - a0) * i / (steps - 1)) for i in range(steps)]
     grid[0], grid[-1] = c_lo, c_hi
+    h = (a1 - a0) / (steps - 1)
+    hermite = h < CONTINUATION_STEP
 
     t = solve_tauC(grid[0], pp).z
     f, fp, fC_d = _fc_parts(grid[0], t, pp)
     samples = [CurveSample(grid[0], TauPoint.from_complex(t), branch, abs(f))]
     root = (t, fp, fC_d)
+    # (tau, h dtau/ds) at the sample before the last, once there is one
+    before = None
     for C_prev, C in zip(grid, grid[1:]):
-        root = _continue_to(C_prev, root, C, pp)
-        t = root[0]
-        samples.append(CurveSample(C, TauPoint.from_complex(t), branch,
-                                   abs(eval_fC(C, t, pp))))
+        t, fp, fC_d = root
+        step = None
+        if hermite and fp != 0:
+            slope = -(fC_d / fp) * (1 + C_prev * C_prev) * h
+            if before is not None:
+                guess = 5 * before[0] + 2 * before[1] - 4 * t + 4 * slope
+                if guess.imag > 0:
+                    step = _newton_fc(C, guess, pp)
+                    if not _accepted(step, t):
+                        step = None
+            before = (t, slope)
+        else:
+            before = None
+        root = step if step is not None else _continue_to(C_prev, root, C, pp)
+        samples.append(CurveSample(C, TauPoint.from_complex(root[0]), branch,
+                                   abs(eval_fC(C, root[0], pp))))
     _check_no_self_intersection(samples)
     return samples
 
@@ -204,9 +236,10 @@ def trace_curve(branch: str, c_lo: float, c_hi: float, steps: int,
 def _check_no_self_intersection(samples: list[CurveSample]) -> None:
     """Distinct parameter values may not map to the same tau: non-adjacent
     samples closer than 1e-6 in tau indicate a self-intersection."""
-    for i in range(len(samples)):
-        for j in range(i + 2, len(samples)):
-            d = abs(samples[i].tau.z - samples[j].tau.z)
+    zs = [s.tau.z for s in samples]
+    for i, zi in enumerate(zs):
+        for j in range(i + 2, len(zs)):
+            d = abs(zi - zs[j])
             if d < 1e-6:
                 raise ConsistencyFailure(
                     f"samples at C = {samples[i].C} and C = {samples[j].C} "

@@ -498,6 +498,11 @@ def _asymptotic_seed(C: float) -> complex | None:
     return complex(a, b)
 
 
+# the longest continuation step, in arctan C
+CONTINUATION_STEP = 0.10
+# the longest tau move accepted from one continuation step
+MAX_JUMP = 0.2
+
 # the ladder nodes C = k/8 of each branch: its anchor k, and its range of k
 _LADDER_ANCHOR = {"minus": -8, "zero": 4, "plus": 16}
 _LADDER_RANGE = {"minus": (-8, -1), "zero": (1, 7), "plus": (9, 16)}
@@ -556,20 +561,28 @@ def _ladder_node(k: int, pp: PrecisionPolicy) -> tuple:
     return root
 
 
+def _accepted(step: tuple | None, t: complex) -> bool:
+    """Whether _newton_fc's result step may continue the root t: Newton
+    converged, and its root lies within MAX_JUMP of t and not outside F0,
+    where it would be another tile's zero."""
+    return (step is not None and abs(step[0] - t) <= MAX_JUMP
+            and classify_domain(step[0]) is not DomainTag.OUTSIDE)
+
+
 def _continue_to(C_from: float, root: tuple, C_to: float, pp: PrecisionPolicy) -> tuple:
     """Predictor-corrector continuation of root = (tau(C_from), df_C/dtau,
     df_C/dC), as _newton_fc returns it, to the same triple at C_to.
 
     The parameter grid is uniform in arctan C (keeps steps balanced as the
-    root climbs like log |C|), with as many steps of at most 0.10 in
-    arctan C as the interval needs and no minimum: one step between close
-    parameters.  The tangent predictor uses the Jacobian of the last
-    accepted root, from Newton's last iterate.  A step is halved on Newton
-    failure, on a tau jump above 0.2, or when the root lands outside F0,
-    where it would be another tile's zero.
+    root climbs like log |C|), with as many steps of at most
+    CONTINUATION_STEP in arctan C as the interval needs and no minimum: one
+    step between close parameters.  The tangent predictor uses the Jacobian
+    of the last accepted root, from Newton's last iterate.  A step is halved
+    unless _accepted takes its root: on Newton failure, on a tau jump above
+    MAX_JUMP, or when the root lands outside F0.
     """
     a0, a1 = math.atan(C_from), math.atan(C_to)
-    n = int(abs(a1 - a0) / 0.10) + 1
+    n = int(abs(a1 - a0) / CONTINUATION_STEP) + 1
     grid = [math.tan(a0 + (a1 - a0) * i / n) for i in range(1, n + 1)]
     grid[-1] = C_to
     t, fp, fC_d = root
@@ -582,8 +595,7 @@ def _continue_to(C_from: float, root: tuple, C_to: float, pp: PrecisionPolicy) -
         if predictor.imag <= 0:
             predictor = t
         step = _newton_fc(C_next, predictor, pp)
-        if (step is None or abs(step[0] - t) > 0.2
-                or classify_domain(step[0]) is DomainTag.OUTSIDE):
+        if not _accepted(step, t):
             if depth > 60:
                 raise Diverged(f"continuation stalled near C = {C_next}")
             pending.append(C_next)
@@ -599,15 +611,18 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
                cusp_delta: float = 0.08) -> TauPoint:
     """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
 
-    Seeding: an explicit hint, else the large-|C| asymptotic inversion
-    (C <= -0.8 or C >= 1.8), else continuation in C from the nearest node
-    C = k/8 of the branch's ladder (k = -8..-1, 1..7 or 9..16, each node
-    built once per policy on first use, see _ladder_node).  Inside
-    (-1, 2) that node lies at most 1/16 away, or 1/8 next to C = 0 and 1:
-    one continuation step of a few Newton iterations.  At a node the node's
-    root is returned as built, and no cold solve depends on the calls made
-    before it.  With verify=True the result is certified by an
-    argument-principle count over the truncated F0.
+    Seeding: Newton from an explicit hint, else from the large-|C|
+    asymptotic inversion (C <= -0.8 or C >= 1.8), else continuation in C
+    from the nearest node C = k/8 of the branch's ladder (k = -8..-1, 1..7
+    or 9..16, each node built once per policy on first use, see
+    _ladder_node).  Inside (-1, 2) that node lies at most 1/16 away, or 1/8
+    next to C = 0 and 1: one continuation step of a few Newton iterations.
+    At a node the node's root is returned as built, and no cold solve
+    depends on the calls made before it.  A seed whose Newton fails, or
+    whose root lands outside F0 (another tile's zero), counts as no seed,
+    so a hint that leads there gives the cold solve's root.  With
+    verify=True the result is certified by an argument-principle count over
+    the truncated F0.
     """
     C = as_real(C, "C")
     if C in (0.0, 1.0):
@@ -615,6 +630,8 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
     root = None
     if hint is not None:
         root = _newton_fc(C, as_tau(hint), pp)
+        if root is not None and classify_domain(root[0]) is DomainTag.OUTSIDE:
+            root = None
     if root is None:
         seed = _asymptotic_seed(C) if (C <= -0.8 or C >= 1.8) else None
         if seed is not None:

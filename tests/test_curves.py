@@ -27,7 +27,7 @@ from e2crit import (
     trace_curve,
     verify_symmetries,
 )
-from e2crit import curves, zeros
+from e2crit import curves, qseries, zeros
 from e2crit.moebius import DomainTag, classify_domain
 
 PI = math.pi
@@ -147,8 +147,14 @@ class TestTrace:
 
     def test_work_bound(self, monkeypatch):
         # one predictor step between neighbouring samples, its Jacobian
-        # carried from Newton's last iterate: about six f_C evaluations a
-        # sample (four forced sub-steps a sample took 158 in all)
+        # carried from Newton's last iterate, and from the third sample on
+        # Newton from the cubic Hermite guess through the last two samples:
+        # the three traces, once the ladder nodes are built, make 101 f_C
+        # evaluations (116 with the tangent guess alone, 158 on the zero
+        # branch alone with four forced sub-steps a sample)
+        segments = [("minus", -3.0, -0.5), ("zero", 0.1, 0.9), ("plus", 1.2, 6.0)]
+        for branch, lo, hi in segments:
+            trace_curve(branch, lo, hi, 9)
         calls = []
         fc_parts = zeros._fc_parts
 
@@ -158,8 +164,50 @@ class TestTrace:
 
         monkeypatch.setattr(zeros, "_fc_parts", counted)
         monkeypatch.setattr(curves, "_fc_parts", counted)
-        trace_curve("zero", 0.1, 0.9, 9)
-        assert len(calls) <= 80
+        for branch, lo, hi in segments:
+            trace_curve(branch, lo, hi, 9)
+        assert len(calls) <= 105
+
+    def test_samples_equal_cold_solves_without_hermite(self, monkeypatch):
+        # with every Hermite Newton failing, each sample is continued by
+        # _continue_to, as the fallback does
+        continued = []
+        continue_to = curves._continue_to
+        monkeypatch.setattr(curves, "_newton_fc", lambda *args: None)
+        monkeypatch.setattr(curves, "_continue_to",
+                            lambda *args: continued.append(args) or continue_to(*args))
+        for branch, lo, hi, steps in self.segments():
+            continued.clear()
+            samples = trace_curve(branch, lo, hi, steps)
+            assert len(continued) == steps - 1
+            for s in samples:
+                cold = solve_tauC(s.C).z
+                assert abs(s.tau.z - cold) <= 1e-12 * abs(cold), (branch, s.C)
+                assert classify_domain(s.tau, tol=1e-9) is DomainTag.F0_INTERIOR
+
+    def test_hermite_rejects_a_root_outside_F0(self, monkeypatch):
+        # the first Hermite root offered is its mirror image -conj(tau)
+        # across Re = 0, outside F0 and within the jump limit of the last
+        # sample: the sample must be continued by _continue_to instead
+        newton = curves._newton_fc
+        offered = []
+
+        def newton_once_outside(C, t, pp):
+            got = newton(C, t, pp)
+            if not offered and got is not None:
+                offered.append(got[0])
+                return (-got[0].conjugate(), *got[1:])
+            return got
+
+        monkeypatch.setattr(curves, "_newton_fc", newton_once_outside)
+        samples = trace_curve("zero", 0.001, 0.004, 5)
+        mirror = -offered[0].conjugate()
+        assert classify_domain(offered[0]) is DomainTag.F0_INTERIOR
+        assert classify_domain(mirror) is DomainTag.OUTSIDE
+        assert abs(mirror - samples[1].tau.z) <= zeros.MAX_JUMP
+        for s in samples:
+            assert classify_domain(s.tau, tol=1e-9) is DomainTag.F0_INTERIOR
+            assert abs(s.tau.z - solve_tauC(s.C).z) <= 1e-12 * abs(s.tau.z)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
@@ -198,6 +246,24 @@ class TestPhiSignLock:
             vals = {s: abs(eval_phi(BranchState(sign=s), t).imag) for s in (1, -1)}
             assert sign == min(vals, key=vals.get)
             assert one_walk == len(calls) // 2
+
+    def test_eta1_from_the_walk(self, monkeypatch):
+        # the square-root walk's last step reads (eta1, g2) at t itself, so
+        # detect_phi_sign sums no series beyond the walk's
+        expect = {0.3: 1, -2.0: -1, 3.0: -1}
+        taus = {C: solve_tauC(C).z for C in expect}
+        sums = []
+        for name in ("horner", "eta1_g2_sums", "eisenstein_sums"):
+            kernel = getattr(qseries, name)
+            monkeypatch.setattr(qseries, name,
+                                lambda *a, _k=kernel, _n=name: sums.append(_n) or _k(*a))
+        for C, sign in expect.items():
+            sums.clear()
+            zeros.sqrt_g2_over_12(taus[C])
+            walk = list(sums)
+            sums.clear()
+            assert detect_phi_sign(taus[C]) == sign
+            assert sums == walk == ["eta1_g2_sums"] * len(walk)
 
     def test_eval_phi_reads_eta1_alone(self):
         # bit for bit the value with eta1 taken from (eta1, g2, g3)

@@ -472,6 +472,15 @@ class TestSolveTauC:
         hinted = solve_tauC(0.4, hint=exact.z + 1e-3)
         assert abs(hinted.z - exact.z) < 1e-11
 
+    @pytest.mark.parametrize("C, hint", [(0.3, 0.3 + 0.3j), (-2.0, 0.5 + 0.2j),
+                                         (2.5, 1.7 + 0.8j)])
+    def test_hint_leading_outside_F0_gives_the_cold_root(self, C, hint):
+        # Newton from the hint converges to another tile's zero: that root
+        # counts as a failed hint, so the cold solve's root comes back
+        stray = _newton_fc(C, hint, DEFAULT)
+        assert stray is not None and classify_domain(stray[0]) is DomainTag.OUTSIDE
+        assert float_bits(solve_tauC(C, hint=hint).z) == float_bits(solve_tauC(C).z)
+
     def test_zero_branch_anchor_once_per_policy(self):
         # 0.3, 0.6 and 0.45 use the nodes k = 2, 5 and the anchor k = 4,
         # which both other nodes are continued from: three builds in all
