@@ -17,16 +17,15 @@ from .zeros import (
     CONTINUATION_STEP,
     BranchState,
     _accepted,
+    _branch_root,
     _continue_to,
     _fc_parts,
     _newton_fc,
     _phi,
-    _root_near,
     _sqrt_walk,
     branch_of,
     eval_fC,
     solve_tauC,
-    sqrt_g2_over_12,
 )
 
 RHO = complex(0.5, math.sqrt(3) / 2)
@@ -157,7 +156,7 @@ def detect_phi_sign(tau, pp: PrecisionPolicy = DEFAULT) -> int:
     """
     t = as_tau(tau)
     # one square-root walk serves both branches, and its last step reads eta1
-    w, e1 = _sqrt_walk(t, pp)
+    w, e1, _ = _sqrt_walk(t, pp)
     vals = {sign: abs(_phi(t, e1, w, sign).imag) for sign in (1, -1)}
     best = min(vals, key=vals.get)
     if vals[best] > 1e-6 * (1 + abs(t)):
@@ -261,17 +260,12 @@ def hessian_detG2(sign, tau, pp: PrecisionPolicy = DEFAULT,
     t = as_tau(tau)
     if abs(t - RHO) < 1e-8:
         raise ExcludedPoint("both trivial critical points degenerate at e^{i pi/3}")
-    # one (eta1, g2) evaluation serves eta1, the square root and phi
-    e1, g2v = _eta1_g2(t, pp)
     if branch is None:
         branch = BranchState(sign=sgn)
     else:
         branch.sign = sgn
-    if branch.anchor is None:
-        w = sqrt_g2_over_12(t, pp)
-    else:
-        w = _root_near(g2v, branch.anchor, t)
-    branch.anchor = w
+    # one (eta1, g2) evaluation serves eta1, the square root and phi
+    e1, g2v, w = _branch_root(branch, t, pp)
     phi = _phi(t, e1, w, sgn)
     return (3 * abs(g2v) / (4 * PI**4 * t.imag)) * abs(e1 + sgn * w) ** 2 * phi.imag
 

@@ -32,8 +32,20 @@ class TauPoint:
         return cls(float(z.real), float(z.imag))
 
 
+class LatticePoint(complex):
+    """A point of the upper half-plane that carries its lattice data: low
+    and family are its pull-backs (qseries._Pulled) at the floor of the
+    (eta1, g2, g3) series and at that of the wp/Z family.  Built by
+    qseries.lattice_point; arithmetic on it gives plain complex numbers."""
+
+    __slots__ = ("low", "family")
+
+
 def as_tau(tau) -> complex:
-    """Accept TauPoint or complex, return the validated complex value."""
+    """Accept TauPoint or complex, return the validated complex value; a
+    LatticePoint is returned as itself, with its lattice data."""
+    if type(tau) is LatticePoint:
+        return tau
     if isinstance(tau, TauPoint):
         return tau.z
     z = complex(tau)

@@ -46,7 +46,6 @@ derivative keeps every term O(u)-bounded as well.
 
 from __future__ import annotations
 
-import cmath
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -140,8 +139,8 @@ def _pullback_char(rs, tau, name: str):
 
 def eval_Zrs(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Hecke form Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2."""
-    tau1, _, mu, (r1, s1), at = _pullback_char(rs, tau, "Z")
-    return mu * _wp_family(*reduce_lattice(r1, s1), tau1, pp, None if at is None else at.q)[2]
+    tau1, _, mu, (r1, s1), q, _ = _pullback_char(rs, tau, "Z")
+    return mu * _wp_family(*reduce_lattice(r1, s1), tau1, q, pp)[2]
 
 
 def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
@@ -149,9 +148,8 @@ def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex
     the eta1 series at the pulled-back point, Z in the operations of
     eval_Zrs.  A weight-1 form lifts as Z(tau) = mu Z(tau1) with
     dtau1/dtau = mu^-2, so dZ/dtau = mu^2 (c Z(tau1) + mu Z'(tau1))."""
-    tau1, c, mu, (r1, s1), at = _pullback_char(rs, tau, "Z")
-    q = cmath.exp(TWO_PI_I * tau1) if at is None else at.q
-    wp, wpp, z = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
+    tau1, c, mu, (r1, s1), q, at = _pullback_char(rs, tau, "Z")
+    wp, wpp, z = _wp_family(*reduce_lattice(r1, s1), tau1, q, pp)
     e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
     dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
     return mu * z, mu * mu * (c * z + mu * dz)
@@ -244,21 +242,20 @@ def _laurent_tau_parts(u: complex, c: list, cp: list) -> tuple[complex, complex,
     return P_t, Q_t, zs_t, dQ_du
 
 
-def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool = False,
-             at=None):
-    """Z2 at tau as _pullback returns it; with deriv, the pair
-    (Z2, dZ2/dtau) at fixed (r, s), Z2 in the same operations.  at is
-    tau's lattice data as _pullback returns it, read in place of the nome
-    and the series when given."""
+def _zrs2_at(r: float, s: float, tau: complex, q: complex, pp: PrecisionPolicy,
+             deriv: bool = False, at=None):
+    """Z2 at tau and its nome q as _pullback returns them; with deriv, the
+    pair (Z2, dZ2/dtau) at fixed (r, s), Z2 in the same operations.  at is
+    the lattice data _pullback returns, read in place of the series when
+    given."""
     rh, sh = reduce_lattice(r, s)
     u = rh + sh * tau
-    q = cmath.exp(TWO_PI_I * tau) if at is None else at.q
     # the Laurent switch radius is SMALL_U_FACTOR R with R <= 1, so most
     # points skip forming R
     au = abs(u)
     R = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1)) if au < SMALL_U_FACTOR else 0.0
     if au < SMALL_U_FACTOR * R:
-        e1, g2v, g3v = _basic_direct(tau, pp, q) if at is None else at.basic(pp)
+        e1, g2v, g3v = _basic_direct(q, pp) if at is None else at.basic(pp)
         e2v = tau * e1 - TWO_PI_I
         c = _laurent_coeffs(g2v, g3v, _laurent_length(au / R, pp.eps))
         P, Q, zs = _laurent_parts(u, c)
@@ -275,7 +272,7 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool 
         dz2 = (3 * (2 * A * dA - dP) / u - 3 * (A * A - P) * sh / (u * u)
                + 3 * A * A * dA - 3 * (dP * A + P * dA) - dQ)
         return z2, dz2
-    wp, wpp, z = _wp_family(rh, sh, tau, pp, q)
+    wp, wpp, z = _wp_family(rh, sh, tau, q, pp)
     z2 = z**3 - 3 * wp * z - wpp
     if not deriv:
         return z2
@@ -286,8 +283,8 @@ def _zrs2_at(r: float, s: float, tau: complex, pp: PrecisionPolicy, deriv: bool 
 
 def eval_Zrs2(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Weight-3 pre-modular form Z2_{r,s}(tau) = Z^3 - 3 wp Z - wp'."""
-    tau1, c, mu, (r1, s1), at = _pullback_char(rs, tau, "Z2")
-    z2 = _zrs2_at(r1, s1, tau1, pp, False, at)
+    tau1, c, mu, (r1, s1), q, at = _pullback_char(rs, tau, "Z2")
+    z2 = _zrs2_at(r1, s1, tau1, q, pp, False, at)
     return mu**3 * z2 if c else z2
 
 
@@ -296,8 +293,8 @@ def _zrs2_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, comple
     operations of eval_Zrs2: the pair the contour counts and Newton take.
     A weight-3 form lifts as Z2(tau) = mu^3 Z2(tau1), so
     dZ2/dtau = mu^4 (3 c Z2(tau1) + mu Z2'(tau1))."""
-    tau1, c, mu, (r1, s1), at = _pullback_char(rs, tau, "Z2")
-    z2, dz2 = _zrs2_at(r1, s1, tau1, pp, True, at)
+    tau1, c, mu, (r1, s1), q, at = _pullback_char(rs, tau, "Z2")
+    z2, dz2 = _zrs2_at(r1, s1, tau1, q, pp, True, at)
     if not c:
         return z2, dz2
     mu3 = mu**3

@@ -23,13 +23,13 @@ only what its caller reads:
 - eval_E2, eval_eta1, eval_eta2 and the wp/Z family read eta1 alone and sum
   its series alone (horner).
 
-At a registered point (a point of the polylines zeros.f0_contour keeps, see
-register_points) what depends on tau alone is formed once and read after:
-_pullback reads the translation and reduction at both floors, and the nome
-and the three series values at tau1 (each once per eps, on first use) are
-read from the point's _Pulled.  They are the floats the same functions give
-off the registry, so every value is unchanged; off it, an evaluation pays
-one dict lookup.
+A LatticePoint (the points of zeros.f0_contour's polylines, built by
+lattice_point) carries what depends on tau alone, formed once: _pullback
+reads the translation, the reduction and the nome at both floors from the
+point's _Pulled, and the three series values at tau1 are formed there once
+per eps, on first use.  They are the floats the same functions give at a
+plain complex copy of the point, so every value is unchanged; a plain
+point pays a type test.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from bisect import bisect_right
 from functools import lru_cache
 
 from ._kernels_py import eisenstein_sums, eta1_g2_sums, horner, wp_sums
-from .domain import DEFAULT, PrecisionPolicy, as_pair, as_tau
+from .domain import DEFAULT, LatticePoint, PrecisionPolicy, as_pair, as_tau
 from .errors import PoleAtLattice, TruncationFailure
 from .moebius import reduce_to_F_ints
 
@@ -139,11 +139,11 @@ def choose_truncation(im_tau: float, eps: float) -> int:
 # weight-2/4/6 series, the modular pull-back seam and the transformation laws
 
 def _pullback(tau: complex, rs=None):
-    """(tau1, c, mu, rs1, at): the point tau1 at which the series are summed,
-    with tau = gamma . tau1, c the lower-left entry of gamma and
-    mu = c tau1 + d; a form of weight w is mu^w times its value at tau1.
-    at is the lattice data of tau1 (a _Pulled) when tau is a registered
-    point, else None.
+    """(tau1, c, mu, rs1, q, at): the point tau1 at which the series are
+    summed, with tau = gamma . tau1, c the lower-left entry of gamma and
+    mu = c tau1 + d, and the nome q = exp(2 pi i tau1) there; a form of
+    weight w is mu^w times its value at tau1.  at is the lattice data of
+    tau at this floor (a _Pulled) when tau is a LatticePoint, else None.
 
     tau is translated by the integer k nearest Re tau (c = 0, mu = 1), then
     reduced to F if its height is below the floor: min_im_direct = 0.35 for
@@ -152,36 +152,34 @@ def _pullback(tau: complex, rs=None):
     As 0.70 < sqrt(3)/2, the lowest height in F, every series is then summed
     at a ratio of at most e^{-2 pi 0.35} = 0.111 (RHO_CAP).  rs, when given,
     is carried to rs1 with Z_{r,s}(tau) = mu Z_{rs1}(tau1); Z is 1-periodic
-    in r, so k s is reduced exactly into [-1/2, 1/2) and a large Re tau
-    costs no digits.  At a registered point the translation and reduction
-    are read from its _Pulled, where _Pulled formed them in the same
-    operations.
+    in r and s, so (r, s) is reduced into [-1/2, 1/2)^2 before each step
+    that mixes them, and k s is reduced exactly: near the lattice and at a
+    large Re tau the characteristic keeps its digits.  At a LatticePoint the
+    translation, the reduction and q are read from its _Pulled, which
+    formed them in the same operations.
     """
-    pair = _lookup(tau)
-    # -0.0 hashes and compares as the registered +0.0, but keeps its sign
-    # through the pull-back
-    if pair is not None and (tau.real or math.copysign(1.0, tau.real) > 0.0):
+    if type(tau) is LatticePoint:
         if rs is None:
-            return pair[0].pulled
-        at = pair[1]
-        k, abd, tau1, c, mu = at.k, at.abd, at.tau1, at.c, at.mu
+            return tau.low.pulled
+        at = tau.family
+        k, abd, tau1, c, mu, q = at.k, at.abd, at.tau1, at.c, at.mu, at.q
     else:
         at = None
         k = round(tau.real)
         if k:
             tau -= k
         if tau.imag >= (_FLOOR if rs is None else _FAMILY_FLOOR):
-            if rs is None:
-                return tau, 0, 1, None, None
             tau1, c, mu, abd = tau, 0, 1, None
         else:
             tau1, a, b, c, d = reduce_to_F_ints(tau)
             mu = c * tau1 + d
-            if rs is None:
-                return tau1, c, mu, None, None
             abd = a, b, d
+        q = cmath.exp(TWO_PI_I * tau1)
+        if rs is None:
+            return tau1, c, mu, None, q, None
     r, s = rs
     if k:
+        r, s = reduce_lattice(r, s)
         if -1 <= k <= 1:
             r = r + k * s
         else:
@@ -189,16 +187,17 @@ def _pullback(tau: complex, rs=None):
             h = m // 2
             r = r + ((k * p + h) % m - h) / m
     if abd is not None:
+        r, s = reduce_lattice(r, s)
         a, b, d = abd
         r, s = d * r + b * s, c * r + a * s
-    return tau1, c, mu, (r, s), at
+    return tau1, c, mu, (r, s), q, at
 
 
 class _Pulled:
-    """A registered point tau pulled back at one floor, as _pullback pulls
-    back an unregistered one, with what the evaluators read at tau1: the
-    nome q there and, formed on first use for each eps, the series values
-    at q that _eta1_direct, _eta1_g2_direct and _basic_direct give."""
+    """A LatticePoint pulled back at one floor, as _pullback pulls back a
+    plain point, with what the evaluators read at tau1: the nome q there
+    and, formed on first use for each eps, the series values at q that
+    _eta1_direct, _eta1_g2_direct and _basic_direct give."""
 
     __slots__ = ("k", "abd", "tau1", "c", "mu", "q", "pulled", "_e1", "_e1g2", "_basic")
 
@@ -214,7 +213,7 @@ class _Pulled:
         self.tau1 = tau
         self.q = cmath.exp(TWO_PI_I * tau)
         # _pullback's value at tau without a characteristic
-        self.pulled = (tau, self.c, self.mu, None, self)
+        self.pulled = (tau, self.c, self.mu, None, self.q, self)
         self._e1, self._e1g2, self._basic = {}, {}, {}
 
     def eta1(self, pp: PrecisionPolicy) -> complex:
@@ -232,34 +231,20 @@ class _Pulled:
     def basic(self, pp: PrecisionPolicy):
         v = self._basic.get(pp.eps)
         if v is None:
-            v = self._basic[pp.eps] = _basic_direct(self.tau1, pp, self.q)
+            v = self._basic[pp.eps] = _basic_direct(self.q, pp)
         return v
 
 
-# the registered points: tau -> its _Pulled at the (eta1, g2, g3) floor and
-# at the wp/Z family floor, one object where the two pull-backs agree
-_registry: dict[complex, tuple] = {}
-_lookup = _registry.get
-
-
-def register_points(points) -> None:
-    """Make points the registered points, the ones whose lattice data
-    _pullback reads (the points of the polylines f0_contour keeps).  A
-    point already registered keeps its data; one no longer listed drops
-    it.  A point with real part -0.0 is not registered."""
-    kept = dict(_registry)
-    _registry.clear()
-    for p in points:
-        if p in _registry or (p.real == 0.0 and math.copysign(1.0, p.real) < 0.0):
-            continue
-        pair = kept.get(p)
-        if pair is None:
-            low = _Pulled(p, _FLOOR)
-            # below _FLOOR both floors reduce tau - k to F, above
-            # _FAMILY_FLOOR neither reduces: one pull-back serves both
-            family = _Pulled(p, _FAMILY_FLOOR) if _FLOOR <= p.imag < _FAMILY_FLOOR else low
-            pair = low, family
-        _registry[p] = pair
+def lattice_point(p: complex) -> LatticePoint:
+    """p as a LatticePoint: its pull-backs at both floors are formed once
+    here, and the series values there once per eps, on first use."""
+    p = complex(as_tau(p))
+    point = LatticePoint(p)
+    point.low = _Pulled(p, _FLOOR)
+    # below _FLOOR both floors reduce tau - k to F, above _FAMILY_FLOOR
+    # neither reduces: one pull-back serves both
+    point.family = _Pulled(p, _FAMILY_FLOOR) if _FLOOR <= p.imag < _FAMILY_FLOOR else point.low
+    return point
 
 
 def _lift_eta1(e1: complex, c: int, mu: complex) -> complex:
@@ -312,11 +297,9 @@ def _eta1_direct(q: complex, pp: PrecisionPolicy) -> complex:
     return _ETA1_0 - _ETA1_1 * horner(_sigma(1, n), q, n)
 
 
-def _basic_direct(tau: complex, pp: PrecisionPolicy, q: complex | None = None):
-    """(eta1, g2, g3) by direct series at tau as _pullback returns it, the
-    three summed in one pass.  q, when given, is exp(2 pi i tau)."""
-    if q is None:
-        q = cmath.exp(TWO_PI_I * tau)
+def _basic_direct(q: complex, pp: PrecisionPolicy):
+    """(eta1, g2, g3) by direct series at nome q, the three summed in one
+    pass."""
     n = _basic_terms(q, pp)
     s1, s3, s5 = eisenstein_sums(_sigma_triples(n), q, n)
     return _ETA1_0 - _ETA1_1 * s1, _G2_0 + _G2_1 * s3, _G3_0 * (1 - 504 * s5)
@@ -324,8 +307,8 @@ def _basic_direct(tau: complex, pp: PrecisionPolicy, q: complex | None = None):
 
 def _basic(tau: complex, pp: PrecisionPolicy):
     """(eta1, g2, g3) anywhere in H."""
-    tau1, c, mu, _, at = _pullback(tau)
-    vals = _basic_direct(tau1, pp) if at is None else at.basic(pp)
+    _, c, mu, _, q, at = _pullback(tau)
+    vals = _basic_direct(q, pp) if at is None else at.basic(pp)
     return _lift(vals, c, mu) if c else vals
 
 
@@ -340,8 +323,8 @@ def _eta1_g2_direct(q: complex, pp: PrecisionPolicy):
 def _eta1_g2(tau: complex, pp: PrecisionPolicy):
     """(eta1, g2) anywhere in H, as _basic gives them, with neither g3 nor
     its weight summed."""
-    tau1, c, mu, _, at = _pullback(tau)
-    e1, g2v = _eta1_g2_direct(cmath.exp(TWO_PI_I * tau1), pp) if at is None else at.eta1_g2(pp)
+    _, c, mu, _, q, at = _pullback(tau)
+    e1, g2v = _eta1_g2_direct(q, pp) if at is None else at.eta1_g2(pp)
     if c:
         return _lift_eta1(e1, c, mu), mu**4 * g2v
     return e1, g2v
@@ -349,8 +332,8 @@ def _eta1_g2(tau: complex, pp: PrecisionPolicy):
 
 def _eta1(tau: complex, pp: PrecisionPolicy) -> complex:
     """eta1 anywhere in H, as _basic gives it, from its series alone."""
-    tau1, c, mu, _, at = _pullback(tau)
-    e1 = _eta1_direct(cmath.exp(TWO_PI_I * tau1), pp) if at is None else at.eta1(pp)
+    _, c, mu, _, q, at = _pullback(tau)
+    e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
     return _lift_eta1(e1, c, mu) if c else e1
 
 
@@ -404,11 +387,10 @@ _family_tables: dict[float, tuple] = {}
 _WP_K, _WPP_K = -4 * PI**2, -8j * PI**3
 
 
-def _wp_family(rh: float, sh: float, tau: complex, pp: PrecisionPolicy,
-               q: complex | None = None):
+def _wp_family(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy):
     """(wp, wp', Z_{rh,sh}) at z = rh + sh*tau, for (rh, sh) as reduce_lattice
-    returns it and tau as _pullback returns it.  q, when given, is
-    exp(2 pi i tau).
+    returns it and tau and its nome q = exp(2 pi i tau) as _pullback returns
+    them.
 
     Z_{rh,sh} = zeta(z) - rh*eta1 - sh*eta2 is returned instead of zeta
     itself so callers can assemble either zeta or the Hecke form without
@@ -421,8 +403,6 @@ def _wp_family(rh: float, sh: float, tau: complex, pp: PrecisionPolicy,
     flip = sh < 0.0 or (sh == 0.0 and rh < 0.0)
     if flip:
         rh, sh = -rh, -sh
-    if q is None:
-        q = cmath.exp(TWO_PI_I * tau)
     x = cmath.exp(TWO_PI_I * (rh + sh * tau))
     # rho = |q| max(|x|, 1/|x|) = |q|/|x| as sh >= 0, formed without 1/|x|:
     # high up x underflows to 0, but rho <= |x| as sh <= 1/2, so the series
@@ -455,9 +435,8 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     """
     r, s = as_pair(z)
     t = as_tau(tau)
-    tau1, c, mu, (r1, s1), at = _pullback(t, (r, s))
-    q = cmath.exp(TWO_PI_I * tau1) if at is None else at.q
-    wp, wpp, z_hecke = _wp_family(*reduce_lattice(r1, s1), tau1, pp, q)
+    tau1, c, mu, (r1, s1), q, at = _pullback(t, (r, s))
+    wp, wpp, z_hecke = _wp_family(*reduce_lattice(r1, s1), tau1, q, pp)
     # only eta1 is read: its series alone
     e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
     if c:

@@ -7,7 +7,6 @@ from __future__ import annotations
 import cmath
 import math
 from cmath import phase
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,13 +20,12 @@ from .errors import (
     PhaseStepFailure,
 )
 from .moebius import DomainTag, classify_domain
-from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_g2, register_points
+from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_g2, lattice_point
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
 MAX_CONTOUR_POINTS = 1 << 18
-# f0_contour keeps this many polylines, and their points are the registered
-# points of qseries (see register_points)
+# f0_contour keeps this many polylines, with their points' lattice data
 F0_KEPT = 8
 
 
@@ -64,19 +62,14 @@ def rect_contour(re0: float, re1: float, im0: float, im1: float, n: int = 24) ->
     return Contour(tuple(pts))
 
 
-# the polylines f0_contour has built, by (t_top, cusp_delta), least
-# recently used first
-_f0_kept: OrderedDict = OrderedDict()
-
-
 def f0_contour(t_top: float = 6.0, cusp_delta: float = 0.08) -> Contour:
     """Boundary of F0 truncated at Im = t_top, with horocircle cuts of
     Euclidean diameter cusp_delta tangent at the cusps 0 and 1.
 
     The last F0_KEPT polylines asked for are kept, least recently used
-    dropped first, and the points of those kept are the registered points
-    of qseries.register_points: each one's pull-backs are formed once, and
-    the series values there once per eps, on first use.
+    dropped first.  Their points are LatticePoints (qseries.lattice_point):
+    each one's pull-backs are formed once, and the series values there once
+    per eps, on first use.
 
     The base polyline has 82 points (83 with the closing one): 16 log-spaced
     on each vertical edge, 5 on each horocircle, 32 on the arc and 8 on the
@@ -85,20 +78,12 @@ def f0_contour(t_top: float = 6.0, cusp_delta: float = 0.08) -> Contour:
     Z2 and f_C counts of the verification suites), inside the pi/2
     acceptance step; the walk bisects wherever that step or the derivative
     gate requires."""
-    key = as_real(t_top, "t_top"), as_real(cusp_delta, "cusp_delta")
-    contour = _f0_kept.get(key)
-    if contour is not None:
-        _f0_kept.move_to_end(key)
-        return contour
-    contour = _f0_kept[key] = _f0_polyline(*key)
-    if len(_f0_kept) > F0_KEPT:
-        _f0_kept.popitem(last=False)
-    register_points(p for kept in _f0_kept.values() for p in kept.points)
-    return contour
+    return _f0_polyline(as_real(t_top, "t_top"), as_real(cusp_delta, "cusp_delta"))
 
 
+@lru_cache(maxsize=F0_KEPT)
 def _f0_polyline(t_top: float, cusp_delta: float) -> Contour:
-    """f0_contour's polyline, built."""
+    """f0_contour's polyline, built of LatticePoints."""
     if t_top < 3 or not (0 < cusp_delta <= 0.25):
         raise ValueError("t_top >= 3 and cusp_delta in (0, 0.25] required")
     d = cusp_delta
@@ -130,6 +115,7 @@ def _f0_polyline(t_top: float, cusp_delta: float) -> Contour:
         pts.append(complex(1.0, d * (t_top / d) ** (i / n_edge)))
     for i in range(n_top):
         pts.append(complex(1.0 - i / n_top, t_top))
+    pts = [lattice_point(p) for p in pts]
     pts.append(pts[0])
     return Contour(tuple(pts))
 
@@ -400,9 +386,9 @@ def sqrt_g2_over_12(tau, pp: PrecisionPolicy = DEFAULT, anchor: complex | None =
     return _sqrt_walk(t, pp)[0]
 
 
-def _sqrt_walk(t: complex, pp: PrecisionPolicy) -> tuple[complex, complex]:
+def _sqrt_walk(t: complex, pp: PrecisionPolicy) -> tuple[complex, complex, complex]:
     """(sqrt(g2(t)/12) continued down the vertical path of sqrt_g2_over_12,
-    eta1(t)): the walk's last step reads (eta1, g2) at t itself."""
+    eta1(t), g2(t)): the walk's last step reads (eta1, g2) at t itself."""
     b_top = max(6.0, t.imag + 1.0)
     g2v = _eta1_g2(complex(t.real, b_top), pp)[1]
     w = cmath.sqrt(g2v / 12)
@@ -416,7 +402,7 @@ def _sqrt_walk(t: complex, pp: PrecisionPolicy) -> tuple[complex, complex]:
         if abs(wn - w) > abs(wn + w):
             wn = -wn
         w = wn
-    return w, e1
+    return w, e1, g2v
 
 
 def _root_near(g2v: complex, anchor: complex, t: complex) -> complex:
@@ -439,18 +425,25 @@ def _phi(t: complex, e1: complex, w: complex, sign: int) -> complex:
     return t - TWO_PI_I / denom
 
 
-def eval_phi(branch: BranchState, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
-    """phi_{+-}(tau) = tau - 2 pi i / (eta1 +- sqrt(g2/12)) on the branch's
-    continuous square-root selection; updates branch.anchor."""
-    t = as_tau(tau)
-    # one (eta1, g2) series evaluation at t: the walk's last step, or the
-    # one the anchored root reads
+def _branch_root(branch: BranchState, t: complex, pp: PrecisionPolicy):
+    """(eta1, g2, w) at t, w = sqrt(g2/12) on the branch's continuous
+    selection, from one (eta1, g2) series evaluation at t: the walk's last
+    step without an anchor, else the one the anchored root reads.  Updates
+    branch.anchor."""
     if branch.anchor is None:
-        w, e1 = _sqrt_walk(t, pp)
+        w, e1, g2v = _sqrt_walk(t, pp)
     else:
         e1, g2v = _eta1_g2(t, pp)
         w = _root_near(g2v, branch.anchor, t)
     branch.anchor = w
+    return e1, g2v, w
+
+
+def eval_phi(branch: BranchState, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
+    """phi_{+-}(tau) = tau - 2 pi i / (eta1 +- sqrt(g2/12)) on the branch's
+    continuous square-root selection; updates branch.anchor."""
+    t = as_tau(tau)
+    e1, _, w = _branch_root(branch, t, pp)
     return _phi(t, e1, w, branch.sign)
 
 

@@ -29,6 +29,7 @@ from e2crit import (
 )
 from e2crit import curves, qseries, zeros
 from e2crit.moebius import DomainTag, classify_domain
+from tests_helpers import float_bits
 
 PI = math.pi
 SQRT3_2 = math.sqrt(3) / 2
@@ -353,6 +354,27 @@ class TestHessianParity:
         t = complex(0.5, SQRT3_2)
         for fn in (_old_hessian_detG2, hessian_detG2):
             assert self.outcome(fn, "plus", t, None)[0][0] is ExcludedPoint
+
+    def test_branch_root_bit_for_bit(self):
+        # hessian_detG2 and eval_phi read (eta1, g2, sqrt(g2/12)) through
+        # one helper; without an anchor the walk's last step lands on tau
+        # itself, so its (eta1, g2) are the ones read at tau, bit for bit
+        rng = random.Random(29)
+        for _ in range(100):
+            t = complex(rng.uniform(-1, 2), math.exp(rng.uniform(math.log(0.05), math.log(4))))
+            e1, g2v = qseries._eta1_g2(t, DEFAULT)
+            walked = zeros.sqrt_g2_over_12(t)
+            for sign in (1, -1):
+                for anchor in (None, walked * rng.uniform(0.8, 1.2), -walked * rng.uniform(0.8, 1.2)):
+                    w = walked if anchor is None else zeros._root_near(g2v, anchor, t)
+                    phi = zeros._phi(t, e1, w, sign)
+                    det = (3 * abs(g2v) / (4 * PI**4 * t.imag)) * abs(e1 + sign * w) ** 2 * phi.imag
+                    branch = BranchState(sign, anchor)
+                    assert float_bits(hessian_detG2(sign, t, DEFAULT, branch)) == float_bits(det)
+                    assert float_bits(branch.anchor) == float_bits(w)
+                    branch = BranchState(sign, anchor)
+                    assert float_bits(eval_phi(branch, t)) == float_bits(phi)
+                    assert float_bits(branch.anchor) == float_bits(w)
 
 
 class TestCriticalPoints:

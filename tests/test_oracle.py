@@ -161,7 +161,7 @@ def test_family_matches_reference(band):
 def _z2_branch(r: float, s: float, tau: complex) -> tuple[bool, bool]:
     """(Laurent form, pulled back): the branch the library takes for
     Z2_{r,s}(tau), by the switch of premodular._zrs2_at."""
-    tau1, c, _, (r1, s1), _ = _pullback(tau, (r, s))
+    tau1, c, _, (r1, s1), _, _ = _pullback(tau, (r, s))
     rh, sh = reduce_lattice(r1, s1)
     au = abs(rh + sh * tau1)
     near = au < SMALL_U_FACTOR * min(1.0, abs(tau1), abs(tau1 - 1), abs(tau1 + 1))
@@ -230,10 +230,10 @@ def _laurent_point(r: float, s: float, tau: complex) -> tuple[float, bool, float
     6 |A| |dA|/|u| + 3 |A|^2 |s1|/|u|^2 for its tau-derivative, with
     |A| <= 2 pi |s1| + 5 |u| and |dA| <= 16 |u|.  Z2 itself may be far
     smaller (it is O(q) as s1 -> 0 high in F), and the characteristic as
-    _pullback carries it is rounded on the scale of its integer part,
-    which moves u by an ulp of that.
+    _pullback carries it is rounded on the scale of d r + b s, which moves
+    u by an ulp of that.
     """
-    tau1, c, mu, (r1, s1), _ = _pullback(tau, (r, s))
+    tau1, c, mu, (r1, s1), _, _ = _pullback(tau, (r, s))
     rh, sh = reduce_lattice(r1, s1)
     au = abs(rh + sh * tau1)
     t = au / min(1.0, abs(tau1), abs(tau1 - 1), abs(tau1 + 1))
@@ -278,3 +278,28 @@ def test_short_laurent_form_matches_reference(rs, pulled):
         assert z2 == eval_Zrs2(rs, tau)
         assert abs(z2 - want) <= TOL * scale, (rs, tau, t, z2, want, scale)
         assert abs(dz2 - dwant) <= DERIV_TOL * dscale, (rs, tau, t, dz2, dwant, dscale)
+
+
+# Z2_(0.9995, 0.001) where _pullback carries the characteristic across an
+# integer: translated by k = 1 (0.9995 + 0.001 would round on the scale of
+# 1 against rh = 5e-4), and reduced to F with d r + b s near -5.0005.
+# Reduced into [-1/2, 1/2)^2 first, it keeps its digits.  The bounds are
+# relative to |value|: at the second point |Z2| is 1.1e-8 of the Laurent
+# form's terms (the scale of _laurent_point), so rounding on their scale
+# leaves it about 1e-9
+CARRIED = ((0.5035010193315455+0.7124032737148763j, 1e-15),
+           (0.5303064223618792+0.049249486091660535j, 1e-8))
+
+
+@pytest.mark.parametrize("tau,bound", CARRIED, ids=["translated", "reduced"])
+def test_carried_characteristic_keeps_its_digits(tau, bound):
+    rs = (0.9995, 0.001)
+    with mp.workdps(NEAR_DPS):
+        at = _reference_mp(*rs, mp.mpc(tau), NEAR_DPS)["Z2"][0]
+        up = _reference_mp(*rs, mp.mpc(tau) + DERIV_STEP, NEAR_DPS)["Z2"][0]
+        dn = _reference_mp(*rs, mp.mpc(tau) - DERIV_STEP, NEAR_DPS)["Z2"][0]
+        want, dwant = complex(at), complex((up - dn) / (2 * DERIV_STEP))
+    z2, dz2 = _zrs2_parts(rs, tau)
+    assert z2 == eval_Zrs2(rs, tau)
+    assert abs(z2 - want) <= bound * abs(want), (tau, z2, want)
+    assert abs(dz2 - dwant) <= bound * abs(dwant), (tau, dz2, dwant)

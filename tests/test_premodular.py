@@ -111,7 +111,7 @@ class TestZrs2:
         for scale in (0.2, 0.1, 0.05):
             r, s = 0.7 * scale, 0.5 * scale
             v = eval_Zrs2((r, s), t)
-            wp, wpp, z_hecke = _wp_family(r, s, t, DEFAULT)
+            wp, wpp, z_hecke = _wp_family(r, s, t, cmath.exp(2j * PI * t), DEFAULT)
             direct = z_hecke**3 - 3 * wp * z_hecke - wpp
             assert abs(v - direct) < 1e-8 * (1 + abs(v))
 
@@ -188,7 +188,7 @@ class TestLaurentLength:
         worst = 0.0
         for tau, R in _pulled_points(400, seed=41):
             assert R >= qseries._FAMILY_FLOOR and tau.imag >= qseries._FAMILY_FLOOR
-            e1, g2v, g3v = qseries._basic_direct(tau, DEFAULT)
+            e1, g2v, g3v = qseries._basic_direct(cmath.exp(2j * PI * tau), DEFAULT)
             c = premodular._laurent_coeffs(g2v, g3v, 24)
             cp = premodular._laurent_coeffs_tau(c, *qseries._derivs(e1, g2v, g3v)[1:])
             for k in range(2, 25):
@@ -225,10 +225,11 @@ class TestLaurentLength:
             u = rh + sh * tau
             if abs(u) < premodular.SMALL_U_FACTOR * R:
                 points.append((rh, sh, tau, u, premodular._laurent_length(abs(u) / R, DEFAULT.eps)))
-        short = [premodular._zrs2_at(rh, sh, tau, DEFAULT, True) for rh, sh, tau, _, _ in points]
+        at = lambda rh, sh, tau: premodular._zrs2_at(rh, sh, tau, cmath.exp(2j * PI * tau), DEFAULT, True)
+        short = [at(rh, sh, tau) for rh, sh, tau, _, _ in points]
         monkeypatch.setattr(premodular, "_laurent_length", lambda t, eps: premodular.LAURENT_TERMS)
         for (rh, sh, tau, u, kmax), got in zip(points, short):
-            full = premodular._zrs2_at(rh, sh, tau, DEFAULT, True)
+            full = at(rh, sh, tau)
             for a, b in zip(got, full):
                 assert abs(a - b) <= self.AGREE * abs(u), (tau, rh, sh, kmax)
         assert min(p[-1] for p in points) <= 3

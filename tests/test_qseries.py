@@ -24,6 +24,7 @@ from e2crit import (
     eval_Zrs2,
 )
 from e2crit import qseries
+from e2crit.domain import LatticePoint
 from e2crit.qseries import MAX_TERMS, RHO_CAP, _length, _sigma, _thresholds
 from tests_helpers import float_bits
 
@@ -329,9 +330,9 @@ class TestFusedSeries:
             t = complex(rng.uniform(-3, 3), math.exp(rng.uniform(math.log(0.003), math.log(4))))
             pulled += t.imag < DEFAULT.min_im_direct
             assert qseries._eta1_g2(t, DEFAULT) == qseries._basic(t, DEFAULT)[:2], t
-            t1 = qseries._pullback(t)[0]
-            q = cmath.exp(2j * PI * t1)
-            want = qseries._basic_direct(t1, DEFAULT)[:2]
+            q = qseries._pullback(t)[4]
+            assert q == cmath.exp(2j * PI * qseries._pullback(t)[0])
+            want = qseries._basic_direct(q, DEFAULT)[:2]
             assert qseries._eta1_g2_direct(q, DEFAULT) == want, t
         assert 500 < pulled < 1500
 
@@ -344,7 +345,7 @@ class TestFusedSeries:
             s1, s3, s5 = (qseries.horner(_sigma(p, n), q, n) for p in (1, 3, 5))
             want = (PI**2 / 3 - 8 * PI**2 * s1, (4.0 / 3.0) * PI**4 + 320 * PI**4 * s3,
                     8 * PI**6 / 27 * (1 - 504 * s5))
-            assert qseries._basic_direct(t, DEFAULT) == want, t
+            assert qseries._basic_direct(q, DEFAULT) == want, t
 
     def test_eta1_evaluators_equal_basic(self):
         # eval_eta1, eval_eta2 and eval_E2 sum the eta1 series alone and lift
@@ -485,7 +486,7 @@ class TestEta1G2Callers:
         monkeypatch.setattr(zeros, "_eta1_g2", basic)
         monkeypatch.setattr(curves, "_eta1_g2", basic)
         monkeypatch.setattr(premodular, "_eta1_g2_direct",
-                            lambda q, pp: qseries._basic_direct(None, pp, q)[:2])
+                            lambda q, pp: qseries._basic_direct(q, pp)[:2])
 
     def test_fc_value_scale_and_square_root(self, monkeypatch):
         from e2crit import zeros
@@ -538,25 +539,29 @@ class TestEta1G2Callers:
             assert qseries.transform_quasi(gamma, t) == want, (gamma, t)
 
 
-class TestLatticeData:
-    """The lattice data of the registered points (the points of the
-    polylines f0_contour keeps) changes no evaluation, cold or warm."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_registry(self):
-        from e2crit import zeros
-        zeros._f0_kept.clear()
-        qseries.register_points(())
-        yield
-        zeros._f0_kept.clear()
-        qseries.register_points(())
+class TestPointCarriedData:
+    """The lattice data an f0_contour point carries (a LatticePoint) changes
+    no evaluation, cold or warm: every evaluator gives the same bits there
+    as at a plain complex copy of the point."""
 
     @staticmethod
     def evaluators(pp):
-        from e2crit import premodular, zeros
-        out = []
+        from e2crit import curves, premodular, zeros
+        from e2crit.moebius import MoebiusMap
+        gamma = MoebiusMap(2, 1, 3, 2)
+        out = [lambda t: eval_eta1(t, pp),
+               lambda t: eval_eta2(t, pp),
+               lambda t: eval_E2(t, pp),
+               lambda t: eval_invariants(t, pp),
+               lambda t: eval_derivatives(t, pp),
+               lambda t: [eval_ek(k, t, pp) for k in (1, 2, 3)],
+               lambda t: qseries.transform_quasi(gamma, t, pp),
+               lambda t: zeros.sqrt_g2_over_12(t, pp, anchor=2.0),
+               lambda t: zeros.eval_phi(zeros.BranchState(-1, 2.0), t, pp),
+               lambda t: curves.hessian_detG2(1, t, pp, zeros.BranchState(1, 2.0))]
         for C in (-0.7, 0.5, 2.5):
             out += [lambda t, C=C: zeros.eval_fC(C, t, pp),
+                    lambda t, C=C: zeros.eval_fC_prime(C, t, pp),
                     lambda t, C=C: zeros._fc_parts(C, t, pp),
                     lambda t, C=C: zeros.fc_scale(C, t, pp)]
         # (0.02, 0.003) takes the Laurent form of Z2 at 66 of the 83 points
@@ -568,41 +573,63 @@ class TestLatticeData:
                     lambda t, rs=rs: eval_weierstrass(rs, t, pp)]
         return out
 
-    def run(self, pp, points):
-        return [float_bits(_outcome(lambda: fn(t))) for t in points for fn in self.evaluators(pp)]
+    def run(self, pp, points, form=float_bits):
+        return [form(_outcome(lambda: fn(t))) for t in points for fn in self.evaluators(pp)]
+
+    @staticmethod
+    def fresh(shape):
+        """The points of a polyline of f0_contour, built anew: LatticePoints
+        whose series values are not formed yet."""
+        from e2crit import zeros
+        return zeros._f0_polyline.__wrapped__(*shape).points
 
     @pytest.mark.parametrize("eps", [1e-12, 1e-10])
     def test_values_cold_and_warm(self, eps):
-        from e2crit import zeros
         pp = PrecisionPolicy(eps)
-        shapes = ((6.0, 0.08), (6.0, 0.2))
-        points = [p for shape in shapes for p in zeros._f0_polyline(*shape).points]
-        off = self.run(pp, points)
-        for shape in shapes:
-            zeros.f0_contour(*shape)
-        assert all(qseries._pullback(p)[4] is not None for p in points)
+        points = [p for shape in ((6.0, 0.08), (6.0, 0.2)) for p in self.fresh(shape)]
+        plain = [complex(p) for p in points]
+        assert all(type(p) is LatticePoint and qseries._pullback(p)[5] is not None for p in points)
+        assert all(type(t) is complex and qseries._pullback(t)[5] is None for t in plain)
+        off = self.run(pp, plain)
         assert self.run(pp, points) == off
         assert self.run(pp, points) == off
 
     def test_negative_zero_real_part(self):
-        from e2crit import zeros
-        left = [p for p in zeros._f0_polyline(6.0, 0.08).points if p.real == 0.0]
+        left = [p for p in self.fresh((6.0, 0.08)) if p.real == 0.0]
         assert len(left) == 17
         mirrored = [complex(-0.0, p.imag) for p in left]
         off = self.run(DEFAULT, mirrored)
-        zeros.f0_contour()
-        self.run(DEFAULT, left)
-        assert all(qseries._pullback(t)[4] is None for t in mirrored)
+        on = self.run(DEFAULT, left)
+        assert all(qseries._pullback(t)[5] is None for t in mirrored)
         assert self.run(DEFAULT, mirrored) == off
+        # the same values as at the LatticePoints, up to the sign of a zero
+        # (eta2's real part)
+        assert off != on
+        same = lambda v: v
+        assert self.run(DEFAULT, mirrored, same) == self.run(DEFAULT, left, same)
 
-    def test_registry_stays_bounded(self):
+    def test_as_tau_passes_a_lattice_point_through(self):
+        from e2crit.domain import as_tau
+        p = qseries.lattice_point(0.25 + 0.5j)
+        assert as_tau(p) is p
+        assert type(as_tau(complex(p))) is complex
+        for bad in (complex(math.nan, 1.0), complex(0.5, math.inf), complex(0.5, 0.0), complex(0.5, -1.0)):
+            with pytest.raises(ValueError):
+                as_tau(bad)
+            with pytest.raises(ValueError):
+                qseries.lattice_point(bad)
+
+    def test_f0_contour_keeps_the_last_polylines(self):
         from e2crit import zeros
-        base = len(zeros.f0_contour().points) - 1
+        zeros._f0_polyline.cache_clear()
+        base = zeros.f0_contour()
+        assert zeros.f0_contour() is base and zeros.f0_contour(6, 0.08) is base
         for i in range(40):
             zeros.f0_contour(3.0 + i / 7, 0.05 + i / 400)
-            assert len(zeros._f0_kept) <= zeros.F0_KEPT
-            assert len(qseries._registry) <= zeros.F0_KEPT * base
-            assert set(qseries._registry) == {p for kept in zeros._f0_kept.values() for p in kept.points}
-        # the default polyline was dropped, and is registered again when asked for
-        assert (6.0, 0.08) not in zeros._f0_kept
-        assert all(p in qseries._registry for p in zeros.f0_contour().points)
+            info = zeros._f0_polyline.cache_info()
+            assert info.maxsize == zeros.F0_KEPT and info.currsize <= zeros.F0_KEPT
+        # the default polyline was dropped, and is built again when asked for
+        again = zeros.f0_contour()
+        assert again is not base and again == base
+        assert all(type(p) is LatticePoint for p in again.points)
+        assert again.points[-1] is again.points[0]
