@@ -124,14 +124,17 @@ def criterion_2(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     taus = _random_taus(rng, 200)
     tol = 1e-9
 
-    # independent oracle: term-by-term derivative of the eta1 q-series
-    sigma1 = [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(64)]
+    # independent oracle: term-by-term derivative of the eta1 q-series, the
+    # weights k sigma_1(k) on a running power of q
+    weights = [k * sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, 64)]
 
     def eta1_prime_series(t):
         q = cmath.exp(TWO_PI_I * t)
         total = 0j
-        for k in range(1, 64):
-            total += k * sigma1[k] * q**k
+        qk = 1
+        for w in weights:
+            qk *= q
+            total += w * qk
         return -8 * PI**2 * TWO_PI_I * total
 
     worst_leg = 0.0

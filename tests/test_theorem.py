@@ -5,16 +5,22 @@ out."""
 import math
 
 from e2crit import (
+    DEFAULT,
+    Contour,
     MoebiusMap,
     count_zeros,
+    count_zeros_info,
     critical_points_E2,
     enumerate_gamma02,
     eval_derivatives,
     eval_fC,
     f0_contour,
+    newton_refine,
     reduce_to_F0,
     solve_tauC,
 )
+from e2crit.qseries import _HALF_I_PI, _basic, _derivs
+from e2crit.zeros import BOUNDARY_ZERO_TOL, MAX_CONTOUR_POINTS, _winding
 
 PI = math.pi
 
@@ -28,6 +34,33 @@ def test_one_zero_of_f_per_tile():
     for gam in gammas:
         C = -gam.d / gam.c
         assert count_zeros(lambda t: eval_fC(C, t), contour) == 1, gam
+
+
+def _eta1_prime_pair(t):
+    """(eta1', eta1'') at t from one series evaluation: E2' is a multiple
+    of eta1', and eta1'' = (i pi/2)(2 eta1 eta1' - g2'/12)."""
+    e1, g2, g3 = _basic(t, DEFAULT)
+    e1p, g2p, _ = _derivs(e1, g2, g3)
+    return e1p, _HALF_I_PI * (2 * e1 * e1p - g2p / 12)
+
+
+def test_one_zero_of_E2_prime_per_tile():
+    # E2' itself, not f_C: a gated count over the image polyline gamma(p),
+    # p on f0_contour, finds one zero in each tile with c <= 16, and Newton
+    # from the zero sum of the walk that forms it lands on the listed
+    # critical point.  The horodisks at gamma(0), gamma(1) and
+    # gamma(i infinity) are left out.
+    points = f0_contour().points
+    found = critical_points_E2(16)
+    assert len(found) == 32
+    for p in found:
+        contour = Contour(tuple(p.gamma(t) for t in points))
+        n, used = count_zeros_info(_eta1_prime_pair, contour)
+        assert n == 1 and used <= 100, p.gamma
+        n, _, zsum = _winding(_eta1_prime_pair, contour, BOUNDARY_ZERO_TOL, MAX_CONTOUR_POINTS)
+        assert n == 1, p.gamma
+        root = newton_refine(_eta1_prime_pair, zsum, 1e-14).z
+        assert abs(root - p.tau_star.z) <= 1e-13 * abs(p.tau_star.z), p.gamma
 
 
 def test_no_critical_point_in_F0():

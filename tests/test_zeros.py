@@ -24,6 +24,7 @@ from e2crit import (
     eval_invariants,
     eval_phi,
     f0_contour,
+    find_zero_in_F0,
     newton_refine,
     rect_contour,
     solve_tauC,
@@ -135,11 +136,36 @@ class TestCountZeros:
         assert calls == list(contour.points[:-1])
 
     def test_closing_point_evaluated_once_with_pairs(self):
+        # a gated walk starts on every COARSE-th point and evaluates no
+        # point twice; the closing one is counted but not evaluated
         contour = rect_contour(-1.0, 2.0, 0.5, 2.0)
         calls = []
-        info = count_zeros_info(lambda t: calls.append(t) or (t - complex(0.5, 1.0), 1.0), contour)
-        assert info == (1, len(contour.points))
-        assert calls == list(contour.points[:-1])
+        n, used = count_zeros_info(lambda t: calls.append(t) or (t - complex(0.5, 1.0), 1.0), contour)
+        assert n == 1 and used == len(calls) + 1 < len(contour.points)
+        assert len(set(calls)) == len(calls)
+        assert set(calls) <= set(contour.points[:-1])
+        starts = contour.points[:-1:zeros.COARSE]
+        assert calls[:len(starts)] == list(starts)
+
+    def test_short_polyline_keeps_three_segments(self):
+        # on a triangle a stride of COARSE would leave the one segment
+        # p0 -> p0, accepted with a phase step of 0
+        contour = Contour((0.2 + 0.5j, 0.8 + 0.5j, 0.5 + 1.2j, 0.2 + 0.5j))
+        a = 0.5 + 0.7j
+        assert count_zeros(lambda t: (t - a, 1.0), contour) == 1
+        assert count_zeros(lambda t: t - a, contour) == 1
+
+    def test_chord_does_not_cut_off_a_spike(self):
+        # the chord p0 -> p4 (length 0.04) passes the phase rule and the
+        # gate, as |f/f'| is about 0.5 at both ends, but skips the spike up
+        # to 0.5+3i around the zero: it is split because p2 lies farther
+        # than its length from both ends
+        contour = Contour((0.52 + 2j, 0.51 + 2.9j, 0.5 + 3j, 0.49 + 2.9j, 0.48 + 2j, 0.48 + 1.5j,
+                           0.48 + 1j, 0.5 + 1j, 0.52 + 1j, 0.52 + 1.25j, 0.52 + 1.5j, 0.52 + 1.75j,
+                           0.52 + 2j))
+        a = 0.5 + 2.5j
+        assert count_zeros(lambda t: (t - a, 1.0), contour) == 1
+        assert count_zeros(lambda t: t - a, contour) == 1
 
 
 # f_C over a low rectangle with a zero close to its bottom edge: the plain
@@ -240,6 +266,17 @@ class TestZeroSum:
     def test_no_zero_gives_zero(self):
         _, _, zsum = _winding(lambda t: (t + 3, 1.0), f0_contour(), 1e-9, 1 << 18)
         assert abs(zsum) < 1e-2
+
+    def test_seed_near_the_arc(self):
+        # the zero sum seeds find_zero_in_F0, so a walk that forms it starts
+        # on every contour point: for this zero, 0.077 from the arc of the
+        # thin polyline, the seed is the reference walk's, 3.3e-4 off
+        rs, contour = (0.3388, 0.1587), f0_contour(8.0, 0.04)
+        f = lambda t: _zrs2_parts(rs, t)
+        got = _winding(f, contour, 1e-9, 1 << 18)
+        assert float_bits(got) == float_bits(_old_winding(f, contour, 1e-9, 1 << 18))
+        root = find_zero_in_F0(rs, t_top=8.0, cusp_delta=0.04)
+        assert abs(got[2] - root.z) < 1e-3 * abs(root.z)
 
 
 class TestNewton:
@@ -705,10 +742,20 @@ def _walk_outcome(call):
         return type(exc), str(exc)
 
 
+EXHAUSTED = (PhaseStepFailure, "adaptive subdivision budget exhausted")
+
+
+def _recorded(f):
+    """f, and the list of the points it is called at."""
+    calls = []
+    return (lambda t: calls.append(t) or f(t)), calls
+
+
 class TestWalkParity:
-    """_winding against the walk it replaced: plain walks sum phases alone,
-    gated ones form the zero sum only when asked, and neither changes a
-    count, a point, the bisection order or an exception."""
+    """_winding against the walk it replaced.  A plain walk, and a gated
+    one that forms the zero sum, keep their count, points, bisection order,
+    zero sum and exceptions; a gated count, which goes coarse to fine,
+    keeps its count from no more points and evaluates none twice."""
 
     @staticmethod
     def cases():
@@ -733,29 +780,50 @@ class TestWalkParity:
     def test_counts_points_and_zero_sums(self):
         bisected = 0
         for plain, paired, contour in self.cases():
-            for f in (plain, paired):
-                want = _old_winding(f, contour, 1e-9, 1 << 18)
-                assert count_zeros_info(f, contour) == want[:2]
-                bisected += want[1] > len(contour.points)
-            got = _winding(paired, contour, 1e-9, 1 << 18)
-            assert float_bits(got) == float_bits(want)
+            f, calls = _recorded(plain)
+            ref, ref_calls = _recorded(plain)
+            want = _old_winding(ref, contour, 1e-9, 1 << 18)
+            assert count_zeros_info(f, contour) == want[:2]
+            assert calls == ref_calls
+            bisected += want[1] > len(contour.points)
+            f, calls = _recorded(paired)
+            ref, ref_calls = _recorded(paired)
+            want = _old_winding(ref, contour, 1e-9, 1 << 18)
+            assert float_bits(_winding(f, contour, 1e-9, 1 << 18)) == float_bits(want)
+            assert calls == ref_calls
+            bisected += want[1] > len(contour.points)
+            # a count evaluates the first point first, and neither it (as
+            # the closing point) nor any other again
+            f, calls = _recorded(paired)
+            n, used = count_zeros_info(f, contour)
+            assert n == want[0] and used <= want[1]
+            assert calls[0] == contour.points[0]
+            assert used == len(calls) + 1 and len(set(calls)) == len(calls)
         assert bisected >= 6
 
     def test_exceptions(self):
         exhausted = 0
         for plain, paired, contour in self.cases():
-            for f in (plain, paired):
+            # a plain count and a gated walk that forms the zero sum
+            for f, walk, keep in ((plain, count_zeros_info, 2), (paired, _winding, 3)):
                 used = _old_winding(f, contour, 1e-9, 1 << 18)[1]
                 for max_points in (len(contour.points), (len(contour.points) + used) // 2):
-                    want = _walk_outcome(lambda: _old_winding(f, contour, 1e-9, max_points)[:2])
-                    assert _walk_outcome(lambda: count_zeros_info(f, contour, 1e-9, max_points)) == want
-                    exhausted += want == (PhaseStepFailure, "adaptive subdivision budget exhausted")
+                    want = _walk_outcome(lambda: _old_winding(f, contour, 1e-9, max_points)[:keep])
+                    assert _walk_outcome(lambda: walk(f, contour, 1e-9, max_points)) == want
+                    exhausted += want == EXHAUSTED
+            # a gated count stops exactly when it needs more than max_points
+            info = count_zeros_info(paired, contour)
+            for max_points in (len(contour.points), info[1], info[1] - 1):
+                want = info if max_points >= info[1] else EXHAUSTED
+                assert _walk_outcome(lambda: count_zeros_info(paired, contour, 1e-9, max_points)) == want
         assert exhausted >= 6
-        # f_0 vanishes at the cusps below the boundary-zero floor
-        for f in (lambda t: eval_fC(0.0, t), lambda t: _fc_parts(0.0, t, DEFAULT)[:2]):
-            want = _walk_outcome(lambda: _old_winding(f, f0_contour(), 1e-9, 1 << 18))
-            assert want[0] is BoundaryZero
-            assert _walk_outcome(lambda: count_zeros_info(f, f0_contour())) == want
+        # f_0 vanishes at the cusps below the boundary-zero floor; a gated
+        # walk meets the first such point among its starting points
+        plain, paired = lambda t: eval_fC(0.0, t), lambda t: _fc_parts(0.0, t, DEFAULT)[:2]
+        want = _walk_outcome(lambda: _old_winding(plain, f0_contour(), 1e-9, 1 << 18))
+        assert want[0] is BoundaryZero
+        assert _walk_outcome(lambda: count_zeros_info(plain, f0_contour())) == want
+        assert _walk_outcome(lambda: count_zeros_info(paired, f0_contour()))[0] is BoundaryZero
         # a zero on the left edge, off every dyadic midpoint, with the floor
         # at 1e-300: bisection runs down to the irreducible step
         a = complex(0.0, 0.5 + 1 / 7)
@@ -765,3 +833,64 @@ class TestWalkParity:
             assert want[0] is PhaseStepFailure and "irreducible" in want[1]
             assert _walk_outcome(lambda: count_zeros_info(f, contour, 1e-300)) == want
             assert _walk_outcome(lambda: _winding(f, contour, 1e-300, 1 << 18)) == want
+
+
+def _sweep_chars(rng, n):
+    """n characteristics: a quarter within 3e-3 of the lattice points 0 and
+    1, the rest in a random triangle with one barycentric weight 0.003."""
+    names = list(_TRIANGLE_VERTICES)
+    out = []
+    for k in range(n):
+        u, v = rng.uniform(3e-4, 3e-3), rng.uniform(3e-4, 3e-3)
+        if k % 4 == 3:
+            out.append(rng.choice(((u, v), (1 - u, v))))
+            continue
+        v0, v1, v2 = _TRIANGLE_VERTICES[rng.choice(names)]
+        w = [rng.uniform(0.003, 1.0) for _ in range(3)]
+        w[rng.randrange(3)] = 0.0
+        x, y = (0.003 + wi * 0.991 / sum(w) for wi in w[1:])
+        out.append((v0[0] + (v1[0] - v0[0]) * x + (v2[0] - v0[0]) * y,
+                    v0[1] + (v1[1] - v0[1]) * x + (v2[1] - v0[1]) * y))
+    return out
+
+
+def _sweep_Cs(rng, n):
+    """n curve parameters: |C| log-uniform in [1e-3, 1e4] of either sign,
+    within 1e-3 to 0.1 of 1, and in (0, 1)."""
+    out = []
+    for k in range(n):
+        out.append((10 ** rng.uniform(-3, 4), -10 ** rng.uniform(-3, 4),
+                    1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-3, -1), rng.uniform(1e-3, 1 - 1e-3))[k % 4])
+    return out
+
+
+class TestCoarseWalkSweep:
+    """Seeded gated counts against the reference walk, near where a coarse
+    chord could cut a zero off: Z2 near the triangle edges and the lattice
+    and f_C from |C| = 1e-3 to 1e4 and near 1, over four F0 polylines, and
+    f_C over low rectangles at 6 to 48 points per side."""
+
+    def test_f0_polylines(self):
+        rng = random.Random(2020)
+        old = new = 0
+        for contour in (f0_contour(), f0_contour(cusp_delta=0.2), f0_contour(3.0), f0_contour(8.0, 0.04)):
+            fs = [lambda t, rs=rs: _zrs2_parts(rs, t) for rs in _sweep_chars(rng, 60)]
+            fs += [_fc_pair(C) for C in _sweep_Cs(rng, 60)]
+            for f in fs:
+                want = _old_winding(f, contour, 1e-9, 1 << 18)
+                got = count_zeros_info(f, contour)
+                assert got[0] == want[0], (want, got)
+                old, new = old + want[1], new + got[1]
+        # at least a quarter fewer points per count
+        assert new <= 0.75 * old
+
+    def test_rectangles(self):
+        rng = random.Random(2021)
+        for _ in range(100):
+            C = _branch_C(rng)
+            re0 = rng.uniform(-0.5, 0.3)
+            box = (re0, re0 + rng.uniform(0.5, 1.0), rng.uniform(0.05, 0.1), rng.uniform(0.6, 1.4))
+            contour = rect_contour(*box, n=rng.choice((6, 12, 24, 25, 48)))
+            want = _old_winding(_fc_pair(C), contour, 1e-9, 1 << 18)
+            got = count_zeros_info(_fc_pair(C), contour)
+            assert got[0] == want[0] and got[1] <= want[1], (C, box, want, got)
