@@ -65,7 +65,16 @@ def _line_values(b: float, pp: PrecisionPolicy) -> tuple[float, float]:
     return e1.real, g2v.real
 
 
-def _bisect(fn, lo: float, hi: float, tol: float = 1e-13, what: str = "root"):
+def _bisect(fn, lo: float, hi: float, what: str = "root"):
+    """The root of fn in [lo, hi], where fn changes sign, to float adjacency:
+    of the two adjacent floats that bracket the sign change at the end, the
+    one with the smaller |fn|.
+
+    Each step is the Illinois form of regula falsi (the interpolation halves
+    the value of an end kept twice in a row, so both ends close in), held
+    at least one ulp inside the bracket.  Where the last two steps have not
+    halved the bracket, the midpoint is taken instead.
+    """
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -73,18 +82,30 @@ def _bisect(fn, lo: float, hi: float, tol: float = 1e-13, what: str = "root"):
         return hi
     if flo * fhi > 0:
         raise RootBracketFailure(f"{what}: no sign change on [{lo}, {hi}]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
+    wlo, whi = flo, fhi          # the interpolation's end values
+    moved = 0                    # -1 when lo moved last, 1 when hi did
+    widths = (math.inf, math.inf)   # the bracket before the last two steps
+    while math.nextafter(lo, hi) < hi:
+        if hi - lo > 0.5 * widths[0]:
+            x = 0.5 * (lo + hi)
         else:
-            lo, flo = mid, fm
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+            x = lo - wlo * (hi - lo) / (whi - wlo)
+            x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        widths = (widths[1], hi - lo)
+        fx = fn(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0) == (flo < 0):
+            lo, flo, wlo = x, fx, fx
+            if moved < 0:
+                whi *= 0.5
+            moved = -1
+        else:
+            hi, fhi, whi = x, fx, fx
+            if moved > 0:
+                wlo *= 0.5
+            moved = 1
+    return lo if abs(flo) <= abs(fhi) else hi
 
 
 def theta_pair(b: float, pp: PrecisionPolicy = DEFAULT) -> tuple[float, float]:
@@ -104,7 +125,7 @@ def special_tau_half(pp: PrecisionPolicy = DEFAULT) -> TauPoint:
         e1, g2v = _line_values(b, pp)
         return e1 + math.sqrt(max(g2v, 0.0) / 12) - 2 * PI / b
 
-    b_hat = _bisect(fn, SQRT3_2 + 1e-9, 1.2, tol=1e-13, what="tau(1/2)")
+    b_hat = _bisect(fn, SQRT3_2 + 1e-9, 1.2, what="tau(1/2)")
     return TauPoint(0.5, b_hat)
 
 
@@ -117,7 +138,7 @@ def special_tau_minus_C(pp: PrecisionPolicy = DEFAULT) -> tuple[TauPoint, float]
         th, th1 = theta_pair(b, pp)
         return th - th1
 
-    b1 = _bisect(fn, 0.5 + 1e-9, SQRT3_2 - 1e-9, tol=1e-13, what="tau_-")
+    b1 = _bisect(fn, 0.5 + 1e-9, SQRT3_2 - 1e-9, what="tau_-")
     tau_m = complex(0.5, b1)
     e1, g2v = _line_values(b1, pp)
     disc = e1 * e1 - g2v / 12
@@ -142,7 +163,7 @@ def special_b0(pp: PrecisionPolicy = DEFAULT) -> float:
         e1, g2v = _line_values(b, pp)
         return e1 * e1 - g2v / 12
 
-    direct = _bisect(fn, 5 / 24 + 1e-9, 1 / (2 * math.sqrt(3)) - 1e-9, tol=1e-13, what="b0")
+    direct = _bisect(fn, 5 / 24 + 1e-9, 1 / (2 * math.sqrt(3)) - 1e-9, what="b0")
     if abs(direct - via_half) > 1e-10:
         raise ConsistencyFailure(f"b0 routes disagree: {direct} vs {via_half}")
     return direct

@@ -554,9 +554,12 @@ CONTINUATION_STEP = 0.10
 # the longest tau move accepted from one continuation step
 MAX_JUMP = 0.2
 
-# the ladder nodes C = k/8 of each branch: its anchor k, and its range of k
-_LADDER_ANCHOR = {"minus": -8, "zero": 4, "plus": 16}
-_LADDER_RANGE = {"minus": (-8, -1), "zero": (1, 7), "plus": (9, 16)}
+# the ladder nodes C = k/_LADDER_DEN of each branch: its anchor k, and its
+# range of k, to within one node of the excluded C = 0 and 1
+_LADDER_DEN = 32
+_LADDER_ANCHOR = {"minus": -_LADDER_DEN, "zero": _LADDER_DEN // 2, "plus": 2 * _LADDER_DEN}
+_LADDER_RANGE = {"minus": (-_LADDER_DEN, -1), "zero": (1, _LADDER_DEN - 1),
+                 "plus": (_LADDER_DEN + 1, 2 * _LADDER_DEN)}
 
 
 def branch_of(C: float) -> str:
@@ -571,30 +574,32 @@ def branch_of(C: float) -> str:
 
 
 def _nearest_node(C: float) -> int:
-    """k of the ladder node C = k/8 nearest to C on C's branch."""
+    """k of the ladder node C = k/_LADDER_DEN nearest to C on C's branch,
+    clamped to the branch's range of k."""
     lo, hi = _LADDER_RANGE[branch_of(C)]
-    return round(min(hi, max(lo, 8 * C)))
+    return round(min(hi, max(lo, _LADDER_DEN * C)))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=512)   # room for the 95-node ladders of five policies
 def _ladder_node(k: int, pp: PrecisionPolicy) -> tuple:
-    """_newton_fc's root triple at the ladder node C = k/8, k in -8..16 with
-    k not 0 or 8; a constant of the policy, so built once for each, on first
-    use.
+    """_newton_fc's root triple at the ladder node C = k/_LADDER_DEN (k in
+    -32..64 with k not 0 or 32); a constant of the policy, so built once for
+    each, on first use.
 
-    The branch anchors are the nodes k = -8, 4 and 16 (C = -1, 1/2, 2): the
-    outer two are seeded from the asymptotic expansion, C = 1/2 from a
-    coarse scan of Re = 1/2.  Every other node is continued straight from
-    its branch's anchor, never from a neighbouring node: its root does not
-    depend on which nodes were built before it, and is bit for bit the
-    continuation from the anchor (at C = -1/2, where critical_points_E2
-    starts its chain of hints, a one-ulp move shifts the critical points).
+    The branch anchors are the nodes at C = -1, 1/2 and 2: the outer two are
+    seeded from the asymptotic expansion, C = 1/2 from a coarse scan of
+    Re = 1/2.  Every other node is continued straight from its branch's
+    anchor, never from a neighbouring node: its root does not depend on
+    which nodes were built before it, and is bit for bit the continuation
+    from the anchor.  So the nodes C = j/8 are the floats of the coarser
+    ladder this one refines (at C = -1/2, where critical_points_E2 starts
+    its chain of hints, a one-ulp move shifts the critical points).
     """
-    C = k / 8
+    C = k / _LADDER_DEN
     anchor_k = _LADDER_ANCHOR[branch_of(C)]
     if k != anchor_k:
-        return _continue_to(anchor_k / 8, _ladder_node(anchor_k, pp), C, pp)
-    if k != 4:
+        return _continue_to(anchor_k / _LADDER_DEN, _ladder_node(anchor_k, pp), C, pp)
+    if k != _LADDER_ANCHOR["zero"]:
         root = _newton_fc(C, _asymptotic_seed(C), pp)
         if root is None:
             raise Diverged(f"anchor solve failed for branch of C = {C}")
@@ -610,6 +615,30 @@ def _ladder_node(k: int, pp: PrecisionPolicy) -> tuple:
     if root is None:
         raise Diverged("line-scan seed for C = 1/2 did not converge")
     return root
+
+
+def _between_nodes(C: float, pp: PrecisionPolicy) -> tuple | None:
+    """_newton_fc's root triple at C from the cubic Hermite interpolant in C
+    through the two ladder nodes that bracket C, with the slopes
+    dtau/dC = -(df_C/dC)/(df_C/dtau) of the nodes' stored Jacobians: no
+    series evaluation beyond Newton's.  None when C is not strictly between
+    two nodes of its branch (within one node of C = 0 or 1, or outside
+    (-1, 2)), or when _accepted refuses the root."""
+    lo, hi = _LADDER_RANGE[branch_of(C)]
+    x = _LADDER_DEN * C
+    # range-checked before the floor, which raises OverflowError on inf
+    if not lo < x < hi:
+        return None
+    k = math.floor(x)
+    if k == x:   # C is a node, which solve_tauC returns as built
+        return None
+    t0, fp0, fc0 = _ladder_node(k, pp)
+    t1, fp1, fc1 = _ladder_node(k + 1, pp)
+    u = x - k
+    guess = ((1 + 2 * u) * (1 - u) ** 2 * t0 + u * u * (3 - 2 * u) * t1
+             - u * (1 - u) * ((1 - u) * fc0 / fp0 - u * fc1 / fp1) / _LADDER_DEN)
+    step = _newton_fc(C, guess, pp)
+    return step if _accepted(step, guess) else None
 
 
 def _accepted(step: tuple | None, t: complex) -> bool:
@@ -663,17 +692,18 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
     """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
 
     Seeding: Newton from an explicit hint, else from the large-|C|
-    asymptotic inversion (C <= -0.8 or C >= 1.8), else continuation in C
-    from the nearest node C = k/8 of the branch's ladder (k = -8..-1, 1..7
-    or 9..16, each node built once per policy on first use, see
-    _ladder_node).  Inside (-1, 2) that node lies at most 1/16 away, or 1/8
-    next to C = 0 and 1: one continuation step of a few Newton iterations.
-    At a node the node's root is returned as built, and no cold solve
-    depends on the calls made before it.  A seed whose Newton fails, or
-    whose root lands outside F0 (another tile's zero), counts as no seed,
-    so a hint that leads there gives the cold solve's root.  With
-    verify=True the result is certified by an argument-principle count over
-    the truncated F0.
+    asymptotic inversion (C <= -0.8 or C >= 1.8), else from the branch's
+    ladder of nodes C = k/32 (k = -32..-1, 1..31 or 33..64, each node built
+    once per policy on first use, see _ladder_node).  At a node the node's
+    root is returned as built.  Strictly between two nodes, Newton starts
+    from the cubic Hermite interpolant through them (_between_nodes), about
+    two f_C evaluations.  Where no two nodes bracket C (within 1/32 of C = 0
+    or 1, or outside (-1, 2)), or where that root is refused, the root is
+    continued in C from the nearest node.  No cold solve depends on the
+    calls made before it.  A seed whose Newton fails, or whose root lands
+    outside F0 (another tile's zero), counts as no seed, so a hint that
+    leads there gives the cold solve's root.  With verify=True the result
+    is certified by an argument-principle count over the truncated F0.
     """
     C = as_real(C, "C")
     if C in (0.0, 1.0):
@@ -690,9 +720,11 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
             if root is not None and classify_domain(root[0]) is DomainTag.OUTSIDE:
                 root = None
     if root is None:
+        root = _between_nodes(C, pp)
+    if root is None:
         k = _nearest_node(C)
         node = _ladder_node(k, pp)
-        root = node if C == k / 8 else _continue_to(k / 8, node, C, pp)
+        root = node if C == k / _LADDER_DEN else _continue_to(k / _LADDER_DEN, node, C, pp)
     t = root[0]
     f, scale = _fc_value(C, t, pp)
     if not abs(f) <= max(ROOT_RESIDUAL, 1e-13 * scale):

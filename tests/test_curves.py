@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -34,10 +35,11 @@ from tests_helpers import float_bits
 PI = math.pi
 SQRT3_2 = math.sqrt(3) / 2
 
-# frozen one-dimensional solver outputs (oracle: the bisections themselves)
-B_HAT = 1.0371518450840542
-B_MINUS = 0.6780065725236852
-B_ZERO = 0.24104474304794526
+# frozen one-dimensional solver outputs (oracle: the root finder itself;
+# TestSpecialPointsToTheLastBit checks them against 40-digit roots)
+B_HAT = 1.0371518450840878
+B_MINUS = 0.6780065725236851
+B_ZERO = 0.24104474304794885
 
 
 class TestThetaPair:
@@ -98,6 +100,77 @@ class TestSpecialPoints:
 
         b0 = special_b0()
         assert d_eta1_db(b0 - 0.02) > 0 > d_eta1_db(b0 + 0.02)
+
+
+def _line_eta1_g2(b):
+    """(eta1, g2) at tau = 1/2 + i b to the working precision, from the
+    q-series of E2 and E4 at q = -exp(-2 pi b): eta1 = (pi^2/3) E2 and
+    g2 = (4 pi^4/3) E4."""
+    q = -mp.exp(-2 * mp.pi * b)
+    cut = mp.mpf(10) ** (-mp.mp.dps - 5)
+    s1 = s3 = mp.mpf(0)
+    qn, n = mp.mpf(1), 0
+    while True:
+        n += 1
+        qn *= q
+        if abs(qn) * n**4 < cut:
+            break
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        s1 += sum(divisors) * qn
+        s3 += sum(d**3 for d in divisors) * qn
+    return mp.pi**2 / 3 * (1 - 24 * s1), 4 * mp.pi**4 / 3 * (1 + 240 * s3)
+
+
+def _ulps(x, ref):
+    return float(abs(mp.mpf(x) - ref) / math.ulp(float(ref)))
+
+
+class TestSpecialPointsToTheLastBit:
+    """The special points on Re tau = 1/2 against 40-digit roots of the same
+    line equations.  The bounds are fixed from rounding: the line roots run
+    to float adjacency on functions good to a few eps, and solve_tauC(1/2)
+    is Newton's root of f_C, so each is within 2 ulps.  b* extrapolates
+    (64 b1 - 20 b2 + b4)/45 over three Z2 roots that scatter over up to 71
+    ulps with Newton's seed, which the weights enlarge by at most 85/45:
+    150 ulps."""
+
+    @pytest.fixture(scope="class")
+    def refs(self):
+        def half(b):
+            e1, g2 = _line_eta1_g2(b)
+            return e1 + mp.sqrt(g2 / 12) - 2 * mp.pi / b
+
+        def zero(b):
+            e1, g2 = _line_eta1_g2(b)
+            return e1 * e1 - g2 / 12
+
+        def minus(b):
+            e1, g2 = _line_eta1_g2(b)
+            return b * e1 / (2 * mp.pi) - e1 * e1 / (e1 * e1 - g2 / 12)
+
+        with mp.workdps(40):
+            return {"half": mp.findroot(half, mp.mpf("1.037")),
+                    "b0": mp.findroot(zero, mp.mpf("0.241")),
+                    "minus": mp.findroot(minus, mp.mpf("0.678"))}
+
+    def test_references(self, refs):
+        # b0 = 1/(4 Im tau(1/2)), and the digits ROADMAP quotes
+        with mp.workdps(40):
+            assert abs(refs["b0"] - 1 / (4 * refs["half"])) < mp.mpf("1e-35")
+            assert mp.nstr(refs["half"], 20) == "1.0371518450840878214"
+            assert mp.nstr(refs["b0"], 19) == "0.2410447430479488495"
+            assert mp.nstr(refs["minus"], 19) == "0.6780065725236851167"
+
+    def test_line_roots(self, refs):
+        assert _ulps(special_tau_half().im, refs["half"]) <= 2
+        assert _ulps(special_b0(), refs["b0"]) <= 2
+        assert _ulps(special_tau_minus().im, refs["minus"]) <= 2
+
+    def test_b_star_is_im_tau_half(self, refs):
+        assert _ulps(solve_tauC(0.5).im, refs["half"]) <= 2
+        bstar = appendix_bstar()
+        assert _ulps(bstar, refs["half"]) <= 150
+        assert abs(bstar - solve_tauC(0.5).im) <= 152 * math.ulp(bstar)
 
 
 class TestTrace:
@@ -401,9 +474,13 @@ class TestCriticalPoints:
 
     def test_raw_residual_of_the_benchmark_check(self):
         # perfbench's continuation workload fails an op when a point of
-        # critical_points_E2(16) has raw |E2'| >= 1e-8; the largest is
-        # 2.7e-9, at the tile (3,1;14,5), so a change to the root's last
-        # bits (such as stopping Newton one step early) can cross it
+        # critical_points_E2(16) has raw |E2'| >= 1e-8 as the library reads
+        # it.  The check passes only through evaluation error: at the tile
+        # (7,3;16,7) the true |E2'| at tau* is 1.11e-8 (50-digit mpmath
+        # through the exact pull-back of the float), which the library
+        # reads as 1.08e-9; at the cold-solve float of that tile it reads
+        # 3.39e-8 for a true 1.02e-8.  So any change to the root's last bits
+        # (cold solves, or stopping Newton one step early) can cross it
         pts = critical_points_E2(16)
         assert len(pts) == 32
         for p in pts:

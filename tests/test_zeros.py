@@ -519,31 +519,33 @@ class TestSolveTauC:
         assert float_bits(solve_tauC(C, hint=hint).z) == float_bits(solve_tauC(C).z)
 
     def test_zero_branch_anchor_once_per_policy(self):
-        # 0.3, 0.6 and 0.45 use the nodes k = 2, 5 and the anchor k = 4,
-        # which both other nodes are continued from: three builds in all
+        # 0.3, 0.6 and 0.45 lie between the nodes C = k/32 with k = 9, 10;
+        # 19, 20 and 14, 15, each continued from the anchor k = 16: seven
+        # builds in all
         pp = PrecisionPolicy(eps=1e-11)
         misses = _ladder_node.cache_info().misses
         for _ in range(2):
             for C in (0.3, 0.6, 0.45):
                 t = solve_tauC(C, pp)
                 assert abs(eval_fC(C, t, pp)) < 1e-9
-        assert _ladder_node.cache_info().misses == misses + 3
+        assert _ladder_node.cache_info().misses == misses + 7
 
     def test_outer_anchors_once_per_policy(self):
-        # -0.3, -0.5, -0.7 use the minus nodes k = -2, -4, -6 and 1.4, 1.2
-        # the plus nodes k = 11, 10, each continued from its anchor k = -8
-        # or 16: seven builds, each once
+        # on the ladder C = k/32, -0.3 and -0.7 lie between the minus nodes
+        # k = -10, -9 and -23, -22 and -0.5 is the node k = -16; 1.4 and 1.2
+        # lie between the plus nodes k = 44, 45 and 38, 39.  Each node is
+        # continued from its anchor k = -32 or 64: eleven builds, each once
         pp = PrecisionPolicy(eps=3e-12)
         misses = _ladder_node.cache_info().misses
         for _ in range(2):
             for C in (-0.3, 1.4, -0.5, 1.2, -0.7):
                 t = solve_tauC(C, pp)
                 assert abs(eval_fC(C, t, pp)) < 1e-9
-        assert _ladder_node.cache_info().misses == misses + 7
+        assert _ladder_node.cache_info().misses == misses + 11
 
     def test_warm_solve_work_bound(self, monkeypatch):
-        # C = 1.55 continues from the ladder node C = 1.5; once that is
-        # cached, one predictor step remains
+        # C = 1.55 lies between the ladder nodes C = 49/32 and 50/32; once
+        # they are cached, Newton from their Hermite interpolant remains
         solve_tauC(1.55)
         calls = []
         fc_parts = zeros._fc_parts
@@ -591,8 +593,8 @@ class TestSolveTauC:
                 call()
 
 
-LADDER = [k for k in range(-8, 17) if k not in (0, 8)]
-ANCHOR = {"minus": -8, "zero": 4, "plus": 16}
+LADDER = [k for k in range(-32, 65) if k not in (0, 32)]   # nodes C = k/32
+ANCHOR = {"minus": -32, "zero": 16, "plus": 64}
 
 
 def _ladder_Cs(n, seed):
@@ -617,26 +619,29 @@ class TestAnchorLadder:
         assert forward == backward[::-1]
 
     def test_nodes_are_continued_from_their_anchor(self):
-        # bit for bit: C = -1/2 (k = -4) starts the hint chain of
+        # bit for bit: C = -1/2 (k = -16) starts the hint chain of
         # critical_points_E2, whose points must not move by an ulp
         for k in LADDER:
-            C = k / 8
+            C = k / 32
             a = ANCHOR[zeros.branch_of(C)]
             anchor = _ladder_node(a, DEFAULT)
             if k == a:
                 expect = anchor[0]
             elif -0.8 < C < 1.8:
-                expect = _continue_to(a / 8, anchor, C, DEFAULT)[0]
+                expect = _continue_to(a / 32, anchor, C, DEFAULT)[0]
             else:
-                # C = -7/8 and 15/8 are solved from the asymptotic seed
+                # the nodes in (-1, -0.8] and [1.8, 2) are solved from the
+                # asymptotic seed
                 expect = _newton_fc(C, _asymptotic_seed(C), DEFAULT)[0]
             assert solve_tauC(C).z == expect, k
             if k != a:
-                assert _ladder_node(k, DEFAULT)[0] == _continue_to(a / 8, anchor, C, DEFAULT)[0]
+                assert _ladder_node(k, DEFAULT)[0] == _continue_to(a / 32, anchor, C, DEFAULT)[0]
 
     def test_cold_solve_work_bound(self, monkeypatch):
-        # one predictor step from the nearest node: at most 5 f_C
-        # evaluations here, against up to 34 from the three anchors alone
+        # Newton from the Hermite interpolant through the two bracketing
+        # nodes: at most 3 f_C evaluations here and at most 2.5 on average,
+        # against up to 5 (mean 3.5) by one predictor step from the nearest
+        # node C = k/8, and up to 34 from the three anchors alone
         Cs = _ladder_Cs(300, 43)
         for C in Cs:
             solve_tauC(C)
@@ -644,10 +649,28 @@ class TestAnchorLadder:
         fc_parts = zeros._fc_parts
         monkeypatch.setattr(zeros, "_fc_parts",
                             lambda *args: calls.append(args) or fc_parts(*args))
+        total = 0
         for C in Cs:
             calls.clear()
             solve_tauC(C)
-            assert len(calls) <= 6, C
+            assert len(calls) <= 3, C
+            total += len(calls)
+        assert total <= 2.5 * len(Cs)
+
+    def test_interpolated_root_matches_the_continued_root(self):
+        # the root from the Hermite interpolant against the root continued
+        # in C from the nearest node C = j/8, which cold solves returned
+        # before the ladder was refined to 1/32.  Both are Newton's, stopped
+        # after a step below 1e-13 |tau|, so they differ by rounding only;
+        # the bound is about 20 ulps
+        ranges = {"minus": (-8, -1), "zero": (1, 7), "plus": (9, 16)}
+        for C in _ladder_Cs(200, 47):
+            lo, hi = ranges[zeros.branch_of(C)]
+            j = round(min(hi, max(lo, 8 * C)))
+            continued = _continue_to(j / 8, _ladder_node(4 * j, DEFAULT), C, DEFAULT)[0]
+            interpolated = zeros._between_nodes(C, DEFAULT)[0]
+            assert solve_tauC(C).z == interpolated
+            assert abs(interpolated - continued) <= 4e-15 * abs(continued), C
 
     def test_nodes_built_once_per_policy(self):
         pp = PrecisionPolicy(eps=2e-12)
@@ -663,9 +686,10 @@ class TestAnchorLadder:
         assert _ladder_node.cache_info().misses == misses + len(LADDER)
 
     def test_nearest_node(self):
-        assert [zeros._nearest_node(C) for C in (-5.0, -0.9, -0.5, -0.01)] == [-8, -7, -4, -1]
-        assert [zeros._nearest_node(C) for C in (0.01, 0.3, 0.99)] == [1, 2, 7]
-        assert [zeros._nearest_node(C) for C in (1.01, 1.3, 1.97, 9.0)] == [9, 10, 16, 16]
+        # k of the node C = k/32, clamped to the branch's range
+        assert [zeros._nearest_node(C) for C in (-5.0, -0.9, -0.5, -0.01)] == [-32, -29, -16, -1]
+        assert [zeros._nearest_node(C) for C in (0.01, 0.3, 0.99)] == [1, 10, 31]
+        assert [zeros._nearest_node(C) for C in (1.01, 1.3, 1.97, 9.0)] == [33, 42, 63, 64]
 
 
 class TestBoundaryExclusion:
