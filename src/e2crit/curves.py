@@ -13,20 +13,7 @@ from .errors import ConsistencyFailure, ExcludedPoint, RootBracketFailure
 from .moebius import MoebiusMap, enumerate_gamma02, reduce_to_F0
 from .premodular import find_zero_in_F0
 from .qseries import PI, _eta1_g2, eval_derivatives
-from .zeros import (
-    CONTINUATION_STEP,
-    BranchState,
-    _accepted,
-    _branch_root,
-    _continue_to,
-    _fc_parts,
-    _newton_fc,
-    _phi,
-    _sqrt_walk,
-    branch_of,
-    eval_fC,
-    solve_tauC,
-)
+from .zeros import BranchState, _branch_root, _phi, _solve, _sqrt_walk, branch_of, eval_fC, solve_tauC
 
 RHO = complex(0.5, math.sqrt(3) / 2)
 SQRT3_2 = math.sqrt(3) / 2
@@ -40,7 +27,7 @@ _BRANCH_RANGE = {
 
 @dataclass(frozen=True)
 class CurveSample:
-    """One continuation point (C, tau(C)) with its branch and |f_C| residual."""
+    """One curve sample (C, tau(C)) with its branch and |f_C| residual."""
 
     C: float
     tau: TauPoint
@@ -188,25 +175,13 @@ def detect_phi_sign(tau, pp: PrecisionPolicy = DEFAULT) -> int:
 def trace_curve(branch: str, c_lo: float, c_hi: float, steps: int,
                 pp: PrecisionPolicy = DEFAULT) -> list[CurveSample]:
     """Sample tau(C) on an arctan-uniform grid of `steps` points in
-    [c_lo, c_hi] by continuation, ascending in C.
+    [c_lo, c_hi], ascending in C.
 
-    The first sample is a cold solve, and the second is continued from it
-    by _continue_to: a tangent step in C, from the Jacobian at the first
-    sample, in a single step when the samples lie closer than one
-    continuation step (there is no minimum count).  From the third sample
-    on, Newton starts from the cubic Hermite extrapolation, in s = arctan C,
-    through the last two samples and their slopes
-
-        dtau/ds = -(df_C/dC / df_C/dtau) (1 + C^2),
-
-    taken from the Jacobian of Newton's last iterate at each, so the guess
-    costs no series evaluation.  With the grid step h in s, the guess is
-    5 tau(i-2) + 2 h tau'(i-2) - 4 tau(i-1) + 4 h tau'(i-1), off the root
-    by O(h^4) where the tangent guess is off by O(h^2).  Its root is taken
-    under _continue_to's guards (_accepted) when the guess lies in the
-    upper half-plane and h is below CONTINUATION_STEP, where _continue_to
-    would also take a single step; otherwise the sample is continued by
-    _continue_to.  Every accepted root lies inside F0.
+    Each sample is a cold solve: its tau is solve_tauC's at its C, bit for
+    bit, and its residual the |f_C| that solve_tauC's residual test reads,
+    so a sample costs no series evaluation beyond the solve.  The paper's
+    theorem makes the zero in F0 unique, so the samples stay on the branch
+    without continuation from one to the next; every one lies inside F0.
     """
     if branch not in _BRANCH_RANGE:
         raise ValueError(f"unknown branch {branch!r}")
@@ -223,32 +198,10 @@ def trace_curve(branch: str, c_lo: float, c_hi: float, steps: int,
     a0, a1 = math.atan(c_lo), math.atan(c_hi)
     grid = [math.tan(a0 + (a1 - a0) * i / (steps - 1)) for i in range(steps)]
     grid[0], grid[-1] = c_lo, c_hi
-    h = (a1 - a0) / (steps - 1)
-    hermite = h < CONTINUATION_STEP
-
-    t = solve_tauC(grid[0], pp).z
-    f, fp, fC_d = _fc_parts(grid[0], t, pp)
-    samples = [CurveSample(grid[0], TauPoint.from_complex(t), branch, abs(f))]
-    root = (t, fp, fC_d)
-    # (tau, h dtau/ds) at the sample before the last, once there is one
-    before = None
-    for C_prev, C in zip(grid, grid[1:]):
-        t, fp, fC_d = root
-        step = None
-        if hermite and fp != 0:
-            slope = -(fC_d / fp) * (1 + C_prev * C_prev) * h
-            if before is not None:
-                guess = 5 * before[0] + 2 * before[1] - 4 * t + 4 * slope
-                if guess.imag > 0:
-                    step = _newton_fc(C, guess, pp)
-                    if not _accepted(step, t):
-                        step = None
-            before = (t, slope)
-        else:
-            before = None
-        root = step if step is not None else _continue_to(C_prev, root, C, pp)
-        samples.append(CurveSample(C, TauPoint.from_complex(root[0]), branch,
-                                   abs(eval_fC(C, root[0], pp))))
+    samples = []
+    for C in grid:
+        t, f = _solve(C, pp)
+        samples.append(CurveSample(C, TauPoint.from_complex(t), branch, abs(f)))
     _check_no_self_intersection(samples)
     return samples
 

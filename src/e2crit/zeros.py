@@ -617,34 +617,58 @@ def _ladder_node(k: int, pp: PrecisionPolicy) -> tuple:
     return root
 
 
-def _between_nodes(C: float, pp: PrecisionPolicy) -> tuple | None:
-    """_newton_fc's root triple at C from the cubic Hermite interpolant in C
-    through the two ladder nodes that bracket C, with the slopes
+def _interpolated(x: float, pp: PrecisionPolicy) -> complex:
+    """The cubic Hermite interpolant in C, at C = x/_LADDER_DEN, through
+    the ladder nodes k = floor(x) and k + 1, with the slopes
     dtau/dC = -(df_C/dC)/(df_C/dtau) of the nodes' stored Jacobians: no
-    series evaluation beyond Newton's.  None when C is not strictly between
-    two nodes of its branch (within one node of C = 0 or 1, or outside
-    (-1, 2)), or when _accepted refuses the root."""
-    lo, hi = _LADDER_RANGE[branch_of(C)]
-    x = _LADDER_DEN * C
-    # range-checked before the floor, which raises OverflowError on inf
-    if not lo < x < hi:
-        return None
+    series evaluation once the two nodes are built."""
     k = math.floor(x)
-    if k == x:   # C is a node, which solve_tauC returns as built
-        return None
     t0, fp0, fc0 = _ladder_node(k, pp)
     t1, fp1, fc1 = _ladder_node(k + 1, pp)
     u = x - k
-    guess = ((1 + 2 * u) * (1 - u) ** 2 * t0 + u * u * (3 - 2 * u) * t1
-             - u * (1 - u) * ((1 - u) * fc0 / fp0 - u * fc1 / fp1) / _LADDER_DEN)
+    return ((1 + 2 * u) * (1 - u) ** 2 * t0 + u * u * (3 - 2 * u) * t1
+            - u * (1 - u) * ((1 - u) * fc0 / fp0 - u * fc1 / fp1) / _LADDER_DEN)
+
+
+def _between_nodes(C: float, pp: PrecisionPolicy) -> tuple | None:
+    """_newton_fc's root triple at C, from the ladder without continuation.
+
+    Strictly between two nodes of C's branch, Newton starts from their
+    cubic Hermite interpolant (_interpolated).  Outside [-1, 2], where C's
+    own ladder stops, it starts from the zero branch's interpolant g at the
+    folded parameter, carried back by tau(1/(1 - C)) = 1/(1 - tau(C)):
+    1 - 1/g with g at 1/(1 - C) for C < -1, and 1/(1 - g) with g at
+    (C - 1)/C for C > 2.  The fold applies while the folded parameter lies
+    strictly inside the zero ladder's nodes 1/32 and 31/32, so for about
+    -31 < C < 32.  None at a node of C's branch (-1 and 2 included), within
+    one node of C = 0 or 1, beyond the fold's reach, or when _accepted
+    refuses the root."""
+    lo, hi = _LADDER_RANGE[branch_of(C)]
+    x = _LADDER_DEN * C
+    # range-checked before the floor, which raises OverflowError on inf
+    if lo < x < hi:
+        if x == math.floor(x):   # a node, which solve_tauC serves without interpolating
+            return None
+        guess = _interpolated(x, pp)
+    elif C < -1 or C > 2:
+        lo, hi = _LADDER_RANGE["zero"]
+        x = _LADDER_DEN * (1 / (1 - C) if C < 0 else (C - 1) / C)
+        # (C - 1)/C rounds to 1 for huge C, outside the zero branch
+        if not lo < x < hi:
+            return None
+        g = _interpolated(x, pp)
+        guess = 1 - 1 / g if C < 0 else 1 / (1 - g)
+    else:
+        return None
     step = _newton_fc(C, guess, pp)
     return step if _accepted(step, guess) else None
 
 
 def _accepted(step: tuple | None, t: complex) -> bool:
-    """Whether _newton_fc's result step may continue the root t: Newton
-    converged, and its root lies within MAX_JUMP of t and not outside F0,
-    where it would be another tile's zero."""
+    """Whether _newton_fc's result step may stand for the root near t, a
+    guess or the last root of a continuation: Newton converged, and its
+    root lies within MAX_JUMP of t and not outside F0, where it would be
+    another tile's zero."""
     return (step is not None and abs(step[0] - t) <= MAX_JUMP
             and classify_domain(step[0]) is not DomainTag.OUTSIDE)
 
@@ -686,41 +710,22 @@ def _continue_to(C_from: float, root: tuple, C_to: float, pp: PrecisionPolicy) -
     return t, fp, fC_d
 
 
-def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
-               verify: bool = False, t_top: float = 6.0,
-               cusp_delta: float = 0.08) -> TauPoint:
-    """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
-
-    Seeding: Newton from an explicit hint, else from the large-|C|
-    asymptotic inversion (C <= -0.8 or C >= 1.8), else from the branch's
-    ladder of nodes C = k/32 (k = -32..-1, 1..31 or 33..64, each node built
-    once per policy on first use, see _ladder_node).  At a node the node's
-    root is returned as built.  Strictly between two nodes, Newton starts
-    from the cubic Hermite interpolant through them (_between_nodes), about
-    two f_C evaluations.  Where no two nodes bracket C (within 1/32 of C = 0
-    or 1, or outside (-1, 2)), or where that root is refused, the root is
-    continued in C from the nearest node.  No cold solve depends on the
-    calls made before it.  A seed whose Newton fails, or whose root lands
-    outside F0 (another tile's zero), counts as no seed, so a hint that
-    leads there gives the cold solve's root.  With verify=True the result
-    is certified by an argument-principle count over the truncated F0.
-    """
-    C = as_real(C, "C")
-    if C in (0.0, 1.0):
-        raise ValueError("f_C has no zero in F0 for C in {0, 1}")
+def _solve(C: float, pp: PrecisionPolicy, hint: complex | None = None) -> tuple[complex, complex]:
+    """(tau(C), f_C(tau(C))) for a finite C not 0 or 1: solve_tauC's root
+    and the residual value its test reads, which trace_curve reports."""
     root = None
     if hint is not None:
-        root = _newton_fc(C, as_tau(hint), pp)
+        root = _newton_fc(C, hint, pp)
         if root is not None and classify_domain(root[0]) is DomainTag.OUTSIDE:
             root = None
+    if root is None:
+        root = _between_nodes(C, pp)
     if root is None:
         seed = _asymptotic_seed(C) if (C <= -0.8 or C >= 1.8) else None
         if seed is not None:
             root = _newton_fc(C, seed, pp)
             if root is not None and classify_domain(root[0]) is DomainTag.OUTSIDE:
                 root = None
-    if root is None:
-        root = _between_nodes(C, pp)
     if root is None:
         k = _nearest_node(C)
         node = _ladder_node(k, pp)
@@ -732,6 +737,37 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
     tag = classify_domain(t, tol=1e-9)
     if tag is not DomainTag.F0_INTERIOR:
         raise DomainEscape(f"tau({C}) = {t} is not interior to F0 ({tag.value})")
+    return t, f
+
+
+def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
+               verify: bool = False, t_top: float = 6.0,
+               cusp_delta: float = 0.08) -> TauPoint:
+    """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
+
+    Seeding: Newton from an explicit hint, else from the branch's ladder of
+    nodes C = k/32 (k = -32..-1, 1..31 or 33..64, each node built once per
+    policy on first use, see _ladder_node).  Strictly between two nodes,
+    Newton starts from the cubic Hermite interpolant through them, about
+    two f_C evaluations; outside [-1, 2], for about -31 < C < 32, from the
+    zero branch's interpolant folded by tau(1/(1 - C)) = 1/(1 - tau(C))
+    (_between_nodes).  Elsewhere Newton starts from the large-|C|
+    asymptotic inversion when C <= -0.8 or C >= 1.8: beyond the fold's
+    reach, and at the nodes in [-1, -0.8] and [1.8, 2] (at the outer
+    anchors C = -1 and 2 this is how the node is built).  At any other
+    node the node's root is returned as built; within 1/32 of C = 0 or 1,
+    or where every seed before failed, the root is continued in C from the
+    nearest node.  No
+    cold solve depends on the calls made before it.  A seed whose Newton
+    fails, or whose root lands outside F0 (another tile's zero), counts as
+    no seed, so a hint that leads there gives the cold solve's root.  With
+    verify=True the result is certified by an argument-principle count
+    over the truncated F0.
+    """
+    C = as_real(C, "C")
+    if C in (0.0, 1.0):
+        raise ValueError("f_C has no zero in F0 for C in {0, 1}")
+    t = _solve(C, pp, None if hint is None else as_tau(hint))[0]
     if verify:
         n = count_zeros(lambda z: _fc_parts(C, z, pp)[:2], f0_contour(t_top, cusp_delta))
         if n != 1:

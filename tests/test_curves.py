@@ -18,6 +18,7 @@ from e2crit import (
     critical_points_E2,
     detect_phi_sign,
     eval_derivatives,
+    eval_fC,
     eval_phi,
     hessian_detG2,
     solve_tauC,
@@ -213,75 +214,79 @@ class TestTrace:
         return out
 
     def test_samples_equal_cold_solves(self):
+        # each sample is a cold solve, bit for bit, with the residual the
+        # solve's test reads
         for branch, lo, hi, steps in self.segments():
             for s in trace_curve(branch, lo, hi, steps):
-                cold = solve_tauC(s.C).z
-                assert abs(s.tau.z - cold) <= 1e-12 * abs(cold), (branch, s.C)
+                assert s.tau.z == solve_tauC(s.C).z, (branch, s.C)
+                assert s.residual == abs(eval_fC(s.C, s.tau))
                 assert classify_domain(s.tau, tol=1e-9) is DomainTag.F0_INTERIOR
 
+    def test_self_intersection_checked(self, monkeypatch):
+        # the samples no longer continue each other, and the check still runs
+        seen = []
+        monkeypatch.setattr(curves, "_check_no_self_intersection", seen.append)
+        samples = trace_curve("plus", 1.2, 6.0, 9)
+        assert seen == [samples]
+
     def test_work_bound(self, monkeypatch):
-        # one predictor step between neighbouring samples, its Jacobian
-        # carried from Newton's last iterate, and from the third sample on
-        # Newton from the cubic Hermite guess through the last two samples:
-        # the three traces, once the ladder nodes are built, make 101 f_C
-        # evaluations (116 with the tangent guess alone, 158 on the zero
-        # branch alone with four forced sub-steps a sample)
+        # every sample a cold solve: Newton from the ladder's Hermite
+        # interpolant, folded outside [-1, 2], and the residual the solve
+        # reads from one (eta1, g2) evaluation.  Once the ladder nodes are
+        # built, the three traces make 57 f_C evaluations and 27 (eta1, g2)
+        # ones (99 f_C evaluations by continuation from sample to sample)
         segments = [("minus", -3.0, -0.5), ("zero", 0.1, 0.9), ("plus", 1.2, 6.0)]
         for branch, lo, hi in segments:
             trace_curve(branch, lo, hi, 9)
-        calls = []
-        fc_parts = zeros._fc_parts
-
-        def counted(*args):
-            calls.append(args)
-            return fc_parts(*args)
-
-        monkeypatch.setattr(zeros, "_fc_parts", counted)
-        monkeypatch.setattr(curves, "_fc_parts", counted)
+        fc_calls, eta1_g2_calls = [], []
+        fc_parts, eta1_g2 = zeros._fc_parts, zeros._eta1_g2
+        monkeypatch.setattr(zeros, "_fc_parts",
+                            lambda *args: fc_calls.append(args) or fc_parts(*args))
+        monkeypatch.setattr(zeros, "_eta1_g2",
+                            lambda *args: eta1_g2_calls.append(args) or eta1_g2(*args))
         for branch, lo, hi in segments:
             trace_curve(branch, lo, hi, 9)
-        assert len(calls) <= 105
+        assert len(fc_calls) <= 57
+        assert len(eta1_g2_calls) == 27
 
-    def test_samples_equal_cold_solves_without_hermite(self, monkeypatch):
-        # with every Hermite Newton failing, each sample is continued by
-        # _continue_to, as the fallback does
-        continued = []
-        continue_to = curves._continue_to
-        monkeypatch.setattr(curves, "_newton_fc", lambda *args: None)
-        monkeypatch.setattr(curves, "_continue_to",
-                            lambda *args: continued.append(args) or continue_to(*args))
-        for branch, lo, hi, steps in self.segments():
-            continued.clear()
-            samples = trace_curve(branch, lo, hi, steps)
-            assert len(continued) == steps - 1
-            for s in samples:
-                cold = solve_tauC(s.C).z
-                assert abs(s.tau.z - cold) <= 1e-12 * abs(cold), (branch, s.C)
-                assert classify_domain(s.tau, tol=1e-9) is DomainTag.F0_INTERIOR
+    def test_samples_from_the_fold(self):
+        # outside [-1, 2] and within the fold's reach a sample is Newton's
+        # root from the zero branch's interpolant carried back by
+        # tau(1/(1 - C)) = 1/(1 - tau(C)); beyond it, no fold is offered
+        for branch, lo, hi in (("minus", -25.0, -1.2), ("plus", 2.2, 28.0)):
+            for s in trace_curve(branch, lo, hi, 9):
+                assert s.tau.z == zeros._between_nodes(s.C, DEFAULT)[0], s.C
+        for C in (-31.5, -40.0, 32.5, 40.0, 1e300, -1e300):
+            assert zeros._between_nodes(C, DEFAULT) is None, C
 
-    def test_hermite_rejects_a_root_outside_F0(self, monkeypatch):
-        # the first Hermite root offered is its mirror image -conj(tau)
-        # across Re = 0, outside F0 and within the jump limit of the last
-        # sample: the sample must be continued by _continue_to instead
-        newton = curves._newton_fc
-        offered = []
+    def test_fold_rejects_a_root_outside_F0(self, monkeypatch):
+        # the folded Newton root is offered as its mirror image across the
+        # nearer edge Re = 0 or Re = 1, outside F0.  With the jump limit
+        # lifted the domain guard alone must refuse it, and the solve falls
+        # back to the asymptotic seed, whose root is the same to rounding
+        # (Newton's, stopped after a step below 1e-13 |tau|: a few ulps)
+        newton = zeros._newton_fc
+        monkeypatch.setattr(zeros, "MAX_JUMP", math.inf)
+        for C in (-20.0, -1.5, 2.5, 30.0):
+            cold = solve_tauC(C).z   # builds the nodes the fold reads
+            offered = []
 
-        def newton_once_outside(C, t, pp):
-            got = newton(C, t, pp)
-            if not offered and got is not None:
-                offered.append(got[0])
-                return (-got[0].conjugate(), *got[1:])
-            return got
+            def newton_once_outside(C, t, pp):
+                got = newton(C, t, pp)
+                if not offered:
+                    offered.append(got[0])
+                    edge = 0.0 if got[0].real < 0.5 else 1.0
+                    return (2 * edge - got[0].conjugate(), *got[1:])
+                return got
 
-        monkeypatch.setattr(curves, "_newton_fc", newton_once_outside)
-        samples = trace_curve("zero", 0.001, 0.004, 5)
-        mirror = -offered[0].conjugate()
-        assert classify_domain(offered[0]) is DomainTag.F0_INTERIOR
-        assert classify_domain(mirror) is DomainTag.OUTSIDE
-        assert abs(mirror - samples[1].tau.z) <= zeros.MAX_JUMP
-        for s in samples:
-            assert classify_domain(s.tau, tol=1e-9) is DomainTag.F0_INTERIOR
-            assert abs(s.tau.z - solve_tauC(s.C).z) <= 1e-12 * abs(s.tau.z)
+            monkeypatch.setattr(zeros, "_newton_fc", newton_once_outside)
+            t = solve_tauC(C).z
+            monkeypatch.setattr(zeros, "_newton_fc", newton)
+            assert offered == [cold], C
+            edge = 0.0 if cold.real < 0.5 else 1.0
+            assert classify_domain(2 * edge - cold.conjugate()) is DomainTag.OUTSIDE
+            assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
+            assert abs(t - cold) <= 4e-15 * abs(cold), C
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
@@ -540,6 +545,21 @@ class TestSymmetries:
         t2 = solve_tauC(1 / 0.6)
         assert branch_of(1 / 0.6) == "plus"
         assert abs(t2.z - 1 / (1 - t.z)) < 1e-9
+
+    def test_inversion_and_mirror_on_cold_solves(self):
+        # |C| log-uniform in [1e-2, 30], both signs: the inversion
+        # tau(1/(1 - C)) = 1/(1 - tau(C)), which folds the outer branches
+        # onto the middle one, and the mirror tau(1 - C) = 1 - conj tau(C),
+        # each side a cold solve, to ROUNDINGS units of 2^-52 relative
+        # (6.5 at most measured, at C = 0.0112, where tau(C) nears the cusp)
+        ROUNDINGS = 16
+        rng = random.Random(61)
+        for _ in range(40):
+            C = rng.choice((-1, 1)) * 10 ** rng.uniform(-2, math.log10(30))
+            t = solve_tauC(C).z
+            inv, mir = 1 / (1 - t), 1 - t.conjugate()
+            assert abs(solve_tauC(1 / (1 - C)).z - inv) <= ROUNDINGS * 2**-52 * abs(inv), C
+            assert abs(solve_tauC(1 - C).z - mir) <= ROUNDINGS * 2**-52 * abs(mir), C
 
 
 class TestCurveMembership:
