@@ -39,6 +39,8 @@ class Contour:
     max_step: float = PI / 2
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, self.points)):
+            raise ValueError("contour vertices must be finite")
         if len(self.points) < 4 or self.points[0] != self.points[-1]:
             raise ValueError("contour must be a closed polyline")
         if any(p.imag <= 0 for p in self.points):
@@ -59,11 +61,13 @@ class Contour:
 
 
 def rect_contour(re0: float, re1: float, im0: float, im1: float, n: int = 24) -> Contour:
-    """Counterclockwise rectangle boundary."""
+    """Counterclockwise rectangle boundary, n points per side."""
     re0, re1 = as_real(re0, "re0"), as_real(re1, "re1")
     im0, im1 = as_real(im0, "im0"), as_real(im1, "im1")
     if not (re0 < re1 and 0 < im0 < im1):
         raise ValueError("degenerate rectangle")
+    if n < 1:
+        raise ValueError(f"n must be a positive number of points per side, got {n}")
     pts = []
     for i in range(n):
         pts.append(complex(re0 + (re1 - re0) * i / n, im0))
@@ -560,6 +564,12 @@ _LADDER_DEN = 32
 _LADDER_ANCHOR = {"minus": -_LADDER_DEN, "zero": _LADDER_DEN // 2, "plus": 2 * _LADDER_DEN}
 _LADDER_RANGE = {"minus": (-_LADDER_DEN, -1), "zero": (1, _LADDER_DEN - 1),
                  "plus": (_LADDER_DEN + 1, 2 * _LADDER_DEN)}
+# the table of tau(C): on each interval, the Chebyshev interpolant at this
+# many first-kind points
+_TABLE_POINTS = 16
+# its intervals: where the distance of C from C = 0 or 1 lies in
+# [2^(e-1), 2^e], for e in this range on each branch (e_lo, e_hi inclusive)
+_TABLE_EXPONENTS = {"minus": (-4, 5), "zero": (-4, -1), "plus": (-4, 5)}
 
 
 def branch_of(C: float) -> str:
@@ -584,7 +594,10 @@ def _nearest_node(C: float) -> int:
 def _ladder_node(k: int, pp: PrecisionPolicy) -> tuple:
     """_newton_fc's root triple at the ladder node C = k/_LADDER_DEN (k in
     -32..64 with k not 0 or 32); a constant of the policy, so built once for
-    each, on first use.
+    each, on first use.  A cold solve at a node returns this triple's root
+    as built; a node also starts the continuation of a cold solve within
+    1/32 of C = 0 or 1, and of the first point of a table interval inside
+    (-0.8, 1.8) (_cold_root).
 
     The branch anchors are the nodes at C = -1, 1/2 and 2: the outer two are
     seeded from the asymptotic expansion, C = 1/2 from a coarse scan of
@@ -615,53 +628,6 @@ def _ladder_node(k: int, pp: PrecisionPolicy) -> tuple:
     if root is None:
         raise Diverged("line-scan seed for C = 1/2 did not converge")
     return root
-
-
-def _interpolated(x: float, pp: PrecisionPolicy) -> complex:
-    """The cubic Hermite interpolant in C, at C = x/_LADDER_DEN, through
-    the ladder nodes k = floor(x) and k + 1, with the slopes
-    dtau/dC = -(df_C/dC)/(df_C/dtau) of the nodes' stored Jacobians: no
-    series evaluation once the two nodes are built."""
-    k = math.floor(x)
-    t0, fp0, fc0 = _ladder_node(k, pp)
-    t1, fp1, fc1 = _ladder_node(k + 1, pp)
-    u = x - k
-    return ((1 + 2 * u) * (1 - u) ** 2 * t0 + u * u * (3 - 2 * u) * t1
-            - u * (1 - u) * ((1 - u) * fc0 / fp0 - u * fc1 / fp1) / _LADDER_DEN)
-
-
-def _between_nodes(C: float, pp: PrecisionPolicy) -> tuple | None:
-    """_newton_fc's root triple at C, from the ladder without continuation.
-
-    Strictly between two nodes of C's branch, Newton starts from their
-    cubic Hermite interpolant (_interpolated).  Outside [-1, 2], where C's
-    own ladder stops, it starts from the zero branch's interpolant g at the
-    folded parameter, carried back by tau(1/(1 - C)) = 1/(1 - tau(C)):
-    1 - 1/g with g at 1/(1 - C) for C < -1, and 1/(1 - g) with g at
-    (C - 1)/C for C > 2.  The fold applies while the folded parameter lies
-    strictly inside the zero ladder's nodes 1/32 and 31/32, so for about
-    -31 < C < 32.  None at a node of C's branch (-1 and 2 included), within
-    one node of C = 0 or 1, beyond the fold's reach, or when _accepted
-    refuses the root."""
-    lo, hi = _LADDER_RANGE[branch_of(C)]
-    x = _LADDER_DEN * C
-    # range-checked before the floor, which raises OverflowError on inf
-    if lo < x < hi:
-        if x == math.floor(x):   # a node, which solve_tauC serves without interpolating
-            return None
-        guess = _interpolated(x, pp)
-    elif C < -1 or C > 2:
-        lo, hi = _LADDER_RANGE["zero"]
-        x = _LADDER_DEN * (1 / (1 - C) if C < 0 else (C - 1) / C)
-        # (C - 1)/C rounds to 1 for huge C, outside the zero branch
-        if not lo < x < hi:
-            return None
-        g = _interpolated(x, pp)
-        guess = 1 - 1 / g if C < 0 else 1 / (1 - g)
-    else:
-        return None
-    step = _newton_fc(C, guess, pp)
-    return step if _accepted(step, guess) else None
 
 
 def _accepted(step: tuple | None, t: complex) -> bool:
@@ -710,26 +676,106 @@ def _continue_to(C_from: float, root: tuple, C_to: float, pp: PrecisionPolicy) -
     return t, fp, fC_d
 
 
+def _table_interval(C: float) -> tuple[float, float] | None:
+    """The ends (lo, hi) of the table interval holding C, or None outside
+    the table.  On C's branch the distance m of C from C = 0 or 1 (the
+    nearer one on the zero branch) lies in [2^(e-1), 2^e] for one e of
+    _TABLE_EXPONENTS[branch]; where m is a power of two, the interval above
+    it is taken, except at the table's top end."""
+    branch = branch_of(C)
+    m = -C if branch == "minus" else C - 1 if branch == "plus" else min(C, 1 - C)
+    e_lo, e_hi = _TABLE_EXPONENTS[branch]
+    if not 2.0 ** (e_lo - 1) <= m <= 2.0 ** e_hi:
+        return None
+    e = min(math.frexp(m)[1], e_hi)
+    a, b = 2.0 ** (e - 1), 2.0 ** e
+    if branch == "minus":
+        return -b, -a
+    if branch == "plus":
+        return 1 + a, 1 + b
+    return (a, b) if C <= 0.5 else (1 - b, 1 - a)
+
+
+@lru_cache(maxsize=256)   # room for the 28 intervals of five policies
+def _tau_table(lo: float, hi: float, pp: PrecisionPolicy) -> tuple:
+    """The Chebyshev coefficients of tau(C) on [lo, hi], interpolated at
+    _TABLE_POINTS first-kind points; a constant of the policy, so built once
+    for each interval, on first use.
+
+    The first point, nearest hi, is a cold solve without the table
+    (_cold_root), and each other point is continued from the one before it
+    (_continue_to, one predictor step between neighbouring points), so the
+    table does not depend on which solves came before.  tau(C) is analytic
+    off C = 0, 1 and infinity, and each interval lies at least its own
+    length from them, so the interpolant converges geometrically: 16 points
+    hold tau(C) to about 1e-14 relative, and Newton's first step from it
+    already passes _newton_fc's stopping test."""
+    n = _TABLE_POINTS
+    angles = [PI * (j + 0.5) / n for j in range(n)]
+    Cs = [0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(a) for a in angles]
+    root = _cold_root(Cs[0], pp)
+    taus = [root[0]]
+    for C_prev, C in zip(Cs, Cs[1:]):
+        root = _continue_to(C_prev, root, C, pp)
+        taus.append(root[0])
+    coeffs = [2 / n * sum(t * math.cos(k * a) for t, a in zip(taus, angles)) for k in range(n)]
+    coeffs[0] /= 2
+    return tuple(coeffs)
+
+
+def _table_guess(C: float, pp: PrecisionPolicy) -> complex | None:
+    """The table's value of tau(C), the Clenshaw sum of the coefficients of
+    C's interval, or None outside the table."""
+    ends = _table_interval(C)
+    if ends is None:
+        return None
+    lo, hi = ends
+    coeffs = _tau_table(lo, hi, pp)
+    x2 = 2 * (2 * C - lo - hi) / (hi - lo)
+    b1 = b2 = 0j
+    for c in coeffs[:0:-1]:
+        b1, b2 = c + x2 * b1 - b2, b1
+    return coeffs[0] + 0.5 * x2 * b1 - b2
+
+
+def _cold_root(C: float, pp: PrecisionPolicy) -> tuple:
+    """_newton_fc's root triple at C without the table: Newton from the
+    asymptotic seed when C <= -0.8 or C >= 1.8 and its root is not outside
+    F0, else the continuation in C from the nearest ladder node."""
+    seed = _asymptotic_seed(C) if (C <= -0.8 or C >= 1.8) else None
+    if seed is not None:
+        root = _newton_fc(C, seed, pp)
+        if root is not None and classify_domain(root[0]) is not DomainTag.OUTSIDE:
+            return root
+    k = _nearest_node(C)
+    return _continue_to(k / _LADDER_DEN, _ladder_node(k, pp), C, pp)
+
+
 def _solve(C: float, pp: PrecisionPolicy, hint: complex | None = None) -> tuple[complex, complex]:
     """(tau(C), f_C(tau(C))) for a finite C not 0 or 1: solve_tauC's root
-    and the residual value its test reads, which trace_curve reports."""
+    and the residual value its test reads, which trace_curve reports.
+
+    The root is the first of: Newton's from the hint; at a ladder node
+    C = k/32, the node's root as built; Newton's from the table's value
+    (_table_guess), where _accepted takes it; and _cold_root's, from the
+    asymptotic seed or by continuation from the nearest node."""
     root = None
     if hint is not None:
         root = _newton_fc(C, hint, pp)
         if root is not None and classify_domain(root[0]) is DomainTag.OUTSIDE:
             root = None
     if root is None:
-        root = _between_nodes(C, pp)
+        k = _nearest_node(C)
+        if C == k / _LADDER_DEN:
+            root = _ladder_node(k, pp)
     if root is None:
-        seed = _asymptotic_seed(C) if (C <= -0.8 or C >= 1.8) else None
-        if seed is not None:
-            root = _newton_fc(C, seed, pp)
-            if root is not None and classify_domain(root[0]) is DomainTag.OUTSIDE:
+        guess = _table_guess(C, pp)
+        if guess is not None:
+            root = _newton_fc(C, guess, pp)
+            if not _accepted(root, guess):
                 root = None
     if root is None:
-        k = _nearest_node(C)
-        node = _ladder_node(k, pp)
-        root = node if C == k / _LADDER_DEN else _continue_to(k / _LADDER_DEN, node, C, pp)
+        root = _cold_root(C, pp)
     t = root[0]
     f, scale = _fc_value(C, t, pp)
     if not abs(f) <= max(ROOT_RESIDUAL, 1e-13 * scale):
@@ -746,21 +792,21 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
     """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
 
     Seeding: Newton from an explicit hint, else from the branch's ladder of
-    nodes C = k/32 (k = -32..-1, 1..31 or 33..64, each node built once per
-    policy on first use, see _ladder_node).  Strictly between two nodes,
-    Newton starts from the cubic Hermite interpolant through them, about
-    two f_C evaluations; outside [-1, 2], for about -31 < C < 32, from the
-    zero branch's interpolant folded by tau(1/(1 - C)) = 1/(1 - tau(C))
-    (_between_nodes).  Elsewhere Newton starts from the large-|C|
-    asymptotic inversion when C <= -0.8 or C >= 1.8: beyond the fold's
-    reach, and at the nodes in [-1, -0.8] and [1.8, 2] (at the outer
-    anchors C = -1 and 2 this is how the node is built).  At any other
-    node the node's root is returned as built; within 1/32 of C = 0 or 1,
-    or where every seed before failed, the root is continued in C from the
-    nearest node.  No
-    cold solve depends on the calls made before it.  A seed whose Newton
-    fails, or whose root lands outside F0 (another tile's zero), counts as
-    no seed, so a hint that leads there gives the cold solve's root.  With
+    nodes C = k/32 and its table of tau(C) (k = -32..-1, 1..31 or 33..64;
+    each node built once per policy on first use, see _ladder_node).  At a
+    node the node's root is returned as built.  Elsewhere in the table's
+    reach, where the distance of C from 0 (C < 0), from 1 (C > 1) or from
+    the nearer of them (0 < C < 1) lies in [1/32, 32] ([1/32, 1/2] between
+    them), Newton starts from the Chebyshev interpolant of tau(C) on C's
+    dyadic interval (_tau_table, each interval built once per policy on
+    first use), and its first step already meets the stopping test: one
+    f_C evaluation a solve.  Beyond the table, Newton starts from the
+    large-|C| asymptotic inversion when C <= -0.8 or C >= 1.8; within 1/32
+    of C = 0 or 1, or where every seed before failed, the root is
+    continued in C from the nearest node.  No cold solve depends on the
+    calls made before it.  A seed whose Newton fails, or whose root lands
+    outside F0 (another tile's zero), counts as no seed, so a hint that
+    leads there gives the cold solve's root.  With
     verify=True the result is certified by an argument-principle count
     over the truncated F0.
     """

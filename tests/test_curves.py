@@ -230,11 +230,11 @@ class TestTrace:
         assert seen == [samples]
 
     def test_work_bound(self, monkeypatch):
-        # every sample a cold solve: Newton from the ladder's Hermite
-        # interpolant, folded outside [-1, 2], and the residual the solve
-        # reads from one (eta1, g2) evaluation.  Once the ladder nodes are
-        # built, the three traces make 57 f_C evaluations and 27 (eta1, g2)
-        # ones (99 f_C evaluations by continuation from sample to sample)
+        # every sample a cold solve: one Newton step from the table's value
+        # of tau(C), and the residual the solve reads from one (eta1, g2)
+        # evaluation.  Once the ladder nodes and the table are built, the
+        # three traces make 26 f_C evaluations (one sample, C = -0.5, is a
+        # ladder node and takes none) and 27 (eta1, g2) ones
         segments = [("minus", -3.0, -0.5), ("zero", 0.1, 0.9), ("plus", 1.2, 6.0)]
         for branch, lo, hi in segments:
             trace_curve(branch, lo, hi, 9)
@@ -246,47 +246,20 @@ class TestTrace:
                             lambda *args: eta1_g2_calls.append(args) or eta1_g2(*args))
         for branch, lo, hi in segments:
             trace_curve(branch, lo, hi, 9)
-        assert len(fc_calls) <= 57
+        assert len(fc_calls) <= 26
         assert len(eta1_g2_calls) == 27
 
-    def test_samples_from_the_fold(self):
-        # outside [-1, 2] and within the fold's reach a sample is Newton's
-        # root from the zero branch's interpolant carried back by
-        # tau(1/(1 - C)) = 1/(1 - tau(C)); beyond it, no fold is offered
-        for branch, lo, hi in (("minus", -25.0, -1.2), ("plus", 2.2, 28.0)):
+    def test_samples_from_the_table(self):
+        # within the table's reach a sample off the ladder nodes is
+        # Newton's root from the table's value; beyond it, and within 1/32
+        # of C = 0 or 1, no table value is offered
+        for branch, lo, hi in (("minus", -25.0, -1.2), ("zero", 0.04, 0.96),
+                               ("plus", 1.04, 28.0)):
             for s in trace_curve(branch, lo, hi, 9):
-                assert s.tau.z == zeros._between_nodes(s.C, DEFAULT)[0], s.C
-        for C in (-31.5, -40.0, 32.5, 40.0, 1e300, -1e300):
-            assert zeros._between_nodes(C, DEFAULT) is None, C
-
-    def test_fold_rejects_a_root_outside_F0(self, monkeypatch):
-        # the folded Newton root is offered as its mirror image across the
-        # nearer edge Re = 0 or Re = 1, outside F0.  With the jump limit
-        # lifted the domain guard alone must refuse it, and the solve falls
-        # back to the asymptotic seed, whose root is the same to rounding
-        # (Newton's, stopped after a step below 1e-13 |tau|: a few ulps)
-        newton = zeros._newton_fc
-        monkeypatch.setattr(zeros, "MAX_JUMP", math.inf)
-        for C in (-20.0, -1.5, 2.5, 30.0):
-            cold = solve_tauC(C).z   # builds the nodes the fold reads
-            offered = []
-
-            def newton_once_outside(C, t, pp):
-                got = newton(C, t, pp)
-                if not offered:
-                    offered.append(got[0])
-                    edge = 0.0 if got[0].real < 0.5 else 1.0
-                    return (2 * edge - got[0].conjugate(), *got[1:])
-                return got
-
-            monkeypatch.setattr(zeros, "_newton_fc", newton_once_outside)
-            t = solve_tauC(C).z
-            monkeypatch.setattr(zeros, "_newton_fc", newton)
-            assert offered == [cold], C
-            edge = 0.0 if cold.real < 0.5 else 1.0
-            assert classify_domain(2 * edge - cold.conjugate()) is DomainTag.OUTSIDE
-            assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
-            assert abs(t - cold) <= 4e-15 * abs(cold), C
+                guess = zeros._table_guess(s.C, DEFAULT)
+                assert s.tau.z == zeros._newton_fc(s.C, guess, DEFAULT)[0], s.C
+        for C in (-32.5, -40.0, 33.5, 40.0, 1e300, -1e300, -0.03, 0.03, 0.97, 1.03):
+            assert zeros._table_guess(C, DEFAULT) is None, C
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

@@ -37,11 +37,11 @@ from e2crit.premodular import _zrs2_parts
 from e2crit.verify import _TRIANGLE_VERTICES, triangle_grid
 from tests_helpers import float_bits
 from e2crit.zeros import (
-    _asymptotic_seed,
     _continue_to,
     _fc_parts,
     _ladder_node,
     _newton_fc,
+    _tau_table,
     _winding,
 )
 
@@ -108,6 +108,20 @@ class TestCountZeros:
             bounds[i] = bad
             with pytest.raises(ValueError, match=name):
                 rect_contour(*bounds)
+
+    @pytest.mark.parametrize("bad", [complex(0.5, math.nan), complex(math.inf, 1.0),
+                                     complex(0.5, math.inf)])
+    def test_non_finite_vertex_rejected(self, bad):
+        # a NaN vertex used to pass construction, and a plain-callable count
+        # then spent the whole subdivision budget before failing
+        with pytest.raises(ValueError, match="finite"):
+            Contour((1j, 1 + 1j, bad, 1j))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rect_contour_needs_a_point_per_side(self, n):
+        # n = 0 used to escape as IndexError from the empty polyline
+        with pytest.raises(ValueError, match="points per side"):
+            rect_contour(0.0, 1.0, 0.5, 1.5, n=n)
 
     @pytest.mark.parametrize("min_abs", [0.0, -1.0, -0.0, math.nan, math.inf])
     def test_min_abs_must_be_finite_and_positive(self, min_abs):
@@ -519,40 +533,46 @@ class TestSolveTauC:
         assert float_bits(solve_tauC(C, hint=hint).z) == float_bits(solve_tauC(C).z)
 
     def test_zero_branch_anchor_once_per_policy(self):
-        # 0.3, 0.6 and 0.45 lie between the nodes C = k/32 with k = 9, 10;
-        # 19, 20 and 14, 15, each continued from the anchor k = 16: seven
-        # builds in all
+        # 0.3 and 0.45 lie in the table interval [1/4, 1/2], 0.6 in
+        # [1/2, 3/4].  Each interval's first point, nearest its top end, is
+        # continued from the nearest node, k = 16 (the anchor) and k = 24
+        # (continued from the anchor): two node builds and two tables
         pp = PrecisionPolicy(eps=1e-11)
         misses = _ladder_node.cache_info().misses
+        tables = _tau_table.cache_info().misses
         for _ in range(2):
             for C in (0.3, 0.6, 0.45):
                 t = solve_tauC(C, pp)
                 assert abs(eval_fC(C, t, pp)) < 1e-9
-        assert _ladder_node.cache_info().misses == misses + 7
+        assert _ladder_node.cache_info().misses == misses + 2
+        assert _tau_table.cache_info().misses == tables + 2
 
     def test_outer_anchors_once_per_policy(self):
-        # on the ladder C = k/32, -0.3 and -0.7 lie between the minus nodes
-        # k = -10, -9 and -23, -22 and -0.5 is the node k = -16; 1.4 and 1.2
-        # lie between the plus nodes k = 44, 45 and 38, 39.  Each node is
-        # continued from its anchor k = -32 or 64: eleven builds, each once
+        # -0.5 is the node k = -16.  -0.3, -0.7, 1.4 and 1.2 lie in the table
+        # intervals [-1/2, -1/4], [-1, -1/2], [5/4, 3/2] and [9/8, 5/4], whose
+        # first points are continued from the nodes k = -8, -16, 48 and 40.
+        # Each node is continued from its anchor k = -32 or 64: six node
+        # builds and four tables, each once
         pp = PrecisionPolicy(eps=3e-12)
         misses = _ladder_node.cache_info().misses
+        tables = _tau_table.cache_info().misses
         for _ in range(2):
             for C in (-0.3, 1.4, -0.5, 1.2, -0.7):
                 t = solve_tauC(C, pp)
                 assert abs(eval_fC(C, t, pp)) < 1e-9
-        assert _ladder_node.cache_info().misses == misses + 11
+        assert _ladder_node.cache_info().misses == misses + 6
+        assert _tau_table.cache_info().misses == tables + 4
 
     def test_warm_solve_work_bound(self, monkeypatch):
-        # C = 1.55 lies between the ladder nodes C = 49/32 and 50/32; once
-        # they are cached, Newton from their Hermite interpolant remains
+        # C = 1.55 lies in the table interval [3/2, 2]; once it is built,
+        # Newton's first step from the table's value is its last
         solve_tauC(1.55)
         calls = []
         fc_parts = zeros._fc_parts
         monkeypatch.setattr(zeros, "_fc_parts",
                             lambda *args: calls.append(args) or fc_parts(*args))
         solve_tauC(1.55)
-        assert len(calls) <= 12
+        assert len(calls) == 1
 
     def test_continuation_rejects_a_root_outside_F0(self, monkeypatch):
         # the first corrector lands on the mirror image -conj(tau) across
@@ -598,8 +618,8 @@ ANCHOR = {"minus": -32, "zero": 16, "plus": 64}
 
 
 def _ladder_Cs(n, seed):
-    """Seeded C in (-0.8, 1.8), where cold solves start from the ladder, at
-    least 0.05 from 0 and 1."""
+    """Seeded C in (-0.8, 1.8), inside the table, at least 0.05 from 0
+    and 1."""
     rng = random.Random(seed)
     Cs = []
     while len(Cs) < n:
@@ -613,8 +633,10 @@ class TestAnchorLadder:
     def test_history_independence(self):
         Cs = _ladder_Cs(60, 41)
         _ladder_node.cache_clear()
+        _tau_table.cache_clear()
         forward = [solve_tauC(C).z for C in Cs]
         _ladder_node.cache_clear()
+        _tau_table.cache_clear()
         backward = [solve_tauC(C).z for C in reversed(Cs)]
         assert forward == backward[::-1]
 
@@ -625,23 +647,15 @@ class TestAnchorLadder:
             C = k / 32
             a = ANCHOR[zeros.branch_of(C)]
             anchor = _ladder_node(a, DEFAULT)
-            if k == a:
-                expect = anchor[0]
-            elif -0.8 < C < 1.8:
-                expect = _continue_to(a / 32, anchor, C, DEFAULT)[0]
-            else:
-                # the nodes in (-1, -0.8] and [1.8, 2) are solved from the
-                # asymptotic seed
-                expect = _newton_fc(C, _asymptotic_seed(C), DEFAULT)[0]
+            # a cold solve at a node returns the node as built, the nodes
+            # in (-1, -0.8] and [1.8, 2) included
+            expect = anchor[0] if k == a else _continue_to(a / 32, anchor, C, DEFAULT)[0]
+            assert _ladder_node(k, DEFAULT)[0] == expect, k
             assert solve_tauC(C).z == expect, k
-            if k != a:
-                assert _ladder_node(k, DEFAULT)[0] == _continue_to(a / 32, anchor, C, DEFAULT)[0]
 
     def test_cold_solve_work_bound(self, monkeypatch):
-        # Newton from the Hermite interpolant through the two bracketing
-        # nodes: at most 3 f_C evaluations here and at most 2.5 on average,
-        # against up to 5 (mean 3.5) by one predictor step from the nearest
-        # node C = k/8, and up to 34 from the three anchors alone
+        # once the tables are built, Newton's first step from the table's
+        # value is its last: one f_C evaluation each
         Cs = _ladder_Cs(300, 43)
         for C in Cs:
             solve_tauC(C)
@@ -653,12 +667,10 @@ class TestAnchorLadder:
         for C in Cs:
             calls.clear()
             solve_tauC(C)
-            assert len(calls) <= 3, C
-            total += len(calls)
-        assert total <= 2.5 * len(Cs)
+            assert len(calls) == 1, C
 
-    def test_interpolated_root_matches_the_continued_root(self):
-        # the root from the Hermite interpolant against the root continued
+    def test_table_root_matches_the_continued_root(self):
+        # Newton's root from the table's value against the root continued
         # in C from the nearest node C = j/8, which cold solves returned
         # before the ladder was refined to 1/32.  Both are Newton's, stopped
         # after a step below 1e-13 |tau|, so they differ by rounding only;
@@ -668,9 +680,9 @@ class TestAnchorLadder:
             lo, hi = ranges[zeros.branch_of(C)]
             j = round(min(hi, max(lo, 8 * C)))
             continued = _continue_to(j / 8, _ladder_node(4 * j, DEFAULT), C, DEFAULT)[0]
-            interpolated = zeros._between_nodes(C, DEFAULT)[0]
-            assert solve_tauC(C).z == interpolated
-            assert abs(interpolated - continued) <= 4e-15 * abs(continued), C
+            from_table = _newton_fc(C, zeros._table_guess(C, DEFAULT), DEFAULT)[0]
+            assert solve_tauC(C).z == from_table
+            assert abs(from_table - continued) <= 4e-15 * abs(continued), C
 
     def test_nodes_built_once_per_policy(self):
         pp = PrecisionPolicy(eps=2e-12)
@@ -679,7 +691,8 @@ class TestAnchorLadder:
             for k in LADDER:
                 _ladder_node(k, pp)
         assert _ladder_node.cache_info().misses == misses + len(LADDER)
-        # a solve at a node returns the node; one between nodes builds none
+        # a solve at a node returns the node; the tables start from built
+        # nodes, so a solve between nodes builds none
         for C in (-0.3, 0.3, 1.3, -0.5, 0.5, 1.5):
             t = solve_tauC(C, pp)
             assert abs(eval_fC(C, t, pp)) < 1e-9
@@ -690,6 +703,99 @@ class TestAnchorLadder:
         assert [zeros._nearest_node(C) for C in (-5.0, -0.9, -0.5, -0.01)] == [-32, -29, -16, -1]
         assert [zeros._nearest_node(C) for C in (0.01, 0.3, 0.99)] == [1, 10, 31]
         assert [zeros._nearest_node(C) for C in (1.01, 1.3, 1.97, 9.0)] == [33, 42, 63, 64]
+
+
+# the table's 28 intervals, in C: |C|, C - 1 and min(C, 1 - C) in the
+# dyadic intervals [2^(e-1), 2^e] up to 32, 32 and 1/2
+TABLE = ([(-2.0 ** e, -2.0 ** (e - 1)) for e in range(-4, 6)]
+         + [(2.0 ** (e - 1), 2.0 ** e) for e in range(-4, 0)]
+         + [(1 - 2.0 ** e, 1 - 2.0 ** (e - 1)) for e in range(-4, 0)]
+         + [(1 + 2.0 ** (e - 1), 1 + 2.0 ** e) for e in range(-4, 6)])
+
+
+class TestTauTable:
+    def test_intervals(self):
+        assert len(TABLE) == 28
+        for lo, hi in TABLE:
+            mid = 0.5 * (lo + hi)
+            assert zeros._table_interval(mid) == (lo, hi)
+            assert zeros._table_interval(math.nextafter(hi, mid)) == (lo, hi)
+            assert zeros._table_interval(math.nextafter(lo, mid)) == (lo, hi)
+        # the table's ends belong to it; past them, and within 1/32 of
+        # C = 0 or 1, no interval is offered
+        assert zeros._table_interval(-32.0) == (-32.0, -16.0)
+        assert zeros._table_interval(33.0) == (17.0, 33.0)
+        assert zeros._table_interval(0.5) == (0.25, 0.5)
+        for C in (-32.01, 33.01, -0.031, 0.031, 0.969, 1.031, 1e300, -1e300):
+            assert zeros._table_interval(C) is None, C
+
+    def test_table_matches_cold_roots(self):
+        # seeded C in every interval and both its ends, against the root
+        # solved without the table (asymptotic seed, else continuation
+        # from the nearest node)
+        rng = random.Random(53)
+        for lo, hi in TABLE:
+            for C in [lo, hi] + [rng.uniform(lo, hi) for _ in range(6)]:
+                guess = zeros._table_guess(C, DEFAULT)
+                cold = zeros._cold_root(C, DEFAULT)[0]
+                assert abs(guess - cold) <= 1e-13 * abs(cold), C
+
+    def test_one_fc_evaluation_per_cold_solve(self, monkeypatch):
+        rng = random.Random(59)
+        Cs = [rng.uniform(lo, hi) for lo, hi in ((-31.9, -1 / 32), (1 / 32, 31 / 32),
+                                                 (1 + 1 / 32, 31.9)) for _ in range(100)]
+        Cs += [lo for lo, _ in TABLE] + [hi for _, hi in TABLE]
+        Cs = [C for C in Cs if 32 * C != round(32 * C)]   # not a ladder node
+        for C in Cs:
+            solve_tauC(C)
+        calls = []
+        fc_parts = zeros._fc_parts
+        monkeypatch.setattr(zeros, "_fc_parts",
+                            lambda *args: calls.append(args) or fc_parts(*args))
+        for C in Cs:
+            calls.clear()
+            solve_tauC(C)
+            assert len(calls) == 1, C
+
+    def test_tables_built_once_per_policy(self):
+        pp = PrecisionPolicy(eps=4e-12)
+        misses = _tau_table.cache_info().misses
+        Cs = [lo + 0.3 * (hi - lo) for lo, hi in TABLE]
+        assert all(32 * C != round(32 * C) for C in Cs)   # no ladder node
+        for _ in range(2):
+            for C in Cs:
+                solve_tauC(C, pp)
+        assert _tau_table.cache_info().misses == misses + len(TABLE)
+
+    def test_root_outside_F0_refused(self, monkeypatch):
+        # Newton's root from the table's value is offered as its mirror
+        # image across the nearer edge Re = 0 or Re = 1, outside F0.  With
+        # the jump limit lifted the domain guard alone must refuse it, and
+        # the solve falls back to the asymptotic seed or the continuation
+        # from the nearest node, whose root is the same to rounding
+        # (Newton's, stopped after a step below 1e-13 |tau|: a few ulps)
+        newton = zeros._newton_fc
+        monkeypatch.setattr(zeros, "MAX_JUMP", math.inf)
+        for C in (-20.0, -1.5, -0.3, 0.1, 0.7, 1.2, 2.5, 30.0):
+            cold = solve_tauC(C).z   # builds the table interval
+            offered = []
+
+            def newton_once_outside(C, t, pp):
+                got = newton(C, t, pp)
+                if not offered:
+                    offered.append(got[0])
+                    edge = 0.0 if got[0].real < 0.5 else 1.0
+                    return (2 * edge - got[0].conjugate(), *got[1:])
+                return got
+
+            monkeypatch.setattr(zeros, "_newton_fc", newton_once_outside)
+            t = solve_tauC(C).z
+            monkeypatch.setattr(zeros, "_newton_fc", newton)
+            assert offered == [cold], C
+            edge = 0.0 if cold.real < 0.5 else 1.0
+            assert classify_domain(2 * edge - cold.conjugate()) is DomainTag.OUTSIDE
+            assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
+            assert abs(t - cold) <= 4e-15 * abs(cold), C
 
 
 class TestBoundaryExclusion:
