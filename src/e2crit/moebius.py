@@ -78,18 +78,25 @@ def is_gamma02(gamma: MoebiusMap) -> bool:
     return gamma.c % 2 == 0
 
 
-def classify_domain(tau, tol: float = BOUNDARY_TOL) -> DomainTag:
-    """Position of tau relative to F0 = {0 <= Re <= 1, |tau - 1/2| >= 1/2}."""
-    t = as_tau(tau)
-    d_left = t.real
-    d_right = 1.0 - t.real
-    d_circ = abs(t - 0.5) - 0.5
-    worst = min(d_left, d_right, d_circ)
-    if worst < -tol:
+def f0_margin(t: complex) -> float:
+    """The least of the margins Re t, 1 - Re t and |t - 1/2| - 1/2 of the
+    complex number t inside F0: negative outside F0, whose position it
+    gives to domain_tag.  t is not validated."""
+    return min(t.real, 1.0 - t.real, abs(t - 0.5) - 0.5)
+
+
+def domain_tag(margin: float, tol: float = BOUNDARY_TOL) -> DomainTag:
+    """The position relative to F0 of a point whose f0_margin is margin."""
+    if margin < -tol:
         return DomainTag.OUTSIDE
-    if worst <= tol:
+    if margin <= tol:
         return DomainTag.F0_BOUNDARY
     return DomainTag.F0_INTERIOR
+
+
+def classify_domain(tau, tol: float = BOUNDARY_TOL) -> DomainTag:
+    """Position of tau relative to F0 = {0 <= Re <= 1, |tau - 1/2| >= 1/2}."""
+    return domain_tag(f0_margin(as_tau(tau)), tol)
 
 
 def reduce_to_F0(tau) -> tuple[TauPoint, MoebiusMap]:

@@ -119,8 +119,13 @@ def _length(rho: float, th: tuple) -> int:
     length n with sum_{k>n} k^power rho^k < tol, the least such n, or one
     more where the bound of _thresholds is not tight."""
     if not 0.0 <= rho <= RHO_CAP:
-        raise TruncationFailure(f"series ratio rho={rho!r} outside [0, {RHO_CAP:.4f}]")
+        raise _ratio_failure(rho)
     return bisect_right(th, rho)
+
+
+def _ratio_failure(rho: float) -> TruncationFailure:
+    """The error for a series ratio rho outside [0, RHO_CAP]."""
+    return TruncationFailure(f"series ratio rho={rho!r} outside [0, {RHO_CAP:.4f}]")
 
 
 def choose_truncation(im_tau: float, eps: float) -> int:
@@ -273,13 +278,18 @@ _basic_tables: dict[float, tuple] = {}
 
 
 def _basic_terms(q: complex, pp: PrecisionPolicy) -> int:
-    """Length of the (eta1, g2, g3) series at nome q."""
+    """Length of the (eta1, g2, g3) series at nome q: _length's, with its
+    range check and bisection inline, as every evaluator of the three
+    series asks for it."""
     # one length serves all three series: k^5 majorizes sigma_5 up to zeta(5),
     # and the tolerance target absorbs the largest prefactor (504 * 8 pi^6/27)
     th = _basic_tables.get(pp.eps)
     if th is None:
         th = _basic_tables[pp.eps] = _thresholds(pp.eps / 150000.0, 5)
-    return _length(abs(q), th)
+    rho = abs(q)
+    if not 0.0 <= rho <= RHO_CAP:
+        raise _ratio_failure(rho)
+    return bisect_right(th, rho)
 
 
 # prefactors of eta1 = pi^2/3 - 8 pi^2 s1, g2 = (4/3) pi^4 + 320 pi^4 s3 and

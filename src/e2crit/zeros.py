@@ -19,7 +19,7 @@ from .errors import (
     DomainEscape,
     PhaseStepFailure,
 )
-from .moebius import DomainTag, classify_domain
+from .moebius import BOUNDARY_TOL, DomainTag, classify_domain, domain_tag, f0_margin
 from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_g2, lattice_point
 
 ROOT_RESIDUAL = 1e-9
@@ -39,6 +39,8 @@ class Contour:
     max_step: float = PI / 2
 
     def __post_init__(self):
+        if not (0.0 < self.max_step < math.inf):
+            raise ValueError(f"max_step must be a finite positive float, got {self.max_step!r}")
         if not all(map(cmath.isfinite, self.points)):
             raise ValueError("contour vertices must be finite")
         if len(self.points) < 4 or self.points[0] != self.points[-1]:
@@ -568,8 +570,9 @@ _LADDER_RANGE = {"minus": (-_LADDER_DEN, -1), "zero": (1, _LADDER_DEN - 1),
 # many first-kind points
 _TABLE_POINTS = 16
 # its intervals: where the distance of C from C = 0 or 1 lies in
-# [2^(e-1), 2^e], for e in this range on each branch (e_lo, e_hi inclusive)
-_TABLE_EXPONENTS = {"minus": (-4, 5), "zero": (-4, -1), "plus": (-4, 5)}
+# [2^(e-1), 2^e], for e from _TABLE_E_LO up to _TABLE_E_OUTER on the outer
+# branches and up to _TABLE_E_ZERO on the zero branch (both ends inclusive)
+_TABLE_E_LO, _TABLE_E_OUTER, _TABLE_E_ZERO = -4, 5, -1
 
 
 def branch_of(C: float) -> str:
@@ -678,29 +681,41 @@ def _continue_to(C_from: float, root: tuple, C_to: float, pp: PrecisionPolicy) -
 
 def _table_interval(C: float) -> tuple[float, float] | None:
     """The ends (lo, hi) of the table interval holding C, or None outside
-    the table.  On C's branch the distance m of C from C = 0 or 1 (the
-    nearer one on the zero branch) lies in [2^(e-1), 2^e] for one e of
-    _TABLE_EXPONENTS[branch]; where m is a power of two, the interval above
-    it is taken, except at the table's top end."""
-    branch = branch_of(C)
-    m = -C if branch == "minus" else C - 1 if branch == "plus" else min(C, 1 - C)
-    e_lo, e_hi = _TABLE_EXPONENTS[branch]
-    if not 2.0 ** (e_lo - 1) <= m <= 2.0 ** e_hi:
+    the table; ValueError for C = 0 or 1.  On C's branch the distance m of
+    C from C = 0 or 1 (the nearer one on the zero branch) lies in
+    [2^(e-1), 2^e] for one e of the branch's range; where m is a power of
+    two, the interval above it is taken (frexp's exponent), except at the
+    table's top end."""
+    if C < 0:
+        m, e_hi = -C, _TABLE_E_OUTER
+    elif C > 1:
+        m, e_hi = C - 1, _TABLE_E_OUTER
+    elif C > 0:
+        m, e_hi = min(C, 1 - C), _TABLE_E_ZERO
+    else:
+        raise ValueError(f"C = {C} is outside the curve parameter set")
+    e = math.frexp(m)[1]
+    if e > e_hi:
+        if m != math.ldexp(1.0, e_hi):
+            return None
+        e = e_hi
+    elif e < _TABLE_E_LO:
         return None
-    e = min(math.frexp(m)[1], e_hi)
-    a, b = 2.0 ** (e - 1), 2.0 ** e
-    if branch == "minus":
+    a, b = math.ldexp(0.5, e), math.ldexp(1.0, e)
+    if C < 0:
         return -b, -a
-    if branch == "plus":
+    if C > 1:
         return 1 + a, 1 + b
     return (a, b) if C <= 0.5 else (1 - b, 1 - a)
 
 
 @lru_cache(maxsize=256)   # room for the 28 intervals of five policies
-def _tau_table(lo: float, hi: float, pp: PrecisionPolicy) -> tuple:
+def _tau_table(lo: float, hi: float, eps: float) -> tuple:
     """The Chebyshev coefficients of tau(C) on [lo, hi], interpolated at
-    _TABLE_POINTS first-kind points; a constant of the policy, so built once
-    for each interval, on first use.
+    _TABLE_POINTS first-kind points; a constant of the policy
+    PrecisionPolicy(eps), so built once for each interval, on first use.
+    It is keyed on eps, as two policies are equal exactly when their eps
+    are, so a lookup hashes three floats and not the policy.
 
     The first point, nearest hi, is a cold solve without the table
     (_cold_root), and each other point is continued from the one before it
@@ -710,6 +725,7 @@ def _tau_table(lo: float, hi: float, pp: PrecisionPolicy) -> tuple:
     length from them, so the interpolant converges geometrically: 16 points
     hold tau(C) to about 1e-14 relative, and Newton's first step from it
     already passes _newton_fc's stopping test."""
+    pp = PrecisionPolicy(eps)
     n = _TABLE_POINTS
     angles = [PI * (j + 0.5) / n for j in range(n)]
     Cs = [0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(a) for a in angles]
@@ -730,7 +746,7 @@ def _table_guess(C: float, pp: PrecisionPolicy) -> complex | None:
     if ends is None:
         return None
     lo, hi = ends
-    coeffs = _tau_table(lo, hi, pp)
+    coeffs = _tau_table(lo, hi, pp.eps)
     x2 = 2 * (2 * C - lo - hi) / (hi - lo)
     b1 = b2 = 0j
     for c in coeffs[:0:-1]:
@@ -751,38 +767,52 @@ def _cold_root(C: float, pp: PrecisionPolicy) -> tuple:
     return _continue_to(k / _LADDER_DEN, _ladder_node(k, pp), C, pp)
 
 
+def _newton_in_F0(C: float, seed: complex, pp: PrecisionPolicy, jump: float) -> tuple:
+    """(_newton_fc's root triple from seed, the root's f0_margin), or
+    (None, None) where Newton fails, its root lies farther than jump from
+    seed, or outside F0 by more than BOUNDARY_TOL (another tile's zero)."""
+    root = _newton_fc(C, seed, pp)
+    if root is not None and abs(root[0] - seed) <= jump:
+        margin = f0_margin(root[0])
+        if not margin < -BOUNDARY_TOL:
+            return root, margin
+    return None, None
+
+
 def _solve(C: float, pp: PrecisionPolicy, hint: complex | None = None) -> tuple[complex, complex]:
     """(tau(C), f_C(tau(C))) for a finite C not 0 or 1: solve_tauC's root
     and the residual value its test reads, which trace_curve reports.
 
-    The root is the first of: Newton's from the hint; at a ladder node
-    C = k/32, the node's root as built; Newton's from the table's value
-    (_table_guess), where _accepted takes it; and _cold_root's, from the
-    asymptotic seed or by continuation from the nearest node."""
-    root = None
+    The root is the first of: Newton's from the hint, where _newton_in_F0
+    takes it; at a ladder node, where 32 C is an integer k in the ladder's
+    range (exactly C = k/32, as scaling by 32 is exact), the node's root as
+    built; Newton's from the table's value (_table_guess), where
+    _newton_in_F0 takes it within MAX_JUMP, as _accepted would; and
+    _cold_root's, from the asymptotic seed or by continuation from the
+    nearest node.  The root's F0 margin is formed once: the root that
+    stands must pass the residual test and lie inside F0 by more than
+    1e-9, else DomainEscape names its DomainTag."""
+    root = margin = None
     if hint is not None:
-        root = _newton_fc(C, hint, pp)
-        if root is not None and classify_domain(root[0]) is DomainTag.OUTSIDE:
-            root = None
+        root, margin = _newton_in_F0(C, hint, pp, math.inf)
     if root is None:
-        k = _nearest_node(C)
-        if C == k / _LADDER_DEN:
-            root = _ladder_node(k, pp)
+        x = _LADDER_DEN * C
+        if -_LADDER_DEN <= x <= 2 * _LADDER_DEN and x == int(x):
+            root = _ladder_node(int(x), pp)
     if root is None:
         guess = _table_guess(C, pp)
         if guess is not None:
-            root = _newton_fc(C, guess, pp)
-            if not _accepted(root, guess):
-                root = None
+            root, margin = _newton_in_F0(C, guess, pp, MAX_JUMP)
     if root is None:
         root = _cold_root(C, pp)
     t = root[0]
     f, scale = _fc_value(C, t, pp)
     if not abs(f) <= max(ROOT_RESIDUAL, 1e-13 * scale):
         raise Diverged(f"residual {abs(f):.2e} too large at tau({C})")
-    tag = classify_domain(t, tol=1e-9)
-    if tag is not DomainTag.F0_INTERIOR:
-        raise DomainEscape(f"tau({C}) = {t} is not interior to F0 ({tag.value})")
+    if margin is None:
+        margin = f0_margin(t)
+    if margin <= 1e-9:
+        raise DomainEscape(f"tau({C}) = {t} is not interior to F0 ({domain_tag(margin, 1e-9).value})")
     return t, f
 
 
@@ -794,7 +824,8 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
     Seeding: Newton from an explicit hint, else from the branch's ladder of
     nodes C = k/32 and its table of tau(C) (k = -32..-1, 1..31 or 33..64;
     each node built once per policy on first use, see _ladder_node).  At a
-    node the node's root is returned as built.  Elsewhere in the table's
+    node, where 32 C is such an integer (an int C too), the node's root is
+    returned as built.  Elsewhere in the table's
     reach, where the distance of C from 0 (C < 0), from 1 (C > 1) or from
     the nearer of them (0 < C < 1) lies in [1/32, 32] ([1/32, 1/2] between
     them), Newton starts from the Chebyshev interpolant of tau(C) on C's
@@ -806,9 +837,12 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
     continued in C from the nearest node.  No cold solve depends on the
     calls made before it.  A seed whose Newton fails, or whose root lands
     outside F0 (another tile's zero), counts as no seed, so a hint that
-    leads there gives the cold solve's root.  With
-    verify=True the result is certified by an argument-principle count
-    over the truncated F0.
+    leads there gives the cold solve's root.  The root that stands must
+    pass the residual test, |f_C| <= max(1e-9, 1e-13 fc_scale), from one
+    more series evaluation, and lie inside F0 by more than 1e-9
+    (DomainEscape otherwise); its F0 margin is formed once, for that test
+    and for the refusal of a root outside F0.  With verify=True the result
+    is certified by an argument-principle count over the truncated F0.
     """
     C = as_real(C, "C")
     if C in (0.0, 1.0):

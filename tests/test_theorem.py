@@ -46,13 +46,14 @@ def _eta1_prime_pair(t):
 
 def test_one_zero_of_E2_prime_per_tile():
     # E2' itself, not f_C: a gated count over the image polyline gamma(p),
-    # p on f0_contour, finds one zero in each tile with c <= 32, and Newton
-    # from the zero sum of the walk that forms it lands on the listed
-    # critical point.  The horodisks at gamma(0), gamma(1) and
-    # gamma(i infinity) are left out.
+    # p on f0_contour, finds one zero in each of the 436 tiles with c <= 64,
+    # at most 76 points a count, and Newton from the zero sum of the walk
+    # that forms it lands within 3.6e-16 relative of the listed critical
+    # point.  The horodisks at gamma(0), gamma(1) and gamma(i infinity) are
+    # left out.
     points = f0_contour().points
-    found = critical_points_E2(32)
-    assert len(found) == 112
+    found = critical_points_E2(64)
+    assert len(found) == 436
     for p in found:
         contour = Contour(tuple(p.gamma(t) for t in points))
         n, used = count_zeros_info(_eta1_prime_pair, contour)

@@ -29,8 +29,9 @@ from e2crit import (
     rect_contour,
     solve_tauC,
     sqrt_g2_over_12,
+    trace_curve,
 )
-from e2crit.errors import PhaseStepFailure
+from e2crit.errors import DomainEscape, PhaseStepFailure
 from e2crit.moebius import DomainTag, classify_domain
 from e2crit import qseries, zeros
 from e2crit.premodular import _zrs2_parts
@@ -122,6 +123,14 @@ class TestCountZeros:
         # n = 0 used to escape as IndexError from the empty polyline
         with pytest.raises(ValueError, match="points per side"):
             rect_contour(0.0, 1.0, 0.5, 1.5, n=n)
+
+    @pytest.mark.parametrize("max_step", [math.nan, 0.0, -1.0, math.inf])
+    def test_max_step_must_be_finite_and_positive(self, max_step):
+        # no phase step passes abs(dphi) < max_step for NaN, 0 or a negative
+        # step, and a count over such a contour used to end in a misleading
+        # PhaseStepFailure("phase step 0.000 irreducible ...")
+        with pytest.raises(ValueError, match="max_step"):
+            Contour(rect_contour(0, 1, 0.5, 1.5).points, max_step=max_step)
 
     @pytest.mark.parametrize("min_abs", [0.0, -1.0, -0.0, math.nan, math.inf])
     def test_min_abs_must_be_finite_and_positive(self, min_abs):
@@ -698,6 +707,38 @@ class TestAnchorLadder:
             assert abs(eval_fC(C, t, pp)) < 1e-9
         assert _ladder_node.cache_info().misses == misses + len(LADDER)
 
+    def test_cold_solve_at_a_node_is_the_node(self, monkeypatch):
+        # 32 C an integer in the ladder's range: the node's root as built,
+        # bit for bit and without a Newton step, for a float C and for an
+        # int C such as trace_curve's ends may be
+        nodes = {k: float_bits(_ladder_node(k, DEFAULT)[0]) for k in LADDER}
+        calls = []
+        fc_parts = zeros._fc_parts
+        monkeypatch.setattr(zeros, "_fc_parts",
+                            lambda *args: calls.append(args) or fc_parts(*args))
+        for k in LADDER:
+            assert float_bits(solve_tauC(k / 32).z) == nodes[k], k
+            if k % 32 == 0:
+                assert float_bits(solve_tauC(k // 32).z) == nodes[k], k
+        assert not calls
+        assert trace_curve("minus", -8, -1, 5) == trace_curve("minus", -8.0, -1.0, 5)
+
+    def test_off_the_nodes_the_table_or_the_cold_path(self):
+        # just past the node range, and the dyadics k/64 between the nodes:
+        # no node's root, but Newton's from the table's value, or within
+        # 1/32 of C = 0 or 1 the cold root
+        Cs = [-33 / 32, 65 / 32] + [k / 64 for k in range(-65, 131, 2)]
+        cold = []
+        for C in Cs:
+            guess = zeros._table_guess(C, DEFAULT)
+            if guess is None:
+                cold.append(C)
+                expect = zeros._cold_root(C, DEFAULT)[0]
+            else:
+                expect = _newton_fc(C, guess, DEFAULT)[0]
+            assert float_bits(solve_tauC(C).z) == float_bits(expect), C
+        assert cold == [-1 / 64, 1 / 64, 63 / 64, 65 / 64]
+
     def test_nearest_node(self):
         # k of the node C = k/32, clamped to the branch's range
         assert [zeros._nearest_node(C) for C in (-5.0, -0.9, -0.5, -0.01)] == [-32, -29, -16, -1]
@@ -729,6 +770,20 @@ class TestTauTable:
         for C in (-32.01, 33.01, -0.031, 0.031, 0.969, 1.031, 1e300, -1e300):
             assert zeros._table_interval(C) is None, C
 
+    def test_both_sides_of_every_edge(self):
+        # where two intervals share an end, m = 2^(e-1) starts the interval
+        # above it in m, which is the longer of the two (at C = 1/2, where
+        # both have length 1/4, the lower); past the table's ends, none
+        def holding(C):
+            shared = [(lo, hi) for lo, hi in TABLE if lo <= C <= hi]
+            return max(shared, key=lambda iv: (iv[1] - iv[0], -iv[0]), default=None)
+
+        edges = sorted({end for iv in TABLE for end in iv})
+        assert len(edges) == 31
+        for E in edges:
+            for C in (math.nextafter(E, -math.inf), E, math.nextafter(E, math.inf)):
+                assert zeros._table_interval(C) == holding(C), C
+
     def test_table_matches_cold_roots(self):
         # seeded C in every interval and both its ends, against the root
         # solved without the table (asymptotic seed, else continuation
@@ -758,14 +813,41 @@ class TestTauTable:
             assert len(calls) == 1, C
 
     def test_tables_built_once_per_policy(self):
-        pp = PrecisionPolicy(eps=4e-12)
+        # the tables are keyed on eps: a second policy object equal to the
+        # first finds them built
         misses = _tau_table.cache_info().misses
         Cs = [lo + 0.3 * (hi - lo) for lo, hi in TABLE]
         assert all(32 * C != round(32 * C) for C in Cs)   # no ladder node
-        for _ in range(2):
+        for pp in (PrecisionPolicy(eps=4e-12), PrecisionPolicy(eps=4e-12)):
             for C in Cs:
                 solve_tauC(C, pp)
         assert _tau_table.cache_info().misses == misses + len(TABLE)
+
+    def test_root_on_the_F0_boundary_escapes(self, monkeypatch):
+        # tau(-0.05) lies 0.12 inside the arc |tau - 1/2| = 1/2.  Newton's
+        # root from the table's value, moved radially onto the arc, is not
+        # refused as outside F0 but fails the interior test; the residual
+        # test is lifted, so the F0 test alone decides
+        C = -0.05
+        solve_tauC(C)   # builds the table interval
+        newton = zeros._newton_fc
+
+        def newton_onto_the_arc(C, t, pp):
+            root, *rest = newton(C, t, pp)
+            return (0.5 + 0.5 * (root - 0.5) / abs(root - 0.5), *rest)
+
+        monkeypatch.setattr(zeros, "_newton_fc", newton_onto_the_arc)
+        monkeypatch.setattr(zeros, "_fc_value", lambda C, t, pp: (0j, 1.0))
+        with pytest.raises(DomainEscape, match=r"not interior to F0 \(F0_boundary\)"):
+            solve_tauC(C)
+
+    def test_node_root_outside_F0_escapes(self, monkeypatch):
+        # a node's root is returned as built; one outside F0 fails the
+        # interior test with its tag
+        monkeypatch.setattr(zeros, "_ladder_node", lambda k, pp: (complex(-0.1, 1.0), 1, 1))
+        monkeypatch.setattr(zeros, "_fc_value", lambda C, t, pp: (0j, 1.0))
+        with pytest.raises(DomainEscape, match=r"not interior to F0 \(outside\)"):
+            solve_tauC(-0.5)
 
     def test_root_outside_F0_refused(self, monkeypatch):
         # Newton's root from the table's value is offered as its mirror
