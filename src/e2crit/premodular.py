@@ -2,6 +2,11 @@
 Z2_{r,s} = Z^3 - 3 wp Z - wp', with triangle classification of the
 characteristic, cusp asymptotics and location of the unique zero in F0.
 
+Each evaluator hands (r, s) to qseries._pullback, which carries it to the
+pulled-back point, returns it reduced into [-1/2, 1/2)^2 and raises
+PoleAtLattice where it reduces to the lattice point; the evaluators and
+_zrs2_at read that pair as it is.
+
 Near a lattice point the cubic combination suffers catastrophic cancellation
 (Z ~ 1/u with u = r + s*tau reduced), so a rearranged Laurent form
     Z2 = 3 (A^2 - P)/u + A^3 - 3 P A - Q
@@ -53,7 +58,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_pair, as_tau
-from .errors import CountMismatch, Diverged, PoleAtLattice, Unclassified
+from .errors import CountMismatch, Diverged, Unclassified
 from .moebius import DomainTag, classify_domain
 from .qseries import (
     _FAMILY_FLOOR,
@@ -65,7 +70,6 @@ from .qseries import (
     _eta1_g2_direct,
     _pullback,
     _wp_family,
-    reduce_lattice,
 )
 from .zeros import BOUNDARY_ZERO_TOL, MAX_CONTOUR_POINTS, _winding, f0_contour, newton_refine
 
@@ -86,10 +90,6 @@ class TriangleTag(Enum):
     T3 = "T3"
     BOUNDARY = "boundary"
     HALF_LATTICE = "half_lattice"
-
-
-def _is_lattice(r: float, s: float, tol: float = CLASSIFY_TOL) -> bool:
-    return abs(r - round(r)) < tol and abs(s - round(s)) < tol
 
 
 def _is_half_lattice(r: float, s: float, tol: float = CLASSIFY_TOL) -> bool:
@@ -128,19 +128,10 @@ def classify(rs, tol: float = CLASSIFY_TOL) -> TriangleTag:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _pullback_char(rs, tau, name: str):
-    """_pullback of tau with the characteristic rs carried along, after
-    rejecting a lattice characteristic, where the form has a pole."""
-    r, s = as_pair(rs)
-    if _is_lattice(r, s):
-        raise PoleAtLattice(f"{name}_{{{r},{s}}} has a pole (lattice characteristic)")
-    return _pullback(as_tau(tau), (r, s))
-
-
 def eval_Zrs(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Hecke form Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2."""
-    tau1, _, mu, (r1, s1), q, _ = _pullback_char(rs, tau, "Z")
-    return mu * _wp_family(*reduce_lattice(r1, s1), tau1, q, pp)[2]
+    tau1, _, mu, (rh, sh), q, _ = _pullback(as_tau(tau), as_pair(rs))
+    return mu * _wp_family(rh, sh, tau1, q, pp)[2]
 
 
 def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
@@ -148,8 +139,8 @@ def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex
     the eta1 series at the pulled-back point, Z in the operations of
     eval_Zrs.  A weight-1 form lifts as Z(tau) = mu Z(tau1) with
     dtau1/dtau = mu^-2, so dZ/dtau = mu^2 (c Z(tau1) + mu Z'(tau1))."""
-    tau1, c, mu, (r1, s1), q, at = _pullback_char(rs, tau, "Z")
-    wp, wpp, z = _wp_family(*reduce_lattice(r1, s1), tau1, q, pp)
+    tau1, c, mu, (rh, sh), q, at = _pullback(as_tau(tau), as_pair(rs))
+    wp, wpp, z = _wp_family(rh, sh, tau1, q, pp)
     e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
     dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
     return mu * z, mu * mu * (c * z + mu * dz)
@@ -242,13 +233,12 @@ def _laurent_tau_parts(u: complex, c: list, cp: list) -> tuple[complex, complex,
     return P_t, Q_t, zs_t, dQ_du
 
 
-def _zrs2_at(r: float, s: float, tau: complex, q: complex, pp: PrecisionPolicy,
+def _zrs2_at(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy,
              deriv: bool = False, at=None):
-    """Z2 at tau and its nome q as _pullback returns them; with deriv, the
-    pair (Z2, dZ2/dtau) at fixed (r, s), Z2 in the same operations.  at is
-    the lattice data _pullback returns, read in place of the series when
-    given."""
-    rh, sh = reduce_lattice(r, s)
+    """Z2 at the characteristic (rh, sh), tau and its nome q as _pullback
+    returns them; with deriv, the pair (Z2, dZ2/dtau) at fixed (rh, sh), Z2
+    in the same operations.  at is the lattice data _pullback returns, read
+    in place of the series when given."""
     u = rh + sh * tau
     # the Laurent switch radius is SMALL_U_FACTOR R with R <= 1, so most
     # points skip forming R
@@ -283,8 +273,8 @@ def _zrs2_at(r: float, s: float, tau: complex, q: complex, pp: PrecisionPolicy,
 
 def eval_Zrs2(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Weight-3 pre-modular form Z2_{r,s}(tau) = Z^3 - 3 wp Z - wp'."""
-    tau1, c, mu, (r1, s1), q, at = _pullback_char(rs, tau, "Z2")
-    z2 = _zrs2_at(r1, s1, tau1, q, pp, False, at)
+    tau1, c, mu, (rh, sh), q, at = _pullback(as_tau(tau), as_pair(rs))
+    z2 = _zrs2_at(rh, sh, tau1, q, pp, False, at)
     return mu**3 * z2 if c else z2
 
 
@@ -293,8 +283,8 @@ def _zrs2_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, comple
     operations of eval_Zrs2: the pair the contour counts and Newton take.
     A weight-3 form lifts as Z2(tau) = mu^3 Z2(tau1), so
     dZ2/dtau = mu^4 (3 c Z2(tau1) + mu Z2'(tau1))."""
-    tau1, c, mu, (r1, s1), q, at = _pullback_char(rs, tau, "Z2")
-    z2, dz2 = _zrs2_at(r1, s1, tau1, q, pp, True, at)
+    tau1, c, mu, (rh, sh), q, at = _pullback(as_tau(tau), as_pair(rs))
+    z2, dz2 = _zrs2_at(rh, sh, tau1, q, pp, True, at)
     if not c:
         return z2, dz2
     mu3 = mu**3

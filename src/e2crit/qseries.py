@@ -10,7 +10,10 @@ exactly, and points below a fixed height floor (Im tau = 0.35 for
 fundamental domain.  Every series is thus summed at a ratio of at most
 e^{-2 pi 0.35} = 0.111, and its length is the least that a closed-form
 geometric bound on the tail certifies, possibly 0.  Each evaluator then
-applies its weight once.
+applies its weight once.  `_pullback` is also the only place where the
+characteristic is reduced: it returns it in [-1/2, 1/2)^2 and raises
+PoleAtLattice there, once, when z reduces to a lattice point, so wp, Z and
+Z2 (premodular) sum the family at the pair it returns.
 
 The (eta1, g2, g3) series share one length.  An evaluator sums and lifts
 only what its caller reads:
@@ -38,6 +41,7 @@ import cmath
 import math
 from bisect import bisect_right
 from functools import lru_cache
+from math import floor
 
 from ._kernels_py import eisenstein_sums, eta1_g2_sums, horner, wp_sums
 from .domain import DEFAULT, LatticePoint, PrecisionPolicy, as_pair, as_tau
@@ -117,7 +121,8 @@ def _thresholds(tol: float, power: int) -> tuple:
 def _length(rho: float, th: tuple) -> int:
     """The length that th = _thresholds(tol, power) gives the ratio rho: a
     length n with sum_{k>n} k^power rho^k < tol, the least such n, or one
-    more where the bound of _thresholds is not tight."""
+    more where the bound of _thresholds is not tight.  _basic_terms and
+    _wp_family apply this rule inline."""
     if not 0.0 <= rho <= RHO_CAP:
         raise _ratio_failure(rho)
     return bisect_right(th, rho)
@@ -155,13 +160,22 @@ def _pullback(tau: complex, rs=None):
     the (eta1, g2, g3) series, whose ratio is |q|, and 0.70 when rs is given,
     for the wp/Z family, whose ratio |q| max(|x|, 1/|x|) reaches |q|^{1/2}.
     As 0.70 < sqrt(3)/2, the lowest height in F, every series is then summed
-    at a ratio of at most e^{-2 pi 0.35} = 0.111 (RHO_CAP).  rs, when given,
-    is carried to rs1 with Z_{r,s}(tau) = mu Z_{rs1}(tau1); Z is 1-periodic
-    in r and s, so (r, s) is reduced into [-1/2, 1/2)^2 before each step
-    that mixes them, and k s is reduced exactly: near the lattice and at a
-    large Re tau the characteristic keeps its digits.  At a LatticePoint the
-    translation, the reduction and q are read from its _Pulled, which
-    formed them in the same operations.
+    at a ratio of at most e^{-2 pi 0.35} = 0.111 (RHO_CAP).
+
+    rs, a pair of floats, is the characteristic (r, s) of z = r + s tau.
+    This is the one place where it is carried and reduced: to rs1 =
+    (rh, sh) in [-1/2, 1/2)^2 with Z_{r,s}(tau) = mu Z_{rh,sh}(tau1).  Z is
+    1-periodic in r and s, so (r, s) is reduced, to r - floor(r + 1/2) and
+    s - floor(s + 1/2), before each step that mixes them and once after
+    the last: if k != 0, reduce and translate, r + k s, with k s reduced
+    mod 1 exactly when |k| >= 2; if tau is reduced to F by
+    gamma = (a b; c d), reduce and mix, (d r + b s, c r + a s); then
+    reduce.  Near the lattice and at a large Re tau the characteristic
+    thus keeps its digits.  PoleAtLattice is raised when |rh| and |sh| are
+    both below 1e-12, where z reduces to a lattice point of tau1 and wp, Z
+    and Z2 have their pole.  At a LatticePoint the translation, the
+    reduction and q are read from its _Pulled, which formed them in the
+    same operations.
     """
     if type(tau) is LatticePoint:
         if rs is None:
@@ -184,7 +198,8 @@ def _pullback(tau: complex, rs=None):
             return tau1, c, mu, None, q, None
     r, s = rs
     if k:
-        r, s = reduce_lattice(r, s)
+        r -= floor(r + 0.5)
+        s -= floor(s + 0.5)
         if -1 <= k <= 1:
             r = r + k * s
         else:
@@ -192,9 +207,14 @@ def _pullback(tau: complex, rs=None):
             h = m // 2
             r = r + ((k * p + h) % m - h) / m
     if abd is not None:
-        r, s = reduce_lattice(r, s)
+        r -= floor(r + 0.5)
+        s -= floor(s + 0.5)
         a, b, d = abd
         r, s = d * r + b * s, c * r + a * s
+    r -= floor(r + 0.5)
+    s -= floor(s + 0.5)
+    if abs(r) < 1e-12 and abs(s) < 1e-12:
+        raise PoleAtLattice(f"z reduces to the lattice point {r} + {s}*tau")
     return tau1, c, mu, (r, s), q, at
 
 
@@ -386,28 +406,22 @@ def eval_derivatives(tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, compl
 # ---------------------------------------------------------------------------
 # Weierstrass family at z = r + s*tau
 
-def reduce_lattice(r: float, s: float) -> tuple[float, float]:
-    """Translate lattice coordinates into [-1/2, 1/2)^2."""
-    return r - math.floor(r + 0.5), s - math.floor(s + 0.5)
-
-
 # the _thresholds table of the wp/Z family for each eps seen, and the
-# prefactors of wp and wp'
+# prefactors of wp, wp', x and rho
 _family_tables: dict[float, tuple] = {}
 _WP_K, _WPP_K = -4 * PI**2, -8j * PI**3
+_PI_I, _MINUS_TWO_PI = 1j * PI, -2 * PI
 
 
 def _wp_family(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy):
-    """(wp, wp', Z_{rh,sh}) at z = rh + sh*tau, for (rh, sh) as reduce_lattice
-    returns it and tau and its nome q = exp(2 pi i tau) as _pullback returns
-    them.
+    """(wp, wp', Z_{rh,sh}) at z = rh + sh*tau, for the characteristic
+    (rh, sh), tau and its nome q = exp(2 pi i tau) as _pullback returns
+    them: (rh, sh) reduced into [-1/2, 1/2)^2 and off the lattice point.
 
     Z_{rh,sh} = zeta(z) - rh*eta1 - sh*eta2 is returned instead of zeta
     itself so callers can assemble either zeta or the Hecke form without
     losing the exact (r,s)-periodicity.
     """
-    if abs(rh) < 1e-12 and abs(sh) < 1e-12:
-        raise PoleAtLattice(f"z reduces to the lattice point {rh} + {sh}*tau")
     # parity: evaluate the sign-canonical representative so that wp(z) == wp(-z)
     # and zeta(z) == -zeta(-z) hold exactly as evaluated
     flip = sh < 0.0 or (sh == 0.0 and rh < 0.0)
@@ -417,11 +431,14 @@ def _wp_family(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPoli
     # rho = |q| max(|x|, 1/|x|) = |q|/|x| as sh >= 0, formed without 1/|x|:
     # high up x underflows to 0, but rho <= |x| as sh <= 1/2, so the series
     # is then empty and wp_sums never divides by x
-    rho = math.exp(-2 * PI * (1.0 - sh) * tau.imag)
+    rho = math.exp(_MINUS_TWO_PI * (1.0 - sh) * tau.imag)
     th = _family_tables.get(pp.eps)
     if th is None:
         th = _family_tables[pp.eps] = _thresholds(pp.eps / (64 * PI**3), 3)
-    n = _length(rho, th)
+    # _length, with its range check and bisection inline
+    if not 0.0 <= rho <= RHO_CAP:
+        raise _ratio_failure(rho)
+    n = bisect_right(th, rho)
     # the empty series is certified at most points high in F
     sp, spp, sz = wp_sums(x, q, n) if n else (0, 0, 0)
     # x/(1-x)^2, x/(1-x)^2 + 2x^2/(1-x)^3 and (1+x)/(1-x) from one reciprocal
@@ -430,7 +447,7 @@ def _wp_family(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPoli
     xa2 = xa * a
     wp = _WP_K * (1.0 / 12.0 + xa2 + sp)
     wpp = _WPP_K * (xa2 * (1 + 2 * xa) + spp)
-    z_hecke = 2j * PI * sh - 1j * PI * (1 + x) * a - TWO_PI_I * sz
+    z_hecke = TWO_PI_I * sh - _PI_I * (1 + x) * a - TWO_PI_I * sz
     if flip:
         return wp, -1.0 * wpp, -1.0 * z_hecke
     return wp, wpp, z_hecke
@@ -445,8 +462,8 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     """
     r, s = as_pair(z)
     t = as_tau(tau)
-    tau1, c, mu, (r1, s1), q, at = _pullback(t, (r, s))
-    wp, wpp, z_hecke = _wp_family(*reduce_lattice(r1, s1), tau1, q, pp)
+    tau1, c, mu, (rh, sh), q, at = _pullback(t, (r, s))
+    wp, wpp, z_hecke = _wp_family(rh, sh, tau1, q, pp)
     # only eta1 is read: its series alone
     e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
     if c:

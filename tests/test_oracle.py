@@ -31,7 +31,7 @@ import pytest
 from e2crit import eval_weierstrass, eval_Zrs, eval_Zrs2
 from e2crit.domain import DEFAULT
 from e2crit.premodular import SMALL_U_FACTOR, _laurent_length, _zrs2_parts, _zrs_parts
-from e2crit.qseries import _pullback, reduce_lattice
+from e2crit.qseries import _pullback
 
 DPS = 30
 TOL = 1e-12
@@ -161,8 +161,7 @@ def test_family_matches_reference(band):
 def _z2_branch(r: float, s: float, tau: complex) -> tuple[bool, bool]:
     """(Laurent form, pulled back): the branch the library takes for
     Z2_{r,s}(tau), by the switch of premodular._zrs2_at."""
-    tau1, c, _, (r1, s1), _, _ = _pullback(tau, (r, s))
-    rh, sh = reduce_lattice(r1, s1)
+    tau1, c, _, (rh, sh), _, _ = _pullback(tau, (r, s))
     au = abs(rh + sh * tau1)
     near = au < SMALL_U_FACTOR * min(1.0, abs(tau1), abs(tau1 - 1), abs(tau1 + 1))
     return near, c != 0
@@ -233,8 +232,7 @@ def _laurent_point(r: float, s: float, tau: complex) -> tuple[float, bool, float
     _pullback carries it is rounded on the scale of d r + b s, which moves
     u by an ulp of that.
     """
-    tau1, c, mu, (r1, s1), _, _ = _pullback(tau, (r, s))
-    rh, sh = reduce_lattice(r1, s1)
+    tau1, c, mu, (rh, sh), _, _ = _pullback(tau, (r, s))
     au = abs(rh + sh * tau1)
     t = au / min(1.0, abs(tau1), abs(tau1 - 1), abs(tau1 + 1))
     a = 2 * math.pi * abs(sh) + 5 * au

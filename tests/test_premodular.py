@@ -49,6 +49,30 @@ class TestHecke:
         with pytest.raises(PoleAtLattice):
             eval_Zrs2((0.0, 0.0), 1j)
 
+    @pytest.mark.parametrize("fn", [eval_Zrs, premodular._zrs_parts, eval_Zrs2,
+                                    premodular._zrs2_parts, qseries.eval_weierstrass],
+                             ids=["Z", "Z_parts", "Z2", "Z2_parts", "wp"])
+    def test_pole_where_the_carry_lands_on_the_lattice(self, fn):
+        # (0.3, 0.2) is off the lattice, but carried to F from this tau it
+        # reduces to (0, 0); the Laurent form of Z2 would divide by u = 0
+        with pytest.raises(PoleAtLattice, match="lattice point 0.0 \\+ 0.0\\*tau"):
+            fn((0.3, 0.2), complex(0.123456, 1e-34))
+
+    def test_f0_base_points_carry_once(self, monkeypatch):
+        # at the LatticePoints of f0_contour the pull-back is read from the
+        # point: no reduction to F, and one family evaluation per point
+        points = f0_contour().points
+        reductions, family = [], []
+        reduce_to_F_ints, wp_family = qseries.reduce_to_F_ints, premodular._wp_family
+        monkeypatch.setattr(qseries, "reduce_to_F_ints",
+                            lambda *a: reductions.append(a) or reduce_to_F_ints(*a))
+        monkeypatch.setattr(premodular, "_wp_family",
+                            lambda *a: family.append(a) or wp_family(*a))
+        for t in points:
+            eval_Zrs2((1 / 6, 1 / 6), t)
+        assert not reductions
+        assert len(family) == len(points)
+
     def test_sign_symmetry(self):
         t = complex(0.4, 1.1)
         r, s = 0.23, 0.31

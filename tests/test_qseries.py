@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from e2crit import (
 )
 from e2crit import qseries
 from e2crit.domain import LatticePoint
+from e2crit.moebius import reduce_to_F_ints
 from e2crit.qseries import MAX_TERMS, RHO_CAP, _length, _sigma, _thresholds
 from tests_helpers import float_bits
 
@@ -236,6 +238,70 @@ class TestWeierstrass:
             assert cmath.isfinite(v)
 
 
+class TestCarry:
+    """The characteristic _pullback returns is the carry its docstring
+    documents, formed here from round(Re tau) and reduce_to_F_ints alone."""
+
+    @staticmethod
+    def carried(tau: complex, rs) -> tuple:
+        red = lambda v: v - math.floor(v + 0.5)
+        r, s = rs
+        k = round(tau.real)
+        t = tau - k if k else tau
+        if k:
+            r, s = red(r), red(s)
+            if -1 <= k <= 1:
+                r = r + k * s
+            else:
+                # k s mod 1 in [-1/2, 1/2), exactly, then rounded once
+                ks = Fraction(s) * k
+                r = r + float(ks - math.floor(ks + Fraction(1, 2)))
+        if t.imag < qseries._FAMILY_FLOOR:
+            _, a, b, c, d = reduce_to_F_ints(t)
+            r, s = red(r), red(s)
+            r, s = d * r + b * s, c * r + a * s
+        return red(r), red(s)
+
+    @staticmethod
+    def points(seed: int, n: int = 400):
+        """n seeded (tau, rs): Re tau in [-2, 2], or up to 1e15 in modulus
+        (log-uniform), Im tau log-uniform in [0.003, 3]; rs in [-3, 3]^2,
+        a quarter within 1e-3 of a lattice point."""
+        rng = random.Random(seed)
+        out = []
+        for i in range(n):
+            re = rng.uniform(-2, 2) if i % 2 else rng.choice((-1, 1)) * 10 ** rng.uniform(0, 15)
+            tau = complex(re, math.exp(rng.uniform(math.log(0.003), math.log(3.0))))
+            if i % 4 == 3:
+                rs = (rng.randint(-3, 3) + rng.uniform(-1e-3, 1e-3),
+                      rng.randint(-3, 3) + rng.uniform(-1e-3, 1e-3))
+            else:
+                rs = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+            out.append((tau, rs))
+        return out
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["plain", "LatticePoint"])
+    def test_pullback_returns_the_carry(self, lattice):
+        cases = {"k": 0, "|k|>=2": 0, "reduced": 0}
+        for tau, rs in self.points(seed=71 + lattice):
+            want = self.carried(tau, rs)
+            assert max(abs(v) for v in want) >= 1e-12
+            t = qseries.lattice_point(tau) if lattice else tau
+            assert float_bits(qseries._pullback(t, rs)[3]) == float_bits(want), (tau, rs)
+            assert all(-0.5 <= v < 0.5 for v in want)
+            k = round(tau.real)
+            cases["k"] += k != 0
+            cases["|k|>=2"] += abs(k) >= 2
+            cases["reduced"] += tau.imag < qseries._FAMILY_FLOOR
+        assert min(cases.values()) >= 100, cases
+
+    def test_lattice_characteristic_rejected(self):
+        for rs, tau in (((2.0, -1.0), 1j), ((0.0, 0.0), complex(1e6, 0.01)),
+                        ((0.3, 0.2), complex(0.123456, 1e-34))):
+            with pytest.raises(PoleAtLattice):
+                qseries._pullback(tau, rs)
+
+
 class TestEk:
     def test_e1_zero_on_square_corner(self):
         assert abs(eval_ek(1, complex(0.5, 0.5))) < 1e-10
@@ -432,6 +498,24 @@ class TestTruncationTable:
             assert at < tol, (rho, n)
             # n - 2 terms fall short: n is at most one more than the least
             assert n < 2 or before >= tol, (rho, n)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-7])
+    def test_family_length_is_lengths(self, eps, monkeypatch):
+        # _wp_family applies _length inline: the same length at every point
+        lengths = []
+        wp_sums = qseries.wp_sums
+        monkeypatch.setattr(qseries, "wp_sums", lambda x, q, n: lengths.append(n) or wp_sums(x, q, n))
+        rng = random.Random(13)
+        th = _thresholds(eps / (64 * PI**3), 3)
+        want = []
+        for _ in range(500):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(qseries._FAMILY_FLOOR, 3.0))
+            rh, sh = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+            n = _length(math.exp(-2 * PI * (1.0 - abs(sh)) * tau.imag), th)
+            qseries._wp_family(rh, sh, tau, cmath.exp(2j * PI * tau), PrecisionPolicy(eps))
+            if n:
+                want.append(n)
+        assert lengths == want and len(set(want)) > 3
 
     @pytest.mark.parametrize("rho", [0.95, 0.99, 1.5, math.nan, math.inf])
     def test_failure_near_one(self, rho):
