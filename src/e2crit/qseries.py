@@ -24,7 +24,9 @@ only what its caller reads:
   f_C's value and scale, sqrt(g2/12), transform_quasi, the derivative of
   Z2 and the curve-line values;
 - eval_E2, eval_eta1, eval_eta2 and the wp/Z family read eta1 alone and sum
-  its series alone (horner).
+  its series alone (horner);
+- _eta1_D_direct sums eta1 with D = eta1^2 - g2/12 and its derivative in one
+  pass (eisenstein_sums over other coefficients), for the cold tau(C) solve.
 
 A LatticePoint (the points of zeros.f0_contour's polylines, built by
 lattice_point) carries what depends on tau alone, formed once: _pullback
@@ -83,6 +85,17 @@ def _sigma_triples(n: int) -> list:
     if len(_triples) <= n:
         _triples[:] = zip(_sigma(1, n), _sigma(3, n), _sigma(5, n))
     return _triples
+
+
+_moments: list = []
+
+
+def _sigma1_moments(n: int) -> list:
+    """(sigma_1(k), k sigma_1(k), k^2 sigma_1(k)) for k = 1..n, the
+    coefficients of eisenstein_sums in _eta1_D_direct (index 0 unused)."""
+    if len(_moments) <= n:
+        _moments[:] = [(c, k * c, k * k * c) for k, c in enumerate(_sigma(1, n))]
+    return _moments
 
 
 # the pull-back floors of the (eta1, g2, g3) series and the wp/Z family;
@@ -333,6 +346,25 @@ def _basic_direct(q: complex, pp: PrecisionPolicy):
     n = _basic_terms(q, pp)
     s1, s3, s5 = eisenstein_sums(_sigma_triples(n), q, n)
     return _ETA1_0 - _ETA1_1 * s1, _G2_0 + _G2_1 * s3, _G3_0 * (1 - 504 * s5)
+
+
+# D = eta1^2 - g2/12 = -32 pi^4 sum k sigma_1(k) q^k by Ramanujan's
+# q dE2/dq = (E2^2 - E4)/12, and D' = dD/dtau = 2 pi i times its q-derivative
+_D_1, _DP_1 = -32 * PI**4, -64j * PI**5
+
+
+def _eta1_D_direct(q: complex, pp: PrecisionPolicy):
+    """(eta1, D, D') at nome q, D = eta1^2 - g2/12 and D' its
+    tau-derivative, the three series summed in one pass.  D has no constant
+    term, so its digits are relative ones where eta1^2 - g2/12 formed from
+    the two values would cancel.  The length is one past _basic_terms':
+    that length bounds the k^5 tail by eps/150000 absolutely, but D's scale
+    is its first term, of size |q|, and the one more term puts the tails of
+    D and D' below eps |q| / 10^4 (k^2 sigma_1(k) <= k^3 (1 + log k)).
+    Ramanujan, Trans. Cambridge Philos. Soc. 22 (1916)."""
+    n = _basic_terms(q, pp) + 1
+    s1, s, s2 = eisenstein_sums(_sigma1_moments(n), q, n)
+    return _ETA1_0 - _ETA1_1 * s1, _D_1 * s, _DP_1 * s2
 
 
 def _basic(tau: complex, pp: PrecisionPolicy):

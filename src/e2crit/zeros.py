@@ -19,8 +19,8 @@ from .errors import (
     DomainEscape,
     PhaseStepFailure,
 )
-from .moebius import BOUNDARY_TOL, DomainTag, classify_domain, domain_tag, f0_margin
-from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_g2, lattice_point
+from .moebius import BOUNDARY_TOL, domain_tag, f0_margin
+from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_D_direct, _eta1_g2, lattice_point
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
@@ -361,7 +361,11 @@ def newton_refine(f, tau0, tol: float, itmax: int = 50) -> TauPoint:
     scale of f', so a root is accepted at the same place however small or
     large f' is near it.
     """
-    t = as_tau(tau0)
+    return TauPoint.from_complex(_newton(f, as_tau(tau0), tol, itmax))
+
+
+def _newton(f, t: complex, tol: float, itmax: int) -> complex:
+    """newton_refine's root as a complex, from the complex seed t."""
     best_t, best_v = t, math.inf
     for _ in range(itmax):
         v, fp = f(t)
@@ -374,7 +378,7 @@ def newton_refine(f, tau0, tol: float, itmax: int = 50) -> TauPoint:
         if t.imag <= 0:
             raise Diverged(f"iterate left the upper half-plane near {best_t}")
         if abs(step) < tol * max(1.0, abs(t)):
-            return TauPoint.from_complex(t)
+            return t
     raise Diverged(f"no convergence after {itmax} iterations, best |f| = {best_v:.2e}")
 
 
@@ -382,8 +386,8 @@ def newton_refine(f, tau0, tol: float, itmax: int = 50) -> TauPoint:
 # f_C and the phi branches
 
 def _fc_parts(C: float, tau: complex, pp: PrecisionPolicy):
-    """f_C, df_C/dtau and df_C/dC sharing one series evaluation; eta1' and
-    g2' in the operations of _derivs, which also forms the unread g3'."""
+    """(f_C, df_C/dtau) sharing one series evaluation; eta1' and g2' in the
+    operations of _derivs, which also forms the unread g3'."""
     e1, g2v, g3v = _basic(tau, pp)
     e2v = tau * e1 - TWO_PI_I
     lin = C * e1 - e2v
@@ -393,9 +397,7 @@ def _fc_parts(C: float, tau: complex, pp: PrecisionPolicy):
     e1p = _HALF_I_PI * (e1 * e1 - g2v / 12)
     g2p = _I_PI * (2 * e1 * g2v - 3 * g3v)
     e2p = e1 + tau * e1p
-    df_dtau = 24 * lin * (C * e1p - e2p) - g2p * d2 + 2 * g2v * d
-    df_dC = 24 * lin * e1 - 2 * g2v * d
-    return f, df_dtau, df_dC
+    return f, 24 * lin * (C * e1p - e2p) - g2p * d2 + 2 * g2v * d
 
 
 def eval_fC(C: float, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
@@ -514,37 +516,17 @@ def eval_phi(branch: BranchState, tau, pp: PrecisionPolicy = DEFAULT) -> complex
 # ---------------------------------------------------------------------------
 # the unique zero tau(C)
 
-def _newton_fc(C: float, t: complex, pp: PrecisionPolicy, itmax: int = 60):
-    """Newton on f_C from t: (root, df_C/dtau, df_C/dC), or None on failure.
-
-    The derivatives are those of the last iterate, whose Newton step was
-    below 1e-13 |root|: the Jacobian at the root to that accuracy, ready for
-    a continuation predictor without another series evaluation.
-    """
-    start = t
-    for _ in range(itmax):
-        f, fp, fC_d = _fc_parts(C, t, pp)
-        if fp == 0:
-            return None
-        step = f / fp
-        t = t - step
-        if not (t.imag > 1e-9 and abs(t - start) <= 1.5):
-            return None
-        if abs(step) < 1e-13 * max(1.0, abs(t)):
-            return t, fp, fC_d
-    return None
-
-
 def _asymptotic_seed(C: float) -> complex | None:
     """Seed from the large-|C| expansion of phi_-; None when |C| is too small
-    for the expansion to pin the real part."""
+    for the expansion to pin the real part.  Its log is taken of each
+    factor apart, so no |C| up to the largest float overflows it."""
     a = 0.25 if C > 0.5 else 0.75
     b = 1.0
     for _ in range(4):
         den = abs(math.sin(2 * PI * a))
         if den < 0.5 or abs(C - a) < 0.5:
             return None
-        b = math.log(24 * PI * abs(C - a) / den) / (2 * PI)
+        b = (math.log(24 * PI / den) + math.log(abs(C - a))) / (2 * PI)
         cosv = -(b + 7 / (4 * PI)) * 24 * PI * math.exp(-2 * PI * b)
         if not abs(cosv) <= 0.995:
             return None
@@ -553,26 +535,6 @@ def _asymptotic_seed(C: float) -> complex | None:
         else:
             a = 1.0 - math.acos(cosv) / (2 * PI)
     return complex(a, b)
-
-
-# the longest continuation step, in arctan C
-CONTINUATION_STEP = 0.10
-# the longest tau move accepted from one continuation step
-MAX_JUMP = 0.2
-
-# the ladder nodes C = k/_LADDER_DEN of each branch: its anchor k, and its
-# range of k, to within one node of the excluded C = 0 and 1
-_LADDER_DEN = 32
-_LADDER_ANCHOR = {"minus": -_LADDER_DEN, "zero": _LADDER_DEN // 2, "plus": 2 * _LADDER_DEN}
-_LADDER_RANGE = {"minus": (-_LADDER_DEN, -1), "zero": (1, _LADDER_DEN - 1),
-                 "plus": (_LADDER_DEN + 1, 2 * _LADDER_DEN)}
-# the table of tau(C): on each interval, the Chebyshev interpolant at this
-# many first-kind points
-_TABLE_POINTS = 16
-# its intervals: where the distance of C from C = 0 or 1 lies in
-# [2^(e-1), 2^e], for e from _TABLE_E_LO up to _TABLE_E_OUTER on the outer
-# branches and up to _TABLE_E_ZERO on the zero branch (both ends inclusive)
-_TABLE_E_LO, _TABLE_E_OUTER, _TABLE_E_ZERO = -4, 5, -1
 
 
 def branch_of(C: float) -> str:
@@ -586,270 +548,179 @@ def branch_of(C: float) -> str:
     raise ValueError(f"C = {C} is outside the curve parameter set")
 
 
-def _nearest_node(C: float) -> int:
-    """k of the ladder node C = k/_LADDER_DEN nearest to C on C's branch,
-    clamped to the branch's range of k."""
-    lo, hi = _LADDER_RANGE[branch_of(C)]
-    return round(min(hi, max(lo, _LADDER_DEN * C)))
+# the table of tau(C) on C in [2, _TABLE_TOP]: on each interval C - 1 in
+# [2^(e-1), 2^e], e = 1.._TABLE_E, the Chebyshev interpolant at
+# _TABLE_POINTS first-kind points
+_TABLE_POINTS, _TABLE_E = 16, 5
+_TABLE_TOP = 1.0 + 2.0**_TABLE_E
+_FOUR_PI2, _FOUR_PI_I = 4 * PI**2, 4j * PI
 
 
-@lru_cache(maxsize=512)   # room for the 95-node ladders of five policies
-def _ladder_node(k: int, pp: PrecisionPolicy) -> tuple:
-    """_newton_fc's root triple at the ladder node C = k/_LADDER_DEN (k in
-    -32..64 with k not 0 or 32); a constant of the policy, so built once for
-    each, on first use.  A cold solve at a node returns this triple's root
-    as built; a node also starts the continuation of a cold solve within
-    1/32 of C = 0 or 1, and of the first point of a table interval inside
-    (-0.8, 1.8) (_cold_root).
+def _g_parts(C: float, t: complex, pp: PrecisionPolicy) -> tuple[complex, complex]:
+    """(g, dg/dtau) at t for C >= 2, from one series evaluation at t itself.
 
-    The branch anchors are the nodes at C = -1, 1/2 and 2: the outer two are
-    seeded from the asymptotic expansion, C = 1/2 from a coarse scan of
-    Re = 1/2.  Every other node is continued straight from its branch's
-    anchor, never from a neighbouring node: its root does not depend on
-    which nodes were built before it, and is bit for bit the continuation
-    from the anchor.  So the nodes C = j/8 are the floats of the coarser
-    ladder this one refines (at C = -1/2, where critical_points_E2 starts
-    its chain of hints, a one-ulp move shifts the critical points).
+    g = f_C / (12 d) = d D + 4 pi i eta1 - 4 pi^2 / d, with d = C - tau and
+    D = eta1^2 - g2/12 summed as its own series (_eta1_D_direct), and
+    dg/dtau = d D' - 3 D - 4 pi^2 / d^2, as eta1' = (i / (2 pi)) D.  Each
+    term keeps its relative digits, so g's rounding stays on the scale of
+    its terms, where f_C = 12 lin^2 - g2 d^2 forms D by cancellation and
+    loses about |C| eps.  tau(C) lies above Im 0.78 for C >= 2, so no
+    pull-back is needed.
     """
-    C = k / _LADDER_DEN
-    anchor_k = _LADDER_ANCHOR[branch_of(C)]
-    if k != anchor_k:
-        return _continue_to(anchor_k / _LADDER_DEN, _ladder_node(anchor_k, pp), C, pp)
-    if k != _LADDER_ANCHOR["zero"]:
-        root = _newton_fc(C, _asymptotic_seed(C), pp)
-        if root is None:
-            raise Diverged(f"anchor solve failed for branch of C = {C}")
-        return root
-    best_b, best_v = None, math.inf
-    b = 0.87
-    while b <= 1.31:
-        v = abs(_fc_parts(0.5, complex(0.5, b), pp)[0])
-        if v < best_v:
-            best_b, best_v = b, v
-        b += 0.01
-    root = _newton_fc(0.5, complex(0.5, best_b), pp)
-    if root is None:
-        raise Diverged("line-scan seed for C = 1/2 did not converge")
-    return root
+    e1, D, Dp = _eta1_D_direct(cmath.exp(TWO_PI_I * t), pp)
+    d = C - t
+    w = _FOUR_PI2 / d
+    return d * D + _FOUR_PI_I * e1 - w, d * Dp - 3 * D - w / d
 
 
-def _accepted(step: tuple | None, t: complex) -> bool:
-    """Whether _newton_fc's result step may stand for the root near t, a
-    guess or the last root of a continuation: Newton converged, and its
-    root lies within MAX_JUMP of t and not outside F0, where it would be
-    another tile's zero."""
-    return (step is not None and abs(step[0] - t) <= MAX_JUMP
-            and classify_domain(step[0]) is not DomainTag.OUTSIDE)
+def _newton_g(C: float, seed: complex, pp: PrecisionPolicy) -> complex:
+    """tau(C) for C >= 2 by Newton on g from seed, stopped after a step below
+    1e-13 |tau|."""
+    return _newton(lambda t: _g_parts(C, t, pp), seed, 1e-13, 60)
 
 
-def _continue_to(C_from: float, root: tuple, C_to: float, pp: PrecisionPolicy) -> tuple:
-    """Predictor-corrector continuation of root = (tau(C_from), df_C/dtau,
-    df_C/dC), as _newton_fc returns it, to the same triple at C_to.
+@lru_cache(maxsize=64)   # room for the five intervals of a dozen policies
+def _tau_table(e: int, eps: float) -> tuple:
+    """The Chebyshev coefficients of tau(C) on C - 1 in [2^(e-1), 2^e],
+    interpolated at _TABLE_POINTS first-kind points; a constant of the
+    policy PrecisionPolicy(eps), so built once for each interval, on first
+    use.  It is keyed on eps, as two policies are equal exactly when their
+    eps are.
 
-    The parameter grid is uniform in arctan C (keeps steps balanced as the
-    root climbs like log |C|), with as many steps of at most
-    CONTINUATION_STEP in arctan C as the interval needs and no minimum: one
-    step between close parameters.  The tangent predictor uses the Jacobian
-    of the last accepted root, from Newton's last iterate.  A step is halved
-    unless _accepted takes its root: on Newton failure, on a tau jump above
-    MAX_JUMP, or when the root lands outside F0.
-    """
-    a0, a1 = math.atan(C_from), math.atan(C_to)
-    n = int(abs(a1 - a0) / CONTINUATION_STEP) + 1
-    grid = [math.tan(a0 + (a1 - a0) * i / n) for i in range(1, n + 1)]
-    grid[-1] = C_to
-    t, fp, fC_d = root
-    C_prev = C_from
-    pending = list(reversed(grid))
-    depth = 0
-    while pending:
-        C_next = pending.pop()
-        predictor = t - (fC_d / fp) * (C_next - C_prev) if fp != 0 else t
-        if predictor.imag <= 0:
-            predictor = t
-        step = _newton_fc(C_next, predictor, pp)
-        if not _accepted(step, t):
-            if depth > 60:
-                raise Diverged(f"continuation stalled near C = {C_next}")
-            pending.append(C_next)
-            pending.append(0.5 * (C_prev + C_next))
-            depth += 1
-            continue
-        (t, fp, fC_d), C_prev = step, C_next
-    return t, fp, fC_d
-
-
-def _table_interval(C: float) -> tuple[float, float] | None:
-    """The ends (lo, hi) of the table interval holding C, or None outside
-    the table; ValueError for C = 0 or 1.  On C's branch the distance m of
-    C from C = 0 or 1 (the nearer one on the zero branch) lies in
-    [2^(e-1), 2^e] for one e of the branch's range; where m is a power of
-    two, the interval above it is taken (frexp's exponent), except at the
-    table's top end."""
-    if C < 0:
-        m, e_hi = -C, _TABLE_E_OUTER
-    elif C > 1:
-        m, e_hi = C - 1, _TABLE_E_OUTER
-    elif C > 0:
-        m, e_hi = min(C, 1 - C), _TABLE_E_ZERO
-    else:
-        raise ValueError(f"C = {C} is outside the curve parameter set")
-    e = math.frexp(m)[1]
-    if e > e_hi:
-        if m != math.ldexp(1.0, e_hi):
-            return None
-        e = e_hi
-    elif e < _TABLE_E_LO:
-        return None
-    a, b = math.ldexp(0.5, e), math.ldexp(1.0, e)
-    if C < 0:
-        return -b, -a
-    if C > 1:
-        return 1 + a, 1 + b
-    return (a, b) if C <= 0.5 else (1 - b, 1 - a)
-
-
-@lru_cache(maxsize=256)   # room for the 28 intervals of five policies
-def _tau_table(lo: float, hi: float, eps: float) -> tuple:
-    """The Chebyshev coefficients of tau(C) on [lo, hi], interpolated at
-    _TABLE_POINTS first-kind points; a constant of the policy
-    PrecisionPolicy(eps), so built once for each interval, on first use.
-    It is keyed on eps, as two policies are equal exactly when their eps
-    are, so a lookup hashes three floats and not the policy.
-
-    The first point, nearest hi, is a cold solve without the table
-    (_cold_root), and each other point is continued from the one before it
-    (_continue_to, one predictor step between neighbouring points), so the
-    table does not depend on which solves came before.  tau(C) is analytic
-    off C = 0, 1 and infinity, and each interval lies at least its own
-    length from them, so the interpolant converges geometrically: 16 points
-    hold tau(C) to about 1e-14 relative, and Newton's first step from it
-    already passes _newton_fc's stopping test."""
+    The first point, nearest the top end, is Newton's root on g from the
+    asymptotic seed, and each other point Newton's from the point before
+    it, so the table does not depend on which solves came before.  tau(C)
+    is analytic off C = 0, 1 and infinity, and each interval lies its own
+    length or more from C = 1, so the interpolant converges geometrically:
+    16 points hold tau(C) to about 1e-14 relative, and Newton's first step
+    from it already meets its stopping test."""
     pp = PrecisionPolicy(eps)
     n = _TABLE_POINTS
     angles = [PI * (j + 0.5) / n for j in range(n)]
-    Cs = [0.5 * (lo + hi) + 0.5 * (hi - lo) * math.cos(a) for a in angles]
-    root = _cold_root(Cs[0], pp)
-    taus = [root[0]]
-    for C_prev, C in zip(Cs, Cs[1:]):
-        root = _continue_to(C_prev, root, C, pp)
-        taus.append(root[0])
+    half = math.ldexp(1.0, e - 2)   # half the interval's length
+    t = None
+    taus = []
+    for a in angles:
+        C = 1 + half * (3 + math.cos(a))
+        t = _newton_g(C, _asymptotic_seed(C) if t is None else t, pp)
+        taus.append(t)
     coeffs = [2 / n * sum(t * math.cos(k * a) for t, a in zip(taus, angles)) for k in range(n)]
     coeffs[0] /= 2
     return tuple(coeffs)
 
 
-def _table_guess(C: float, pp: PrecisionPolicy) -> complex | None:
-    """The table's value of tau(C), the Clenshaw sum of the coefficients of
-    C's interval, or None outside the table."""
-    ends = _table_interval(C)
-    if ends is None:
-        return None
-    lo, hi = ends
-    coeffs = _tau_table(lo, hi, pp.eps)
-    x2 = 2 * (2 * C - lo - hi) / (hi - lo)
+def _table_guess(C: float, pp: PrecisionPolicy) -> complex:
+    """The table's value of tau(C) for C in [2, _TABLE_TOP]: the Clenshaw
+    sum of the coefficients of the interval holding C - 1, the one above it
+    where C - 1 is a power of two (frexp's exponent), except at the top."""
+    m = C - 1.0
+    e = min(math.frexp(m)[1], _TABLE_E)
+    coeffs = _tau_table(e, pp.eps)
+    x2 = 2 * (math.ldexp(m, 2 - e) - 3)
     b1 = b2 = 0j
     for c in coeffs[:0:-1]:
         b1, b2 = c + x2 * b1 - b2, b1
     return coeffs[0] + 0.5 * x2 * b1 - b2
 
 
-def _cold_root(C: float, pp: PrecisionPolicy) -> tuple:
-    """_newton_fc's root triple at C without the table: Newton from the
-    asymptotic seed when C <= -0.8 or C >= 1.8 and its root is not outside
-    F0, else the continuation in C from the nearest ladder node."""
-    seed = _asymptotic_seed(C) if (C <= -0.8 or C >= 1.8) else None
-    if seed is not None:
-        root = _newton_fc(C, seed, pp)
-        if root is not None and classify_domain(root[0]) is not DomainTag.OUTSIDE:
-            return root
-    k = _nearest_node(C)
-    return _continue_to(k / _LADDER_DEN, _ladder_node(k, pp), C, pp)
+def _plus_root(C: float, pp: PrecisionPolicy) -> complex:
+    """tau(C) for C >= 2: Newton on g from the table's value up to
+    _TABLE_TOP, and from the asymptotic seed above it."""
+    seed = _table_guess(C, pp) if C <= _TABLE_TOP else _asymptotic_seed(C)
+    return _newton_g(C, seed, pp)
 
 
-def _newton_in_F0(C: float, seed: complex, pp: PrecisionPolicy, jump: float) -> tuple:
-    """(_newton_fc's root triple from seed, the root's f0_margin), or
-    (None, None) where Newton fails, its root lies farther than jump from
-    seed, or outside F0 by more than BOUNDARY_TOL (another tile's zero)."""
-    root = _newton_fc(C, seed, pp)
-    if root is not None and abs(root[0] - seed) <= jump:
-        margin = f0_margin(root[0])
-        if not margin < -BOUNDARY_TOL:
-            return root, margin
-    return None, None
+def _checked(C: float, t: complex, pp: PrecisionPolicy) -> complex:
+    """f_C(t) for a root t of f_C, once t passes solve_tauC's two tests: the
+    residual test |f_C(t)| <= max(ROOT_RESIDUAL, 1e-13 fc_scale(C, t)), from
+    one series evaluation, else Diverged, which also stands where fc_scale
+    is past the float range; and t inside F0 by more than 1e-9, else
+    DomainEscape naming its DomainTag."""
+    try:
+        f, scale = _fc_value(C, t, pp)
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise Diverged(f"fc_scale = 1 + |g2| |C - tau|^2 is past the float range at tau({C}) = {t}, "
+                       f"|C - tau| = {abs(C - t):.3e}")
+    if not abs(f) <= max(ROOT_RESIDUAL, 1e-13 * scale):
+        raise Diverged(f"residual {abs(f):.2e} too large at tau({C})")
+    margin = f0_margin(t)
+    if margin <= 1e-9:
+        raise DomainEscape(f"tau({C}) = {t} is not interior to F0 ({domain_tag(margin, 1e-9).value})")
+    return f
 
 
-def _solve(C: float, pp: PrecisionPolicy, hint: complex | None = None) -> tuple[complex, complex]:
+def _solve(C: float, pp: PrecisionPolicy) -> tuple[complex, complex]:
     """(tau(C), f_C(tau(C))) for a finite C not 0 or 1: solve_tauC's root
     and the residual value its test reads, which trace_curve reports.
 
-    The root is the first of: Newton's from the hint, where _newton_in_F0
-    takes it; at a ladder node, where 32 C is an integer k in the ladder's
-    range (exactly C = k/32, as scaling by 32 is exact), the node's root as
-    built; Newton's from the table's value (_table_guess), where
-    _newton_in_F0 takes it within MAX_JUMP, as _accepted would; and
-    _cold_root's, from the asymptotic seed or by continuation from the
-    nearest node.  The root's F0 margin is formed once: the root that
-    stands must pass the residual test and lie inside F0 by more than
-    1e-9, else DomainEscape names its DomainTag."""
-    root = margin = None
-    if hint is not None:
-        root, margin = _newton_in_F0(C, hint, pp, math.inf)
-    if root is None:
-        x = _LADDER_DEN * C
-        if -_LADDER_DEN <= x <= 2 * _LADDER_DEN and x == int(x):
-            root = _ladder_node(int(x), pp)
-    if root is None:
-        guess = _table_guess(C, pp)
-        if guess is not None:
-            root, margin = _newton_in_F0(C, guess, pp, MAX_JUMP)
-    if root is None:
-        root = _cold_root(C, pp)
-    t = root[0]
-    f, scale = _fc_value(C, t, pp)
-    if not abs(f) <= max(ROOT_RESIDUAL, 1e-13 * scale):
-        raise Diverged(f"residual {abs(f):.2e} too large at tau({C})")
-    if margin is None:
-        margin = f0_margin(t)
-    if margin <= 1e-9:
-        raise DomainEscape(f"tau({C}) = {t} is not interior to F0 ({domain_tag(margin, 1e-9).value})")
-    return t, f
+    C is folded onto C* >= 2 by the curves' symmetries, the mirror
+    tau(1 - C) = 1 - conj tau(C) and the rotation
+    tau(1/(1 - C)) = 1/(1 - tau(C)), and tau(C*) is mapped back:
+
+        C >= 2          C* = C              tau = tau*
+        C <= -1         C* = 1 - C          tau = 1 - conj tau*
+        -1 < C < 0      C* = 1 - 1/C        tau = 1/(1 - tau*)
+        0 < C <= 1/2    C* = 1/C            tau = 1/conj tau*
+        1/2 < C < 1     C* = 1/(1 - C)      tau = 1 - 1/tau*
+        1 < C < 2       C* = C/(C - 1)      tau = 1 - conj(1/(1 - tau*))
+
+    The root then passes _checked at C itself."""
+    if C >= 2:
+        t = _plus_root(C, pp)
+    elif C <= -1:
+        t = 1 - _plus_root(1 - C, pp).conjugate()
+    elif C < 0:
+        t = 1 / (1 - _plus_root(1 - 1 / C, pp))
+    elif C <= 0.5:
+        t = 1 / _plus_root(1 / C, pp).conjugate()
+    elif C < 1:
+        t = 1 - 1 / _plus_root(1 / (1 - C), pp)
+    else:
+        t = 1 - (1 / (1 - _plus_root(C / (C - 1), pp))).conjugate()
+    return t, _checked(C, t, pp)
 
 
-def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, hint=None, *,
-               verify: bool = False, t_top: float = 6.0,
-               cusp_delta: float = 0.08) -> TauPoint:
+def _solve_near(C: float, t: complex, pp: PrecisionPolicy) -> complex:
+    """tau(C) by Newton on f_C from t, a root at a nearby C: the step of
+    critical_points_E2's chain.  Where that Newton fails, or its root lies
+    outside F0 by more than BOUNDARY_TOL (another tile's zero), the cold
+    solve's root stands instead; the root must pass _checked."""
+    try:
+        root = _newton(lambda z: _fc_parts(C, z, pp), t, 1e-13, 60)
+    except Diverged:
+        return _solve(C, pp)[0]
+    if f0_margin(root) < -BOUNDARY_TOL:
+        return _solve(C, pp)[0]
+    _checked(C, root, pp)
+    return root
+
+
+def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, *, verify: bool = False,
+               t_top: float = 6.0, cusp_delta: float = 0.08) -> TauPoint:
     """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
 
-    Seeding: Newton from an explicit hint, else from the branch's ladder of
-    nodes C = k/32 and its table of tau(C) (k = -32..-1, 1..31 or 33..64;
-    each node built once per policy on first use, see _ladder_node).  At a
-    node, where 32 C is such an integer (an int C too), the node's root is
-    returned as built.  Elsewhere in the table's
-    reach, where the distance of C from 0 (C < 0), from 1 (C > 1) or from
-    the nearer of them (0 < C < 1) lies in [1/32, 32] ([1/32, 1/2] between
-    them), Newton starts from the Chebyshev interpolant of tau(C) on C's
-    dyadic interval (_tau_table, each interval built once per policy on
-    first use), and its first step already meets the stopping test: one
-    f_C evaluation a solve.  Beyond the table, Newton starts from the
-    large-|C| asymptotic inversion when C <= -0.8 or C >= 1.8; within 1/32
-    of C = 0 or 1, or where every seed before failed, the root is
-    continued in C from the nearest node.  No cold solve depends on the
-    calls made before it.  A seed whose Newton fails, or whose root lands
-    outside F0 (another tile's zero), counts as no seed, so a hint that
-    leads there gives the cold solve's root.  The root that stands must
-    pass the residual test, |f_C| <= max(1e-9, 1e-13 fc_scale), from one
-    more series evaluation, and lie inside F0 by more than 1e-9
-    (DomainEscape otherwise); its F0 margin is formed once, for that test
-    and for the refusal of a root outside F0.  With verify=True the result
-    is certified by an argument-principle count over the truncated F0.
+    Every C takes one path (_solve): C is folded onto C* >= 2, where Newton
+    runs on g = f_C / (12 (C* - tau)), summed without cancellation
+    (_g_parts), and the root is mapped back.  Newton starts from a
+    Chebyshev table of tau on C* in [2, 33] (_tau_table, five dyadic
+    intervals, each built once per policy on first use), whose first step
+    already meets the stopping test: one g evaluation a solve.  Above
+    C* = 33 it starts from the large-C asymptotic seed.  No solve depends on
+    the calls made before it.  The root must pass the residual test at C,
+    |f_C| <= max(1e-9, 1e-13 fc_scale), from one more series evaluation,
+    and lie inside F0 by more than 1e-9 (DomainEscape otherwise).  Where
+    fc_scale is past the float range (|C| above about 1e153) Diverged is
+    raised.  With verify=True the result is certified by an
+    argument-principle count over the truncated F0.
     """
     C = as_real(C, "C")
     if C in (0.0, 1.0):
         raise ValueError("f_C has no zero in F0 for C in {0, 1}")
-    t = _solve(C, pp, None if hint is None else as_tau(hint))[0]
+    t = _solve(C, pp)[0]
     if verify:
-        n = count_zeros(lambda z: _fc_parts(C, z, pp)[:2], f0_contour(t_top, cusp_delta))
+        n = count_zeros(lambda z: _fc_parts(C, z, pp), f0_contour(t_top, cusp_delta))
         if n != 1:
             raise CountMismatch(f"contour count {n} != 1 for f_{C}")
     return TauPoint.from_complex(t)

@@ -183,7 +183,7 @@ class TestTrace:
             assert s.branch == "zero"
             assert s.residual < 1e-9
             assert classify_domain(s.tau, tol=1e-9) is DomainTag.F0_INTERIOR
-            mirror = solve_tauC(1 - s.C, hint=1 - s.tau.z.conjugate())
+            mirror = solve_tauC(1 - s.C)
             assert abs(mirror.z - (1 - s.tau.z.conjugate())) < 1e-8
 
     def test_minus_branch_heads_to_three_quarters(self):
@@ -230,36 +230,49 @@ class TestTrace:
         assert seen == [samples]
 
     def test_work_bound(self, monkeypatch):
-        # every sample a cold solve: one Newton step from the table's value
-        # of tau(C), and the residual the solve reads from one (eta1, g2)
-        # evaluation.  Once the ladder nodes and the table are built, the
-        # three traces make 26 f_C evaluations (one sample, C = -0.5, is a
-        # ladder node and takes none) and 27 (eta1, g2) ones
+        # every sample a cold solve: one Newton step on g from the table's
+        # value of tau(C*), and the residual the solve reads from one
+        # (eta1, g2) evaluation.  Once the tables are built, the three
+        # traces make 27 g evaluations and 27 (eta1, g2) ones, and sum f_C
+        # in its own form nowhere
         segments = [("minus", -3.0, -0.5), ("zero", 0.1, 0.9), ("plus", 1.2, 6.0)]
         for branch, lo, hi in segments:
             trace_curve(branch, lo, hi, 9)
-        fc_calls, eta1_g2_calls = [], []
-        fc_parts, eta1_g2 = zeros._fc_parts, zeros._eta1_g2
+        g_calls, fc_calls, eta1_g2_calls = [], [], []
+        g_parts, fc_parts, eta1_g2 = zeros._g_parts, zeros._fc_parts, zeros._eta1_g2
+        monkeypatch.setattr(zeros, "_g_parts",
+                            lambda *args: g_calls.append(args) or g_parts(*args))
         monkeypatch.setattr(zeros, "_fc_parts",
                             lambda *args: fc_calls.append(args) or fc_parts(*args))
         monkeypatch.setattr(zeros, "_eta1_g2",
                             lambda *args: eta1_g2_calls.append(args) or eta1_g2(*args))
         for branch, lo, hi in segments:
             trace_curve(branch, lo, hi, 9)
-        assert len(fc_calls) <= 26
+        assert len(g_calls) == 27
+        assert not fc_calls
         assert len(eta1_g2_calls) == 27
 
-    def test_samples_from_the_table(self):
-        # within the table's reach a sample off the ladder nodes is
-        # Newton's root from the table's value; beyond it, and within 1/32
-        # of C = 0 or 1, no table value is offered
-        for branch, lo, hi in (("minus", -25.0, -1.2), ("zero", 0.04, 0.96),
-                               ("plus", 1.04, 28.0)):
-            for s in trace_curve(branch, lo, hi, 9):
-                guess = zeros._table_guess(s.C, DEFAULT)
-                assert s.tau.z == zeros._newton_fc(s.C, guess, DEFAULT)[0], s.C
-        for C in (-32.5, -40.0, 33.5, 40.0, 1e300, -1e300, -0.03, 0.03, 0.97, 1.03):
-            assert zeros._table_guess(C, DEFAULT) is None, C
+    def test_samples_from_the_table(self, monkeypatch):
+        # a sample whose C folds onto C* <= 33 starts Newton from the
+        # table's value of tau(C*); past it, as within 1/32 of C = 0 or 1
+        # and beyond |C| = 32, from the asymptotic seed
+        segments = (("minus", -25.0, -1.2), ("zero", 0.04, 0.96), ("plus", 1.04, 28.0),
+                    ("minus", -40.0, -32.5), ("zero", 0.001, 0.03), ("plus", 1.001, 1.03))
+        for branch, lo, hi in segments:
+            trace_curve(branch, lo, hi, 9)   # builds the tables
+        seeds = []
+        newton_g = zeros._newton_g
+        monkeypatch.setattr(zeros, "_newton_g",
+                            lambda *args: seeds.append(args[:2]) or newton_g(*args))
+        for k, (branch, lo, hi) in enumerate(segments):
+            seeds.clear()
+            trace_curve(branch, lo, hi, 9)
+            assert len(seeds) == 9
+            for C_star, seed in seeds:
+                if k < 3:
+                    assert C_star <= 33 and seed == zeros._table_guess(C_star, DEFAULT), C_star
+                else:
+                    assert C_star > 33 and seed == zeros._asymptotic_seed(C_star), C_star
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):

@@ -20,15 +20,22 @@ Laurent form near the lattice), at points summed directly and pulled back.
 Near the lattice, down to |u|/R = 1e-4 where the Laurent form sums its
 coefficients no further than c_3, Z2 and its derivative are checked against
 the reference at 50 digits, on the scale of the Laurent form's terms.
+
+tau(C), the zero of f_C in F0, is checked against a 40-digit root of f_C
+at C itself, f_C formed as 12 (C eta1 - eta2)^2 - g2 (C - tau)^2 from the
+direct series of eta1 and g2.  The library folds C onto C* >= 2 by the
+curves' symmetries and solves there, so this also checks the symmetries,
+independently of the fold.
 """
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from e2crit import eval_weierstrass, eval_Zrs, eval_Zrs2
+from e2crit import eval_weierstrass, eval_Zrs, eval_Zrs2, solve_tauC
 from e2crit.domain import DEFAULT
 from e2crit.premodular import SMALL_U_FACTOR, _laurent_length, _zrs2_parts, _zrs_parts
 from e2crit.qseries import _pullback
@@ -301,3 +308,68 @@ def test_carried_characteristic_keeps_its_digits(tau, bound):
     assert z2 == eval_Zrs2(rs, tau)
     assert abs(z2 - want) <= bound * abs(want), (tau, z2, want)
     assert abs(dz2 - dwant) <= bound * abs(dwant), (tau, dz2, dwant)
+
+
+# tau(C) within this relative distance of the 40-digit root of f_C
+TAU_C_TOL = 1e-15
+TAU_C_DPS = 40
+
+
+def _fc_root(C: float, t0: complex) -> complex:
+    """The 40-digit root of f_C nearest t0 by the secant method, with its
+    residual checked on the scale |g2| |C - tau|^2 of f_C's terms; each
+    series is summed until its k^3-weighted term is below 1e-50."""
+    with mp.workdps(TAU_C_DPS):
+        Cm, pi = mp.mpf(C), mp.pi
+
+        def parts(tau):
+            q = mp.exp(2j * pi * tau)
+            lr = math.log(float(abs(q)))
+            n = 1
+            while 3 * math.log(n + 1) + (n + 1) * lr > math.log(1e-50):
+                n += 1
+            s1 = s3 = mp.mpc(0)
+            qk = mp.mpc(1)
+            for k in range(1, n + 1):
+                qk *= q
+                divisors = [d for d in range(1, k + 1) if k % d == 0]
+                s1 += sum(divisors) * qk
+                s3 += sum(d**3 for d in divisors) * qk
+            e1 = pi**2 / 3 * (1 - 24 * s1)
+            g2 = 4 * pi**4 / 3 * (1 + 240 * s3)
+            lin = Cm * e1 - (tau * e1 - 2j * pi)
+            return 12 * lin**2 - g2 * (Cm - tau) ** 2, abs(g2) * abs(Cm - tau) ** 2
+
+        root = mp.findroot(lambda tau: parts(tau)[0], mp.mpc(t0), verify=False)
+        value, scale = parts(root)
+        assert abs(value) <= mp.mpf(10) ** (10 - TAU_C_DPS) * scale, (C, value, scale)
+        return complex(root)
+
+
+def _tau_C_cases(per_interval: int = 4, seed: int = 71):
+    """Seeded C in each of the six intervals the library folds onto
+    C* >= 2, with |C| or |C - 1| log-uniform in [1e-12, 1e14], and the ends
+    of that range."""
+    rng = random.Random(seed)
+
+    def lu(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    Cs = [1e14, -1e14, 1e-12, -1e-12, 1 + 1e-12, 1 - 1e-12, -1e5, 2e6, 1 + 1e-9]
+    for _ in range(per_interval):
+        Cs += [1 + lu(1, 1e14), -lu(1, 1e14), -lu(1e-12, 1), lu(1e-12, 0.5),
+               1 - lu(1e-12, 0.5), 1 + lu(1e-12, 1)]
+    return Cs
+
+
+def test_tau_C_matches_reference():
+    worst = 0.0
+    for C in _tau_C_cases():
+        t = solve_tauC(C).z
+        ref = _fc_root(C, t)
+        # the reference is the zero in F0, which is unique
+        assert 0 < ref.real < 1 and abs(ref - 0.5) > 0.5, (C, ref)
+        err = abs(t - ref) / abs(ref)
+        assert err <= TAU_C_TOL, (C, t, ref, err)
+        worst = max(worst, err)
+    assert worst > 0.0  # the comparison is not vacuous

@@ -37,14 +37,7 @@ from e2crit import qseries, zeros
 from e2crit.premodular import _zrs2_parts
 from e2crit.verify import _TRIANGLE_VERTICES, triangle_grid
 from tests_helpers import float_bits
-from e2crit.zeros import (
-    _continue_to,
-    _fc_parts,
-    _ladder_node,
-    _newton_fc,
-    _tau_table,
-    _winding,
-)
+from e2crit.zeros import _fc_parts, _tau_table, _winding
 
 PI = math.pi
 RNG = np.random.default_rng(17)
@@ -434,8 +427,7 @@ class TestFCPartsBitwise:
             d = C - tau
             e1p, g2p, _ = qseries._derivs(e1, g2v, g3v)
             want = (12 * lin * lin - g2v * (d * d),
-                    24 * lin * (C * e1p - (e1 + tau * e1p)) - g2p * (d * d) + 2 * g2v * d,
-                    24 * lin * e1 - 2 * g2v * d)
+                    24 * lin * (C * e1p - (e1 + tau * e1p)) - g2p * (d * d) + 2 * g2v * d)
             assert _fc_parts(C, tau, pp) == want, (C, tau)
 
 
@@ -528,91 +520,96 @@ class TestSolveTauC:
             assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
 
     def test_hint_used(self):
+        # critical_points_E2's chain step: Newton on f_C from a point near
+        # the root, the chain's last one
         exact = solve_tauC(0.4)
-        hinted = solve_tauC(0.4, hint=exact.z + 1e-3)
-        assert abs(hinted.z - exact.z) < 1e-11
+        hinted = zeros._solve_near(0.4, exact.z + 1e-3, DEFAULT)
+        assert abs(hinted - exact.z) < 1e-11
 
     @pytest.mark.parametrize("C, hint", [(0.3, 0.3 + 0.3j), (-2.0, 0.5 + 0.2j),
                                          (2.5, 1.7 + 0.8j)])
     def test_hint_leading_outside_F0_gives_the_cold_root(self, C, hint):
-        # Newton from the hint converges to another tile's zero: that root
-        # counts as a failed hint, so the cold solve's root comes back
-        stray = _newton_fc(C, hint, DEFAULT)
-        assert stray is not None and classify_domain(stray[0]) is DomainTag.OUTSIDE
-        assert float_bits(solve_tauC(C, hint=hint).z) == float_bits(solve_tauC(C).z)
+        # Newton on f_C from the chain's point converges to another tile's
+        # zero: that root is refused, and the cold solve's root comes back
+        stray = zeros._newton(lambda z: _fc_parts(C, z, DEFAULT), hint, 1e-13, 60)
+        assert classify_domain(stray) is DomainTag.OUTSIDE
+        assert float_bits(zeros._solve_near(C, hint, DEFAULT)) == float_bits(solve_tauC(C).z)
 
     def test_zero_branch_anchor_once_per_policy(self):
-        # 0.3 and 0.45 lie in the table interval [1/4, 1/2], 0.6 in
-        # [1/2, 3/4].  Each interval's first point, nearest its top end, is
-        # continued from the nearest node, k = 16 (the anchor) and k = 24
-        # (continued from the anchor): two node builds and two tables
+        # the zero branch is solved on C* >= 2: 0.3 folds onto C* = 1/0.3
+        # in the table interval C* - 1 in [2, 4], 0.6 and 0.45 onto
+        # 1/(1 - 0.6) and 1/0.45 in [1, 2]; two tables, each built once
         pp = PrecisionPolicy(eps=1e-11)
-        misses = _ladder_node.cache_info().misses
         tables = _tau_table.cache_info().misses
         for _ in range(2):
             for C in (0.3, 0.6, 0.45):
                 t = solve_tauC(C, pp)
                 assert abs(eval_fC(C, t, pp)) < 1e-9
-        assert _ladder_node.cache_info().misses == misses + 2
         assert _tau_table.cache_info().misses == tables + 2
 
     def test_outer_anchors_once_per_policy(self):
-        # -0.5 is the node k = -16.  -0.3, -0.7, 1.4 and 1.2 lie in the table
-        # intervals [-1/2, -1/4], [-1, -1/2], [5/4, 3/2] and [9/8, 5/4], whose
-        # first points are continued from the nodes k = -8, -16, 48 and 40.
-        # Each node is continued from its anchor k = -32 or 64: six node
-        # builds and four tables, each once
+        # -0.3, 1.4, -0.5, 1.2 and -0.7 fold onto C* = 1 + 1/0.3, 1.4/0.4,
+        # 3, 1.2/0.2 and 1 + 1/0.7, in the table intervals C* - 1 in [2, 4]
+        # (three of them), [4, 8] and [1, 2]: three tables, each built once
         pp = PrecisionPolicy(eps=3e-12)
-        misses = _ladder_node.cache_info().misses
         tables = _tau_table.cache_info().misses
         for _ in range(2):
             for C in (-0.3, 1.4, -0.5, 1.2, -0.7):
                 t = solve_tauC(C, pp)
                 assert abs(eval_fC(C, t, pp)) < 1e-9
-        assert _ladder_node.cache_info().misses == misses + 6
-        assert _tau_table.cache_info().misses == tables + 4
+        assert _tau_table.cache_info().misses == tables + 3
 
     def test_warm_solve_work_bound(self, monkeypatch):
-        # C = 1.55 lies in the table interval [3/2, 2]; once it is built,
-        # Newton's first step from the table's value is its last
+        # C = 1.55 folds onto C* = 1.55/0.55 in the table interval
+        # C* - 1 in [1, 2]; once it is built, Newton's first step from the
+        # table's value is its last, and f_C in its own form is not summed
         solve_tauC(1.55)
-        calls = []
-        fc_parts = zeros._fc_parts
-        monkeypatch.setattr(zeros, "_fc_parts",
-                            lambda *args: calls.append(args) or fc_parts(*args))
+        calls = _count_calls(monkeypatch, "_g_parts")
+        fc_calls = _count_calls(monkeypatch, "_fc_parts")
         solve_tauC(1.55)
         assert len(calls) == 1
+        assert not fc_calls
 
     def test_continuation_rejects_a_root_outside_F0(self, monkeypatch):
-        # the first corrector lands on the mirror image -conj(tau) across
-        # Re = 0, outside F0 and within the 0.2 jump limit: the step must be
-        # halved, not accepted
+        # critical_points_E2 continues tau(C) by Newton on f_C from the
+        # chain's last point.  Its root, offered as the mirror image
+        # -conj(tau) across Re = 0, outside F0, must be refused: the cold
+        # solve's root stands
         C_from, C_to = 0.002, 0.001
         start = solve_tauC(C_from).z
-        root = (start, *_fc_parts(C_from, start, DEFAULT)[1:])
-        newton = zeros._newton_fc
+        cold = solve_tauC(C_to).z
+        newton = zeros._newton
         offered = []
 
-        def newton_once_outside(C, t, pp):
-            got = newton(C, t, pp)
-            if not offered and got is not None:
-                offered.append(got[0])
-                return (-got[0].conjugate(), *got[1:])
+        def newton_once_outside(f, t, tol, itmax):
+            got = newton(f, t, tol, itmax)
+            if not offered:
+                offered.append(got)
+                return -got.conjugate()
             return got
 
-        monkeypatch.setattr(zeros, "_newton_fc", newton_once_outside)
-        t = _continue_to(C_from, root, C_to, DEFAULT)[0]
+        monkeypatch.setattr(zeros, "_newton", newton_once_outside)
+        t = zeros._solve_near(C_to, start, DEFAULT)
         assert classify_domain(offered[0]) is DomainTag.F0_INTERIOR
         assert classify_domain(-offered[0].conjugate()) is DomainTag.OUTSIDE
         assert abs(-offered[0].conjugate() - start) < 0.2
-        assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
-        assert abs(t - solve_tauC(C_to).z) < 1e-12
+        assert t == cold
 
-    @pytest.mark.parametrize("C", [1e308, -1e308])
+    @pytest.mark.parametrize("C", [1e308, -1e308, 1e200, -1e200])
     def test_huge_C_diverges(self, C):
-        # the iterates overflow to inf and NaN; every guard fails on them
-        with pytest.raises(Diverged):
+        # the root is found, but fc_scale = 1 + |g2| |C - tau|^2 is past the
+        # float range, so the residual test cannot be read: Diverged names
+        # C and the scale, and no bare OverflowError escapes
+        with pytest.raises(Diverged, match=r"fc_scale .* past the float range"):
             solve_tauC(C)
+
+    def test_largest_C_within_the_float_range(self):
+        # below |C| of about 1e153 fc_scale is finite and the residual test
+        # reads it
+        for C in (1e150, -1e150):
+            t = solve_tauC(C)
+            assert t.im > 50
+            assert abs(t.re - (0.25 if C > 0 else 0.75)) < 1e-12
 
     @pytest.mark.parametrize("C", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_C(self, C):
@@ -622,13 +619,32 @@ class TestSolveTauC:
                 call()
 
 
-LADDER = [k for k in range(-32, 65) if k not in (0, 32)]   # nodes C = k/32
-ANCHOR = {"minus": -32, "zero": 16, "plus": 64}
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call to zeros.<name>, from now on."""
+    calls = []
+    fn = getattr(zeros, name)
+    monkeypatch.setattr(zeros, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
 
 
-def _ladder_Cs(n, seed):
-    """Seeded C in (-0.8, 1.8), inside the table, at least 0.05 from 0
-    and 1."""
+def _fold_Cs(n, seed, lo=1e-12, hi=1e14):
+    """n seeded C in each of the six fold intervals, |C| or |C - 1|
+    log-uniform in [lo, hi] as far as the interval reaches."""
+    rng = random.Random(seed)
+
+    def lu(a, b):
+        a, b = max(a, lo), min(b, hi)
+        return math.exp(rng.uniform(math.log(a), math.log(b)))
+
+    Cs = []
+    for _ in range(n):
+        Cs += [1 + lu(1, hi), -lu(1, hi), -lu(lo, 1), lu(lo, 0.5), 1 - lu(lo, 0.5), 1 + lu(lo, 1)]
+    return Cs
+
+
+def _table_Cs(n, seed):
+    """Seeded C in (-0.8, 1.8), at least 0.05 from 0 and 1: all of them
+    fold onto C* in the table's reach [2, 33]."""
     rng = random.Random(seed)
     Cs = []
     while len(Cs) < n:
@@ -639,174 +655,172 @@ def _ladder_Cs(n, seed):
 
 
 class TestAnchorLadder:
+    """Cold solves through the fold onto C* >= 2: history independence,
+    the work a solve does, and the seed it starts from."""
+
     def test_history_independence(self):
-        Cs = _ladder_Cs(60, 41)
-        _ladder_node.cache_clear()
+        Cs = _fold_Cs(10, 41) + _table_Cs(30, 41)
         _tau_table.cache_clear()
         forward = [solve_tauC(C).z for C in Cs]
-        _ladder_node.cache_clear()
         _tau_table.cache_clear()
         backward = [solve_tauC(C).z for C in reversed(Cs)]
         assert forward == backward[::-1]
+        # an int C is the float C
+        for C in (-3, -1, 2, 5):
+            assert solve_tauC(C).z == solve_tauC(float(C)).z
+        assert trace_curve("minus", -8, -1, 5) == trace_curve("minus", -8.0, -1.0, 5)
 
-    def test_nodes_are_continued_from_their_anchor(self):
-        # bit for bit: C = -1/2 (k = -16) starts the hint chain of
-        # critical_points_E2, whose points must not move by an ulp
-        for k in LADDER:
-            C = k / 32
-            a = ANCHOR[zeros.branch_of(C)]
-            anchor = _ladder_node(a, DEFAULT)
-            # a cold solve at a node returns the node as built, the nodes
-            # in (-1, -0.8] and [1.8, 2) included
-            expect = anchor[0] if k == a else _continue_to(a / 32, anchor, C, DEFAULT)[0]
-            assert _ladder_node(k, DEFAULT)[0] == expect, k
-            assert solve_tauC(C).z == expect, k
+    def test_fold(self, monkeypatch):
+        # each C is solved at C* >= 2 as the fold table of zeros._solve
+        # gives it, and tau(C*) is mapped back by the matching map
+        seen = _count_calls(monkeypatch, "_plus_root")
+        for C in _fold_Cs(5, 61) + [2.0, -1.0, 0.5, -0.5, 1.5, 0.75]:
+            seen.clear()
+            t = solve_tauC(C).z
+            ((C_star, _),) = seen
+            assert C_star >= 2, C
+            ts = zeros._plus_root(C_star, DEFAULT)
+            if C >= 2:
+                want = (C, ts)
+            elif C <= -1:
+                want = (1 - C, 1 - ts.conjugate())
+            elif C < 0:
+                want = (1 - 1 / C, 1 / (1 - ts))
+            elif C <= 0.5:
+                want = (1 / C, 1 / ts.conjugate())
+            elif C < 1:
+                want = (1 / (1 - C), 1 - 1 / ts)
+            else:
+                want = (C / (C - 1), 1 - (1 / (1 - ts)).conjugate())
+            assert (C_star, t) == want, C
 
     def test_cold_solve_work_bound(self, monkeypatch):
         # once the tables are built, Newton's first step from the table's
-        # value is its last: one f_C evaluation each
-        Cs = _ladder_Cs(300, 43)
+        # value is its last: one g evaluation each
+        Cs = _table_Cs(300, 43)
         for C in Cs:
             solve_tauC(C)
-        calls = []
-        fc_parts = zeros._fc_parts
-        monkeypatch.setattr(zeros, "_fc_parts",
-                            lambda *args: calls.append(args) or fc_parts(*args))
-        total = 0
+        calls = _count_calls(monkeypatch, "_g_parts")
         for C in Cs:
             calls.clear()
             solve_tauC(C)
             assert len(calls) == 1, C
 
     def test_table_root_matches_the_continued_root(self):
-        # Newton's root from the table's value against the root continued
-        # in C from the nearest node C = j/8, which cold solves returned
-        # before the ladder was refined to 1/32.  Both are Newton's, stopped
-        # after a step below 1e-13 |tau|, so they differ by rounding only;
-        # the bound is about 20 ulps
+        # Newton's root on g from the table's value against the root
+        # continued by Newton on f_C from tau at the nearest C = j/8 (the
+        # step of critical_points_E2's chain).  Both stop after a step
+        # below 1e-13 |tau|, so they differ by rounding only: f_C loses
+        # about |C| eps, and here |C| < 2
         ranges = {"minus": (-8, -1), "zero": (1, 7), "plus": (9, 16)}
-        for C in _ladder_Cs(200, 47):
+        for C in _table_Cs(200, 47):
             lo, hi = ranges[zeros.branch_of(C)]
             j = round(min(hi, max(lo, 8 * C)))
-            continued = _continue_to(j / 8, _ladder_node(4 * j, DEFAULT), C, DEFAULT)[0]
-            from_table = _newton_fc(C, zeros._table_guess(C, DEFAULT), DEFAULT)[0]
-            assert solve_tauC(C).z == from_table
-            assert abs(from_table - continued) <= 4e-15 * abs(continued), C
+            continued = zeros._solve_near(C, solve_tauC(j / 8).z, DEFAULT)
+            assert abs(solve_tauC(C).z - continued) <= 4e-15 * abs(continued), C
 
-    def test_nodes_built_once_per_policy(self):
-        pp = PrecisionPolicy(eps=2e-12)
-        misses = _ladder_node.cache_info().misses
-        for _ in range(2):
-            for k in LADDER:
-                _ladder_node(k, pp)
-        assert _ladder_node.cache_info().misses == misses + len(LADDER)
-        # a solve at a node returns the node; the tables start from built
-        # nodes, so a solve between nodes builds none
-        for C in (-0.3, 0.3, 1.3, -0.5, 0.5, 1.5):
+    def test_nodes_built_once_per_policy(self, monkeypatch):
+        # each table solves its 16 Chebyshev nodes once per policy: the
+        # first solve in an interval makes those 16 Newton solves and its
+        # own, every later one its own alone
+        pp = PrecisionPolicy(eps=2.5e-12)
+        solves = _count_calls(monkeypatch, "_newton_g")
+        counts = []
+        for C in (4.2, 4.7, 0.3, 4.2):   # C* - 1 in [2, 4] each, 0.3 by 1/C
+            solves.clear()
             t = solve_tauC(C, pp)
             assert abs(eval_fC(C, t, pp)) < 1e-9
-        assert _ladder_node.cache_info().misses == misses + len(LADDER)
+            counts.append(len(solves))
+        assert counts == [17, 1, 1, 1]
 
-    def test_cold_solve_at_a_node_is_the_node(self, monkeypatch):
-        # 32 C an integer in the ladder's range: the node's root as built,
-        # bit for bit and without a Newton step, for a float C and for an
-        # int C such as trace_curve's ends may be
-        nodes = {k: float_bits(_ladder_node(k, DEFAULT)[0]) for k in LADDER}
-        calls = []
-        fc_parts = zeros._fc_parts
-        monkeypatch.setattr(zeros, "_fc_parts",
-                            lambda *args: calls.append(args) or fc_parts(*args))
-        for k in LADDER:
-            assert float_bits(solve_tauC(k / 32).z) == nodes[k], k
-            if k % 32 == 0:
-                assert float_bits(solve_tauC(k // 32).z) == nodes[k], k
-        assert not calls
-        assert trace_curve("minus", -8, -1, 5) == trace_curve("minus", -8.0, -1.0, 5)
-
-    def test_off_the_nodes_the_table_or_the_cold_path(self):
-        # just past the node range, and the dyadics k/64 between the nodes:
-        # no node's root, but Newton's from the table's value, or within
-        # 1/32 of C = 0 or 1 the cold root
-        Cs = [-33 / 32, 65 / 32] + [k / 64 for k in range(-65, 131, 2)]
-        cold = []
+    def test_off_the_nodes_the_table_or_the_cold_path(self, monkeypatch):
+        # Newton starts from the table's value where C* <= 33, its top end
+        # included, and from the asymptotic seed past it; the dyadics k/64
+        # and C just past the table's end in each fold interval included
+        Cs = [k / 64 for k in range(-65, 131, 2)] + [-32.0, -32.01, 33.0, 33.01, 1 / 32, 1 / 34,
+                                                    1 - 1 / 32, 1 - 1 / 34, 33 / 32, 35 / 34,
+                                                    -1 / 32, -1 / 32.01]
         for C in Cs:
-            guess = zeros._table_guess(C, DEFAULT)
-            if guess is None:
-                cold.append(C)
-                expect = zeros._cold_root(C, DEFAULT)[0]
+            solve_tauC(C)   # builds the tables
+        seeds = _count_calls(monkeypatch, "_newton_g")
+        past = []
+        for C in Cs:
+            seeds.clear()
+            solve_tauC(C)
+            ((C_star, seed, _),) = seeds
+            if C_star <= 33:
+                assert seed == zeros._table_guess(C_star, DEFAULT), C
             else:
-                expect = _newton_fc(C, guess, DEFAULT)[0]
-            assert float_bits(solve_tauC(C).z) == float_bits(expect), C
-        assert cold == [-1 / 64, 1 / 64, 63 / 64, 65 / 64]
-
-    def test_nearest_node(self):
-        # k of the node C = k/32, clamped to the branch's range
-        assert [zeros._nearest_node(C) for C in (-5.0, -0.9, -0.5, -0.01)] == [-32, -29, -16, -1]
-        assert [zeros._nearest_node(C) for C in (0.01, 0.3, 0.99)] == [1, 10, 31]
-        assert [zeros._nearest_node(C) for C in (1.01, 1.3, 1.97, 9.0)] == [33, 42, 63, 64]
+                past.append(C)
+                assert seed == zeros._asymptotic_seed(C_star), C
+        assert past == [-1 / 64, 1 / 64, 63 / 64, 65 / 64, -32.01, 33.01, 1 / 34, 1 - 1 / 34,
+                        35 / 34, -1 / 32.01]
 
 
-# the table's 28 intervals, in C: |C|, C - 1 and min(C, 1 - C) in the
-# dyadic intervals [2^(e-1), 2^e] up to 32, 32 and 1/2
-TABLE = ([(-2.0 ** e, -2.0 ** (e - 1)) for e in range(-4, 6)]
-         + [(2.0 ** (e - 1), 2.0 ** e) for e in range(-4, 0)]
-         + [(1 - 2.0 ** e, 1 - 2.0 ** (e - 1)) for e in range(-4, 0)]
-         + [(1 + 2.0 ** (e - 1), 1 + 2.0 ** e) for e in range(-4, 6)])
+# the table's five intervals, in C*: C* - 1 in [2^(e-1), 2^e], e = 1..5
+TABLE = [(1 + 2.0 ** (e - 1), 1 + 2.0 ** e) for e in range(1, 6)]
+
+
+def _table_exponents(monkeypatch):
+    """The exponents e of the table intervals zeros._table_guess reads,
+    from now on."""
+    asked = []
+    table = zeros._tau_table
+    monkeypatch.setattr(zeros, "_tau_table", lambda e, eps: asked.append(e) or table(e, eps))
+    return asked
 
 
 class TestTauTable:
-    def test_intervals(self):
-        assert len(TABLE) == 28
-        for lo, hi in TABLE:
+    def test_intervals(self, monkeypatch):
+        asked = _table_exponents(monkeypatch)
+        for e, (lo, hi) in enumerate(TABLE, 1):
             mid = 0.5 * (lo + hi)
-            assert zeros._table_interval(mid) == (lo, hi)
-            assert zeros._table_interval(math.nextafter(hi, mid)) == (lo, hi)
-            assert zeros._table_interval(math.nextafter(lo, mid)) == (lo, hi)
-        # the table's ends belong to it; past them, and within 1/32 of
-        # C = 0 or 1, no interval is offered
-        assert zeros._table_interval(-32.0) == (-32.0, -16.0)
-        assert zeros._table_interval(33.0) == (17.0, 33.0)
-        assert zeros._table_interval(0.5) == (0.25, 0.5)
-        for C in (-32.01, 33.01, -0.031, 0.031, 0.969, 1.031, 1e300, -1e300):
-            assert zeros._table_interval(C) is None, C
+            for C in (mid, math.nextafter(hi, mid), math.nextafter(lo, mid)):
+                asked.clear()
+                zeros._table_guess(C, DEFAULT)
+                assert asked == [e], C
+        # the table's ends belong to it
+        for C, e in ((2.0, 1), (33.0, 5)):
+            asked.clear()
+            zeros._table_guess(C, DEFAULT)
+            assert asked == [e], C
 
-    def test_both_sides_of_every_edge(self):
-        # where two intervals share an end, m = 2^(e-1) starts the interval
-        # above it in m, which is the longer of the two (at C = 1/2, where
-        # both have length 1/4, the lower); past the table's ends, none
-        def holding(C):
-            shared = [(lo, hi) for lo, hi in TABLE if lo <= C <= hi]
-            return max(shared, key=lambda iv: (iv[1] - iv[0], -iv[0]), default=None)
-
-        edges = sorted({end for iv in TABLE for end in iv})
-        assert len(edges) == 31
-        for E in edges:
-            for C in (math.nextafter(E, -math.inf), E, math.nextafter(E, math.inf)):
-                assert zeros._table_interval(C) == holding(C), C
+    def test_both_sides_of_every_edge(self, monkeypatch):
+        # where two intervals share an end, C* - 1 = 2^(e-1) starts the
+        # interval above it, the longer one; on both sides of every edge
+        # the table's value holds the root
+        asked = _table_exponents(monkeypatch)
+        for e in range(2, 6):
+            E = 1 + 2.0 ** (e - 1)
+            for C, want in ((math.nextafter(E, -math.inf), e - 1), (E, e),
+                            (math.nextafter(E, math.inf), e)):
+                asked.clear()
+                guess = zeros._table_guess(C, DEFAULT)
+                assert asked == [want], C
+                root = zeros._plus_root(C, DEFAULT)
+                assert abs(guess - root) <= 1e-13 * abs(root), C
 
     def test_table_matches_cold_roots(self):
-        # seeded C in every interval and both its ends, against the root
-        # solved without the table (asymptotic seed, else continuation
-        # from the nearest node)
+        # seeded C* in every interval and both its ends, against the root
+        # solved without the table, by Newton on g from the asymptotic seed
         rng = random.Random(53)
         for lo, hi in TABLE:
             for C in [lo, hi] + [rng.uniform(lo, hi) for _ in range(6)]:
                 guess = zeros._table_guess(C, DEFAULT)
-                cold = zeros._cold_root(C, DEFAULT)[0]
+                cold = zeros._newton_g(C, zeros._asymptotic_seed(C), DEFAULT)
                 assert abs(guess - cold) <= 1e-13 * abs(cold), C
 
     def test_one_fc_evaluation_per_cold_solve(self, monkeypatch):
+        # in the table's reach (C* <= 33) a solve evaluates f_C once, in
+        # the form g = f_C / (12 (C* - tau)), whatever the fold interval
         rng = random.Random(59)
-        Cs = [rng.uniform(lo, hi) for lo, hi in ((-31.9, -1 / 32), (1 / 32, 31 / 32),
-                                                 (1 + 1 / 32, 31.9)) for _ in range(100)]
+        Cs = [rng.uniform(lo, hi) for lo, hi in ((-32.0, -1.0), (-1.0, -1 / 32), (1 / 33, 0.5),
+                                                 (0.5, 1 - 1 / 33), (33 / 32, 2.0), (2.0, 33.0))
+              for _ in range(50)]
         Cs += [lo for lo, _ in TABLE] + [hi for _, hi in TABLE]
-        Cs = [C for C in Cs if 32 * C != round(32 * C)]   # not a ladder node
         for C in Cs:
             solve_tauC(C)
-        calls = []
-        fc_parts = zeros._fc_parts
-        monkeypatch.setattr(zeros, "_fc_parts",
-                            lambda *args: calls.append(args) or fc_parts(*args))
+        calls = _count_calls(monkeypatch, "_g_parts")
         for C in Cs:
             calls.clear()
             solve_tauC(C)
@@ -817,67 +831,35 @@ class TestTauTable:
         # first finds them built
         misses = _tau_table.cache_info().misses
         Cs = [lo + 0.3 * (hi - lo) for lo, hi in TABLE]
-        assert all(32 * C != round(32 * C) for C in Cs)   # no ladder node
         for pp in (PrecisionPolicy(eps=4e-12), PrecisionPolicy(eps=4e-12)):
             for C in Cs:
                 solve_tauC(C, pp)
         assert _tau_table.cache_info().misses == misses + len(TABLE)
 
     def test_root_on_the_F0_boundary_escapes(self, monkeypatch):
-        # tau(-0.05) lies 0.12 inside the arc |tau - 1/2| = 1/2.  Newton's
-        # root from the table's value, moved radially onto the arc, is not
-        # refused as outside F0 but fails the interior test; the residual
-        # test is lifted, so the F0 test alone decides
+        # tau(-0.05) lies 0.12 inside the arc |tau - 1/2| = 1/2.  tau(C*),
+        # C* = 21, moved so that its map back lies on the arc, fails the
+        # interior test; the residual test is lifted, so the F0 test alone
+        # decides
         C = -0.05
-        solve_tauC(C)   # builds the table interval
-        newton = zeros._newton_fc
-
-        def newton_onto_the_arc(C, t, pp):
-            root, *rest = newton(C, t, pp)
-            return (0.5 + 0.5 * (root - 0.5) / abs(root - 0.5), *rest)
-
-        monkeypatch.setattr(zeros, "_newton_fc", newton_onto_the_arc)
+        t = solve_tauC(C).z
+        arc = 0.5 + 0.5 * (t - 0.5) / abs(t - 0.5)
+        monkeypatch.setattr(zeros, "_plus_root", lambda C, pp: 1 - 1 / arc)
         monkeypatch.setattr(zeros, "_fc_value", lambda C, t, pp: (0j, 1.0))
         with pytest.raises(DomainEscape, match=r"not interior to F0 \(F0_boundary\)"):
             solve_tauC(C)
 
-    def test_node_root_outside_F0_escapes(self, monkeypatch):
-        # a node's root is returned as built; one outside F0 fails the
-        # interior test with its tag
-        monkeypatch.setattr(zeros, "_ladder_node", lambda k, pp: (complex(-0.1, 1.0), 1, 1))
-        monkeypatch.setattr(zeros, "_fc_value", lambda C, t, pp: (0j, 1.0))
-        with pytest.raises(DomainEscape, match=r"not interior to F0 \(outside\)"):
-            solve_tauC(-0.5)
-
     def test_root_outside_F0_refused(self, monkeypatch):
-        # Newton's root from the table's value is offered as its mirror
-        # image across the nearer edge Re = 0 or Re = 1, outside F0.  With
-        # the jump limit lifted the domain guard alone must refuse it, and
-        # the solve falls back to the asymptotic seed or the continuation
-        # from the nearest node, whose root is the same to rounding
-        # (Newton's, stopped after a step below 1e-13 |tau|: a few ulps)
-        newton = zeros._newton_fc
-        monkeypatch.setattr(zeros, "MAX_JUMP", math.inf)
+        # tau(C*) is offered as its mirror image 2 - conj tau(C*) across
+        # Re = 1, another tile's zero.  The fold's maps keep F0, so its map
+        # back lies outside F0 in every fold interval; with the residual
+        # test lifted the F0 test alone must refuse it, naming its tag
+        plus = zeros._plus_root
+        monkeypatch.setattr(zeros, "_plus_root", lambda C, pp: 2 - plus(C, pp).conjugate())
+        monkeypatch.setattr(zeros, "_fc_value", lambda C, t, pp: (0j, 1.0))
         for C in (-20.0, -1.5, -0.3, 0.1, 0.7, 1.2, 2.5, 30.0):
-            cold = solve_tauC(C).z   # builds the table interval
-            offered = []
-
-            def newton_once_outside(C, t, pp):
-                got = newton(C, t, pp)
-                if not offered:
-                    offered.append(got[0])
-                    edge = 0.0 if got[0].real < 0.5 else 1.0
-                    return (2 * edge - got[0].conjugate(), *got[1:])
-                return got
-
-            monkeypatch.setattr(zeros, "_newton_fc", newton_once_outside)
-            t = solve_tauC(C).z
-            monkeypatch.setattr(zeros, "_newton_fc", newton)
-            assert offered == [cold], C
-            edge = 0.0 if cold.real < 0.5 else 1.0
-            assert classify_domain(2 * edge - cold.conjugate()) is DomainTag.OUTSIDE
-            assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
-            assert abs(t - cold) <= 4e-15 * abs(cold), C
+            with pytest.raises(DomainEscape, match=r"not interior to F0 \(outside\)"):
+                solve_tauC(C)
 
 
 class TestBoundaryExclusion:
