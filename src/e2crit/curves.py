@@ -14,8 +14,8 @@ from .moebius import MoebiusMap, enumerate_gamma02, reduce_to_F0
 from .premodular import find_zero_in_F0
 from .qseries import PI, _eta1_g2, eval_derivatives
 from .zeros import (
+    _BRANCH_RANGE,
     BranchState,
-    _asymptotic_seed,
     _branch_root,
     _phi,
     _solve,
@@ -26,14 +26,8 @@ from .zeros import (
     solve_tauC,
 )
 
-RHO = complex(0.5, math.sqrt(3) / 2)
 SQRT3_2 = math.sqrt(3) / 2
-
-_BRANCH_RANGE = {
-    "minus": (-math.inf, 0.0),
-    "zero": (0.0, 1.0),
-    "plus": (1.0, math.inf),
-}
+RHO = complex(0.5, SQRT3_2)
 
 
 @dataclass(frozen=True)
@@ -168,10 +162,19 @@ def special_b0(pp: PrecisionPolicy = DEFAULT) -> float:
 
 
 def detect_phi_sign(tau, pp: PrecisionPolicy = DEFAULT) -> int:
-    """Which of Im phi_+ / Im phi_- vanishes at a curve point (+1 or -1).
+    """Which of Im phi_+ / Im phi_- vanishes at the curve point tau (+1 or
+    -1), with sqrt(g2/12) as sqrt_g2_over_12 walks it down the vertical
+    line through tau; ConsistencyFailure where neither does.
 
-    The curves each carry a single phi branch, but which one is not fixed a
-    priori; this empirical test locks it at the seed point of a trace.
+    It picks the vanishing branch at this one point, and the answer is not
+    constant along a curve.  On 41-sample traces over C in [-1e3, -1e-3],
+    [1.001, 1e3] and [1e-3, 0.999] it is -1 at 35 samples and +1 at 6 on
+    each outer curve, switching where the curve crosses Re tau = 1/2 below
+    e^{i pi/3}: there g2 is real and negative, and the walks on either side
+    of its zero end on opposite roots.  It is +1 at all 41 on the zero
+    curve.  A caller that follows a curve locks the sign at one point and
+    carries the root by continuity from there (BranchState), as criterion 9
+    does.
     """
     t = as_tau(tau)
     # one square-root walk serves both branches, and its last step reads eta1
@@ -264,15 +267,17 @@ def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[Critic
     tiles whose d + m c leaves the window are not covered.
 
     The tau(C) are not cold solves but a chain of Newton solves on f_C
-    (zeros._solve_near), each from the one before, started at tau(-1) from
-    the asymptotic seed.  The raw |E2'| < 1e-8 check on these points sits
-    at its rounding floor at c <= 16: at the tile (7,3;16,7) it reads
-    1.08e-9 at the chain's float and 3.39e-8 at the cold solve's, for true
-    values of 1.11e-8 and 1.02e-8.  The chain can go once that check reads
-    the residual scaled by |c tau + d|^4 instead."""
+    (zeros._solve_near), each from the one before, started at the cold
+    root tau(-1).  The raw |E2'| < 1e-8 check on these points sits at its
+    rounding floor at c <= 16: at the tile (13,4;16,5) it reads 1.35e-9 at
+    the chain's float and 2.33e-8 at the cold solve's, for true values of
+    2.76e-9 and 1.85e-8 (50-digit mpmath through the exact pull-back of
+    each float).  At (7,3;16,7) the two floats agree and read 1.08e-9 for a
+    true 1.11e-8.  The chain can go once that check reads the residual
+    scaled by |c tau + d|^4 instead."""
     gammas = sorted(enumerate_gamma02(max_c), key=lambda g: -g.d / g.c)
     out: list[CriticalPoint] = []
-    tau_c = _solve_near(-1.0, _asymptotic_seed(-1.0), pp)
+    tau_c = _solve(-1.0, pp)[0]
     for gam in gammas:
         C = -gam.d / gam.c
         tau_c = _solve_near(C, tau_c, pp)

@@ -62,6 +62,7 @@ from .errors import CountMismatch, Diverged, Unclassified
 from .moebius import DomainTag, classify_domain
 from .qseries import (
     _FAMILY_FLOOR,
+    _FOUR_PI_I,
     PI,
     TWO_PI_I,
     _basic_direct,
@@ -76,7 +77,6 @@ from .zeros import BOUNDARY_ZERO_TOL, MAX_CONTOUR_POINTS, _winding, f0_contour, 
 CLASSIFY_TOL = 1e-12
 SMALL_U_FACTOR = 0.15
 LAURENT_TERMS = 13
-_FOUR_PI_I = 4j * PI
 # B and F of the Laurent tail bound in the module docstring; R and Im tau
 # are at least _FAMILY_FLOOR where _pullback leaves tau
 _COEFF_BOUND = 13.34
@@ -141,7 +141,10 @@ def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex
     dtau1/dtau = mu^-2, so dZ/dtau = mu^2 (c Z(tau1) + mu Z'(tau1))."""
     tau1, c, mu, (rh, sh), q, at = _pullback(as_tau(tau), as_pair(rs))
     wp, wpp, z = _wp_family(rh, sh, tau1, q, pp)
-    e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
+    if at is None:
+        e1 = _eta1_direct(q, pp)
+    else:
+        e1, _, _ = at.basic(pp)
     dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
     return mu * z, mu * mu * (c * z + mu * dz)
 
@@ -266,7 +269,10 @@ def _zrs2_at(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy
     z2 = z**3 - 3 * wp * z - wpp
     if not deriv:
         return z2
-    e1, g2v = _eta1_g2_direct(q, pp) if at is None else at.eta1_g2(pp)
+    if at is None:
+        e1, g2v = _eta1_g2_direct(q, pp)
+    else:
+        e1, g2v, _ = at.basic(pp)
     return z2, (-6 * (wp + e1) * z2 - 9 * wpp * (wp + z * z)
                 + 3 * z * (g2v - 12 * wp * wp)) / _FOUR_PI_I
 

@@ -31,10 +31,12 @@ only what its caller reads:
 A LatticePoint (the points of zeros.f0_contour's polylines, built by
 lattice_point) carries what depends on tau alone, formed once: _pullback
 reads the translation, the reduction and the nome at both floors from the
-point's _Pulled, and the three series values at tau1 are formed there once
-per eps, on first use.  They are the floats the same functions give at a
-plain complex copy of the point, so every value is unchanged; a plain
-point pays a type test.
+point's _Pulled, and (eta1, g2, g3) at tau1 is summed there once per eps,
+on first use, by _basic_direct.  Every evaluator at the point reads the
+columns it needs of that triple: eisenstein_sums forms each column in
+horner's and eta1_g2_sums' operations, so they are the floats the
+evaluators give at a plain complex copy of the point, and every value is
+unchanged; a plain point pays a type test.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .errors import PoleAtLattice, TruncationFailure
 from .moebius import reduce_to_F_ints
 
 PI = math.pi
-TWO_PI_I = 2j * PI
+TWO_PI_I, _FOUR_PI_I = 2j * PI, 4j * PI
 _I_PI, _HALF_I_PI = 1j / PI, 0.5j / PI
 
 _HALF_PERIODS = {1: (0.5, 0.0), 2: (0.0, 0.5), 3: (0.5, 0.5)}
@@ -161,6 +163,21 @@ def choose_truncation(im_tau: float, eps: float) -> int:
 # ---------------------------------------------------------------------------
 # weight-2/4/6 series, the modular pull-back seam and the transformation laws
 
+def _reduce(tau: complex, height: float):
+    """(k, abd, tau1, c, mu, q): tau translated by the integer k nearest
+    Re tau, then, below the given height, reduced to F by
+    gamma = (a b; c d), abd = (a, b, d) (else abd = None, c = 0 and
+    mu = 1), with tau - k = gamma . tau1, mu = c tau1 + d and q the nome at
+    tau1: the pull-back of _pullback, without the characteristic."""
+    # tau - 0 is tau bit for bit, the sign of a zero real part included
+    k = round(tau.real)
+    tau -= k
+    if tau.imag >= height:
+        return k, None, tau, 0, 1, cmath.exp(TWO_PI_I * tau)
+    tau1, a, b, c, d = reduce_to_F_ints(tau)
+    return k, (a, b, d), tau1, c, c * tau1 + d, cmath.exp(TWO_PI_I * tau1)
+
+
 def _pullback(tau: complex, rs=None):
     """(tau1, c, mu, rs1, q, at): the point tau1 at which the series are
     summed, with tau = gamma . tau1, c the lower-left entry of gamma and
@@ -187,28 +204,17 @@ def _pullback(tau: complex, rs=None):
     thus keeps its digits.  PoleAtLattice is raised when |rh| and |sh| are
     both below 1e-12, where z reduces to a lattice point of tau1 and wp, Z
     and Z2 have their pole.  At a LatticePoint the translation, the
-    reduction and q are read from its _Pulled, which formed them in the
-    same operations.
+    reduction and q are read from its _Pulled, which formed them by the
+    same _reduce.
     """
     if type(tau) is LatticePoint:
-        if rs is None:
-            return tau.low.pulled
-        at = tau.family
-        k, abd, tau1, c, mu, q = at.k, at.abd, at.tau1, at.c, at.mu, at.q
+        at = tau.low if rs is None else tau.family
+        k, abd, tau1, c, mu, q = at.reduced
     else:
         at = None
-        k = round(tau.real)
-        if k:
-            tau -= k
-        if tau.imag >= (_FLOOR if rs is None else _FAMILY_FLOOR):
-            tau1, c, mu, abd = tau, 0, 1, None
-        else:
-            tau1, a, b, c, d = reduce_to_F_ints(tau)
-            mu = c * tau1 + d
-            abd = a, b, d
-        q = cmath.exp(TWO_PI_I * tau1)
-        if rs is None:
-            return tau1, c, mu, None, q, None
+        k, abd, tau1, c, mu, q = _reduce(tau, _FLOOR if rs is None else _FAMILY_FLOOR)
+    if rs is None:
+        return tau1, c, mu, None, q, at
     r, s = rs
     if k:
         r -= floor(r + 0.5)
@@ -232,39 +238,16 @@ def _pullback(tau: complex, rs=None):
 
 
 class _Pulled:
-    """A LatticePoint pulled back at one floor, as _pullback pulls back a
-    plain point, with what the evaluators read at tau1: the nome q there
-    and, formed on first use for each eps, the series values at q that
-    _eta1_direct, _eta1_g2_direct and _basic_direct give."""
+    """A LatticePoint pulled back at one floor: _reduce's value there and,
+    formed on first use for each eps, the (eta1, g2, g3) that _basic_direct
+    gives at its nome, whose columns every evaluator at the point reads."""
 
-    __slots__ = ("k", "abd", "tau1", "c", "mu", "q", "pulled", "_e1", "_e1g2", "_basic")
+    __slots__ = ("reduced", "q", "_basic")
 
-    def __init__(self, tau: complex, floor: float):
-        self.k = k = round(tau.real)
-        if k:
-            tau -= k
-        self.abd = None
-        self.c, self.mu = 0, 1
-        if tau.imag < floor:
-            tau, a, b, c, d = reduce_to_F_ints(tau)
-            self.abd, self.c, self.mu = (a, b, d), c, c * tau + d
-        self.tau1 = tau
-        self.q = cmath.exp(TWO_PI_I * tau)
-        # _pullback's value at tau without a characteristic
-        self.pulled = (tau, self.c, self.mu, None, self.q, self)
-        self._e1, self._e1g2, self._basic = {}, {}, {}
-
-    def eta1(self, pp: PrecisionPolicy) -> complex:
-        v = self._e1.get(pp.eps)
-        if v is None:
-            v = self._e1[pp.eps] = _eta1_direct(self.q, pp)
-        return v
-
-    def eta1_g2(self, pp: PrecisionPolicy):
-        v = self._e1g2.get(pp.eps)
-        if v is None:
-            v = self._e1g2[pp.eps] = _eta1_g2_direct(self.q, pp)
-        return v
+    def __init__(self, tau: complex, height: float):
+        # q, the nome at tau1, is _reduce's last value
+        self.reduced = *_, self.q = _reduce(tau, height)
+        self._basic = {}
 
     def basic(self, pp: PrecisionPolicy):
         v = self._basic.get(pp.eps)
@@ -386,16 +369,20 @@ def _eta1_g2(tau: complex, pp: PrecisionPolicy):
     """(eta1, g2) anywhere in H, as _basic gives them, with neither g3 nor
     its weight summed."""
     _, c, mu, _, q, at = _pullback(tau)
-    e1, g2v = _eta1_g2_direct(q, pp) if at is None else at.eta1_g2(pp)
-    if c:
-        return _lift_eta1(e1, c, mu), mu**4 * g2v
-    return e1, g2v
+    if at is None:
+        e1, g2v = _eta1_g2_direct(q, pp)
+    else:
+        e1, g2v, _ = at.basic(pp)
+    return (_lift_eta1(e1, c, mu), mu**4 * g2v) if c else (e1, g2v)
 
 
 def _eta1(tau: complex, pp: PrecisionPolicy) -> complex:
     """eta1 anywhere in H, as _basic gives it, from its series alone."""
     _, c, mu, _, q, at = _pullback(tau)
-    e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
+    if at is None:
+        e1 = _eta1_direct(q, pp)
+    else:
+        e1, _, _ = at.basic(pp)
     return _lift_eta1(e1, c, mu) if c else e1
 
 
@@ -496,8 +483,12 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     t = as_tau(tau)
     tau1, c, mu, (rh, sh), q, at = _pullback(t, (r, s))
     wp, wpp, z_hecke = _wp_family(rh, sh, tau1, q, pp)
-    # only eta1 is read: its series alone
-    e1 = _eta1_direct(q, pp) if at is None else at.eta1(pp)
+    # only eta1 is read: its series alone, or at a LatticePoint its column
+    # of the point's (eta1, g2, g3)
+    if at is None:
+        e1 = _eta1_direct(q, pp)
+    else:
+        e1, _, _ = at.basic(pp)
     if c:
         e1 = _lift_eta1(e1, c, mu)
     return mu * mu * wp, mu**3 * wpp, mu * z_hecke + r * e1 + s * (t * e1 - TWO_PI_I)

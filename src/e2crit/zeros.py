@@ -20,7 +20,8 @@ from .errors import (
     PhaseStepFailure,
 )
 from .moebius import BOUNDARY_TOL, domain_tag, f0_margin
-from .qseries import _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_D_direct, _eta1_g2, lattice_point
+from .qseries import (_FOUR_PI_I, _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_D_direct, _eta1_g2,
+                      lattice_point)
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
@@ -302,7 +303,7 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: boo
     n = total / (2 * PI)
     if abs(n - round(n)) > 1e-3:
         raise PhaseStepFailure(f"winding number {n} not close to an integer")
-    return int(round(n)), used, None if moment is None else moment / (4j * PI)
+    return int(round(n)), used, None if moment is None else moment / _FOUR_PI_I
 
 
 def count_zeros_info(f, contour: Contour, min_abs: float = BOUNDARY_ZERO_TOL,
@@ -516,35 +517,27 @@ def eval_phi(branch: BranchState, tau, pp: PrecisionPolicy = DEFAULT) -> complex
 # ---------------------------------------------------------------------------
 # the unique zero tau(C)
 
-def _asymptotic_seed(C: float) -> complex | None:
-    """Seed from the large-|C| expansion of phi_-; None when |C| is too small
-    for the expansion to pin the real part.  Its log is taken of each
-    factor apart, so no |C| up to the largest float overflows it."""
-    a = 0.25 if C > 0.5 else 0.75
-    b = 1.0
+def _asymptotic_seed(C: float) -> complex:
+    """Seed for tau(C), C >= 2, from the large-C expansion of phi_-.  Its
+    log is taken of each factor apart, so no C up to the largest float
+    overflows it."""
+    a = 0.25
     for _ in range(4):
-        den = abs(math.sin(2 * PI * a))
-        if den < 0.5 or abs(C - a) < 0.5:
-            return None
-        b = (math.log(24 * PI / den) + math.log(abs(C - a))) / (2 * PI)
+        b = (math.log(24 * PI / math.sin(2 * PI * a)) + math.log(C - a)) / (2 * PI)
         cosv = -(b + 7 / (4 * PI)) * 24 * PI * math.exp(-2 * PI * b)
-        if not abs(cosv) <= 0.995:
-            return None
-        if C > 0.5:
-            a = math.acos(cosv) / (2 * PI)
-        else:
-            a = 1.0 - math.acos(cosv) / (2 * PI)
+        a = math.acos(cosv) / (2 * PI)
     return complex(a, b)
 
 
+# the interval of C on each curve branch
+_BRANCH_RANGE = {"minus": (-math.inf, 0.0), "zero": (0.0, 1.0), "plus": (1.0, math.inf)}
+
+
 def branch_of(C: float) -> str:
-    """Curve branch carrying tau(C)."""
-    if C < 0:
-        return "minus"
-    if 0 < C < 1:
-        return "zero"
-    if C > 1:
-        return "plus"
+    """Curve branch carrying tau(C); ValueError for C = 0, 1, +-inf or NaN."""
+    for branch, (lo, hi) in _BRANCH_RANGE.items():
+        if lo < C < hi:
+            return branch
     raise ValueError(f"C = {C} is outside the curve parameter set")
 
 
@@ -553,7 +546,7 @@ def branch_of(C: float) -> str:
 # _TABLE_POINTS first-kind points
 _TABLE_POINTS, _TABLE_E = 16, 5
 _TABLE_TOP = 1.0 + 2.0**_TABLE_E
-_FOUR_PI2, _FOUR_PI_I = 4 * PI**2, 4j * PI
+_FOUR_PI2 = 4 * PI**2
 
 
 def _g_parts(C: float, t: complex, pp: PrecisionPolicy) -> tuple[complex, complex]:

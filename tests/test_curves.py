@@ -286,8 +286,9 @@ class TestTrace:
         assert branch_of(-3.0) == "minus"
         assert branch_of(0.3) == "zero"
         assert branch_of(4.0) == "plus"
-        with pytest.raises(ValueError):
-            branch_of(1.0)
+        for C in (0.0, 1.0, math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                branch_of(C)
 
 
 class TestPhiSignLock:
@@ -469,9 +470,10 @@ class TestCriticalPoints:
         # it.  The check passes only through evaluation error: at the tile
         # (7,3;16,7) the true |E2'| at tau* is 1.11e-8 (50-digit mpmath
         # through the exact pull-back of the float), which the library
-        # reads as 1.08e-9; at the cold-solve float of that tile it reads
-        # 3.39e-8 for a true 1.02e-8.  So any change to the root's last bits
-        # (cold solves, or stopping Newton one step early) can cross it
+        # reads as 1.08e-9; at the tile (13,4;16,5) the chain's float reads
+        # 1.35e-9 and the cold-solve float 2.33e-8, for true values of
+        # 2.76e-9 and 1.85e-8.  So any change to the root's last bits (cold
+        # solves, or stopping Newton one step early) can cross it
         pts = critical_points_E2(16)
         assert len(pts) == 32
         for p in pts:

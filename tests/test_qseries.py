@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -677,6 +678,57 @@ class TestPointCarriedData:
         off = self.run(pp, plain)
         assert self.run(pp, points) == off
         assert self.run(pp, points) == off
+
+    def test_one_series_per_point(self, monkeypatch):
+        # every evaluator at a LatticePoint reads its columns of the
+        # point's (eta1, g2, g3): _basic_direct runs once per pull-back and
+        # eps, inside _Pulled.basic, and the eta1 and (eta1, g2) series
+        # never run at a point's nome
+        from e2crit import premodular
+        points = self.fresh((6.0, 0.08))
+        nomes = {at.q for p in points for at in (p.low, p.family)}
+        summed = Counter()
+        stray = []
+        inside = []
+        basic, basic_direct = qseries._Pulled.basic, qseries._basic_direct
+
+        def tracked(at, pp):
+            inside.append(at)
+            try:
+                return basic(at, pp)
+            finally:
+                inside.pop()
+
+        def counted(q, pp):
+            if inside:
+                summed[id(inside[-1]), pp.eps] += 1
+            elif q in nomes:
+                stray.append(("_basic_direct", q))
+            return basic_direct(q, pp)
+
+        def refused(name):
+            fn = getattr(qseries, name)
+
+            def wrapped(q, pp):
+                if q in nomes:
+                    stray.append((name, q))
+                return fn(q, pp)
+            return wrapped
+
+        monkeypatch.setattr(qseries._Pulled, "basic", tracked)
+        for module in (qseries, premodular):
+            monkeypatch.setattr(module, "_basic_direct", counted)
+            for name in ("_eta1_direct", "_eta1_g2_direct"):
+                monkeypatch.setattr(module, name, refused(name))
+        for eps in (1e-12, 1e-10):
+            self.run(PrecisionPolicy(eps), points)
+            self.run(PrecisionPolicy(eps), points)
+        assert not stray
+        assert summed and max(summed.values()) == 1
+        # both floors of every point were read, at both eps
+        pulled = {id(at) for p in points for at in (p.low, p.family)}
+        assert {key[0] for key in summed} == pulled
+        assert len(summed) == 2 * len(pulled)
 
     def test_negative_zero_real_part(self):
         left = [p for p in self.fresh((6.0, 0.08)) if p.real == 0.0]

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -755,6 +756,18 @@ class TestAnchorLadder:
                 assert seed == zeros._asymptotic_seed(C_star), C
         assert past == [-1 / 64, 1 / 64, 63 / 64, 65 / 64, -32.01, 33.01, 1 / 34, 1 - 1 / 34,
                         35 / 34, -1 / 32.01]
+
+    def test_asymptotic_seed_on_its_range(self):
+        # the seed serves C >= 2 alone, up to the largest float, and lands
+        # where tau(C) lies for such C: Re in [0.25, 0.356] and Im from
+        # 0.815 up, as measured
+        rng = random.Random(2027)
+        Cs = [2.0, math.nextafter(2.0, 3.0), 33.0, sys.float_info.max]
+        Cs += [math.exp(rng.uniform(math.log(2.0), math.log(1.7e308))) for _ in range(2000)]
+        for C in Cs:
+            seed = zeros._asymptotic_seed(C)
+            assert type(seed) is complex and cmath.isfinite(seed), C
+            assert 0.25 <= seed.real <= 0.36 and seed.imag >= 0.8, (C, seed)
 
 
 # the table's five intervals, in C*: C* - 1 in [2^(e-1), 2^e], e = 1..5
