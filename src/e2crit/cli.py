@@ -206,7 +206,7 @@ def cmd_count(args, cfg: RunConfig) -> int:
     if args.fn == "fc":
         if args.C is None:
             raise SystemExit2("--C is required for --fn fc")
-        f = lambda t: _fc_parts(args.C, t, pp)[:2]
+        f = lambda t: _fc_parts(args.C, t, pp)
     else:
         if args.rs is None:
             raise SystemExit2(f"--rs is required for --fn {args.fn}")

@@ -12,14 +12,14 @@ from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_tau
 from .errors import ConsistencyFailure, ExcludedPoint, RootBracketFailure
 from .moebius import MoebiusMap, enumerate_gamma02, reduce_to_F0
 from .premodular import find_zero_in_F0
-from .qseries import PI, _eta1_g2, eval_derivatives
+from .qseries import _HALF_I_PI, PI, _basic, _derivs, _eta1_g2
 from .zeros import (
     _BRANCH_RANGE,
     BranchState,
     _branch_root,
+    _newton,
     _phi,
     _solve,
-    _solve_near,
     _sqrt_walk,
     branch_of,
     eval_fC,
@@ -258,6 +258,15 @@ def hessian_detG2(sign, tau, pp: PrecisionPolicy = DEFAULT,
     return (3 * abs(g2v) / (4 * PI**4 * t.imag)) * abs(e1 + sgn * w) ** 2 * phi.imag
 
 
+def _eta1_prime_pair(t: complex, pp: PrecisionPolicy) -> tuple[complex, complex]:
+    """(eta1', eta1'') at t from one (eta1, g2, g3) evaluation:
+    eta1' = (i/(2 pi))(eta1^2 - g2/12) as _derivs forms it, and
+    eta1'' = (i/(2 pi))(2 eta1 eta1' - g2'/12).  E2' = (3/pi^2) eta1'."""
+    e1, g2v, g3v = _basic(t, pp)
+    e1p, g2p, _ = _derivs(e1, g2v, g3v)
+    return e1p, _HALF_I_PI * (2 * e1 * e1p - g2p / 12)
+
+
 def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[CriticalPoint]:
     """Critical points of E2 in the tiles gamma(F0) of `enumerate_gamma02(max_c)`:
     the image of tau(-d/c) under gamma, validated by the E2' residual scaled
@@ -266,24 +275,19 @@ def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[Critic
     which lies in [-1/2, 1/2]; the points gamma T^m tau(-d/c - m) of the
     tiles whose d + m c leaves the window are not covered.
 
-    The tau(C) are not cold solves but a chain of Newton solves on f_C
-    (zeros._solve_near), each from the one before, started at the cold
-    root tau(-1).  The raw |E2'| < 1e-8 check on these points sits at its
-    rounding floor at c <= 16: at the tile (13,4;16,5) it reads 1.35e-9 at
-    the chain's float and 2.33e-8 at the cold solve's, for true values of
-    2.76e-9 and 1.85e-8 (50-digit mpmath through the exact pull-back of
-    each float).  At (7,3;16,7) the two floats agree and read 1.08e-9 for a
-    true 1.11e-8.  The chain can go once that check reads the residual
-    scaled by |c tau + d|^4 instead."""
-    gammas = sorted(enumerate_gamma02(max_c), key=lambda g: -g.d / g.c)
+    Each tau(C) is solve_tauC's root, bit for bit (zeros._solve), so a point
+    does not depend on the other tiles listed.  Newton on E2' itself, by the
+    pair (eta1', eta1''), then places the point from gamma(tau(C)), stopped
+    after a step below 1e-13 |tau|: at c <= 512 its first step is already
+    below 4e-16 |tau|.  The raw |E2'| reads eta1' at that point, and the
+    raw check |E2'| < 1e-8 at c <= 16 still sits at its rounding floor
+    there (about 3e-8 at c = 16, from the pull-back's rounding at low
+    Im tau)."""
     out: list[CriticalPoint] = []
-    tau_c = _solve(-1.0, pp)[0]
-    for gam in gammas:
-        C = -gam.d / gam.c
-        tau_c = _solve_near(C, tau_c, pp)
-        point = gam(tau_c)
-        eta1_p = eval_derivatives(point, pp)[0]
-        residual = abs(3 / PI**2 * eta1_p)
+    for gam in sorted(enumerate_gamma02(max_c), key=lambda g: -g.d / g.c):
+        tau_c = _solve(-gam.d / gam.c, pp)[0]
+        point = _newton(lambda t: _eta1_prime_pair(t, pp), gam(tau_c), 1e-13, 60)
+        residual = abs(3 / PI**2 * _eta1_prime_pair(point, pp)[0])
         # E2' at gamma(tau) carries the factor (c tau + d)^4 of its value at tau
         scaled = residual / abs(gam.mu(tau_c)) ** 4
         if scaled >= 1e-8:

@@ -289,8 +289,10 @@ def _derivs(e1: complex, g2v: complex, g3v: complex):
             _I_PI * (3 * g3v * e1 - g2v * g2v / 6))
 
 
-# the _thresholds table of the (eta1, g2, g3) series for each eps seen
+# the _thresholds table of the (eta1, g2, g3) series for each eps seen, and
+# the share of eps its k^5 tail is held below
 _basic_tables: dict[float, tuple] = {}
+_BASIC_SHARE = 150000.0
 
 
 def _basic_terms(q: complex, pp: PrecisionPolicy) -> int:
@@ -301,7 +303,7 @@ def _basic_terms(q: complex, pp: PrecisionPolicy) -> int:
     # and the tolerance target absorbs the largest prefactor (504 * 8 pi^6/27)
     th = _basic_tables.get(pp.eps)
     if th is None:
-        th = _basic_tables[pp.eps] = _thresholds(pp.eps / 150000.0, 5)
+        th = _basic_tables[pp.eps] = _thresholds(pp.eps / _BASIC_SHARE, 5)
     rho = abs(q)
     if not 0.0 <= rho <= RHO_CAP:
         raise _ratio_failure(rho)
@@ -384,6 +386,17 @@ def _eta1(tau: complex, pp: PrecisionPolicy) -> complex:
     else:
         e1, _, _ = at.basic(pp)
     return _lift_eta1(e1, c, mu) if c else e1
+
+
+def _eta1_g2_tail(tau: complex, pp: PrecisionPolicy) -> tuple[float, float]:
+    """Bounds on the truncation errors of eta1 and g2 at tau as _eta1_g2
+    sums them.  sigma_1(k), sigma_3(k) <= k^5, so the tails of s1 and s3 at
+    tau1 lie below the eps/150000 that _basic_terms holds the k^5 tail to;
+    the prefactors 8 pi^2 and 320 pi^4 carry that to eta1 and g2 at tau1,
+    and the pull-back's weights |mu|^2 and |mu|^4 to tau."""
+    m2 = abs(_pullback(tau)[2]) ** 2
+    tail = pp.eps / _BASIC_SHARE
+    return _ETA1_1 * tail * m2, _G2_1 * tail * m2 * m2
 
 
 def transform_quasi(gamma, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:

