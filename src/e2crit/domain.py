@@ -9,6 +9,13 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 
+def _check_upper(re: float, im: float) -> None:
+    """TauPoint's one rule: ValueError unless re + im i is a finite point
+    of the upper half-plane."""
+    if not (im > 0.0) or not math.isfinite(im) or not math.isfinite(re):
+        raise ValueError(f"tau must lie in the upper half-plane, got {re}+{im}i")
+
+
 @dataclass(frozen=True)
 class TauPoint:
     """A point of the upper half-plane; im > 0 is enforced at construction."""
@@ -17,8 +24,7 @@ class TauPoint:
     im: float
 
     def __post_init__(self):
-        if not (self.im > 0.0) or not math.isfinite(self.im) or not math.isfinite(self.re):
-            raise ValueError(f"tau must lie in the upper half-plane, got {self.re}+{self.im}i")
+        _check_upper(self.re, self.im)
 
     @property
     def z(self) -> complex:
@@ -29,7 +35,16 @@ class TauPoint:
 
     @classmethod
     def from_complex(cls, z: complex) -> "TauPoint":
-        return cls(float(z.real), float(z.imag))
+        """TauPoint(z.real, z.imag), built without the frozen dataclass's
+        __init__: the fields are set in the instance dict directly, after
+        the same check, so equality and hash are the constructor's."""
+        re, im = float(z.real), float(z.imag)
+        _check_upper(re, im)
+        point = object.__new__(cls)
+        fields = point.__dict__
+        fields["re"] = re
+        fields["im"] = im
+        return point
 
 
 class LatticePoint(complex):

@@ -116,7 +116,7 @@ def reduce_to_F0(tau) -> tuple[TauPoint, MoebiusMap]:
             b, d = a * k + b, c * k + d  # gamma @ T^k
         if abs(t - 0.5) >= 0.5 - BOUNDARY_TOL:
             return TauPoint.from_complex(t), MoebiusMap(a, b, c, d)
-        t = W_CIRCLE(t)
+        t = (t - 1) / (2 * t - 1)  # W_CIRCLE(t), bit for bit
         a, b, c, d = a + 2 * b, -a - b, c + 2 * d, -c - d  # gamma @ W^{-1}, up to sign
     raise ReductionStalled(f"F0 reduction did not terminate for tau = {tau}")
 

@@ -204,14 +204,40 @@ def _laurent_coeffs_tau(c: list, g2p: complex, g3p: complex) -> list:
     return cp
 
 
-def _laurent_parts(u: complex, c: list) -> tuple[complex, complex, complex]:
-    """(P, Q, zs): regular parts of wp, wp' and zeta about u = 0."""
+def _laurent_series(vals, kmax: int, deriv: bool):
+    """(c, cp, eta1'): the c_k of _laurent_coeffs up to kmax from
+    vals = (eta1, g2, g3) and, with deriv, their tau-derivatives and eta1'
+    (else None and None), from one _derivs.  It forms the Laurent data of a
+    plain point, and once per eps that of a LatticePoint (_laurent_kept)."""
+    e1, g2v, g3v = vals
+    c = _laurent_coeffs(g2v, g3v, kmax)
+    if not deriv:
+        return c, None, None
+    e1p, g2p, g3p = _derivs(e1, g2v, g3v)
+    return c, _laurent_coeffs_tau(c, g2p, g3p), e1p
+
+
+def _laurent_kept(at, pp: PrecisionPolicy):
+    """_laurent_series up to LAURENT_TERMS, with deriv, at the lattice data
+    at (a _Pulled at the wp/Z floor): formed on first use for each eps and
+    kept in at.laurent.  The recursion forms each c_k and its derivative
+    from those of lower index alone, so the first K + 1 of them are the
+    floats _laurent_series gives up to K."""
+    data = at.laurent.get(pp.eps)
+    if data is None:
+        data = at.laurent[pp.eps] = _laurent_series(at.basic(pp), LAURENT_TERMS, True)
+    return data
+
+
+def _laurent_parts(u: complex, c: list, kmax: int) -> tuple[complex, complex, complex]:
+    """(P, Q, zs): regular parts of wp, wp' and zeta about u = 0, from the
+    c_k up to kmax."""
     P = 0j
     Q = 0j
     zs = 0j
     u2 = u * u
     upow = u2  # u^{2k-2} starting at k = 2
-    for k in range(2, len(c)):
+    for k in range(2, kmax + 1):
         P += c[k] * upow
         Q += (2 * k - 2) * c[k] * upow / u
         zs -= c[k] * upow * u / (2 * k - 1)
@@ -219,14 +245,14 @@ def _laurent_parts(u: complex, c: list) -> tuple[complex, complex, complex]:
     return P, Q, zs
 
 
-def _laurent_tau_parts(u: complex, c: list, cp: list) -> tuple[complex, complex, complex, complex]:
+def _laurent_tau_parts(u: complex, c: list, cp: list, kmax: int) -> tuple[complex, complex, complex, complex]:
     """(P_t, Q_t, zs_t, dQ/du): the tau-derivatives at fixed u of the parts
     _laurent_parts returns, from the coefficient derivatives cp, and
-    dQ/du = wp'' - 6/u^4."""
+    dQ/du = wp'' - 6/u^4, each up to kmax."""
     P_t = Q_t = zs_t = dQ_du = 0j
     u2 = u * u
     upow = 1.0  # u^{2k-4} starting at k = 2
-    for k in range(2, len(c)):
+    for k in range(2, kmax + 1):
         a = cp[k] * upow * u
         P_t += a * u
         Q_t += (2 * k - 2) * a
@@ -248,17 +274,22 @@ def _zrs2_at(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy
     au = abs(u)
     R = min(1.0, abs(tau), abs(tau - 1), abs(tau + 1)) if au < SMALL_U_FACTOR else 0.0
     if au < SMALL_U_FACTOR * R:
-        e1, g2v, g3v = _basic_direct(q, pp) if at is None else at.basic(pp)
+        K = _laurent_length(au / R, pp.eps)
+        if at is None:
+            vals = _basic_direct(q, pp)
+            c, cp, e1p = _laurent_series(vals, K, deriv)
+        else:
+            vals = at.basic(pp)
+            c, cp, e1p = _laurent_kept(at, pp)
+        e1 = vals[0]
         e2v = tau * e1 - TWO_PI_I
-        c = _laurent_coeffs(g2v, g3v, _laurent_length(au / R, pp.eps))
-        P, Q, zs = _laurent_parts(u, c)
+        P, Q, zs = _laurent_parts(u, c, K)
         A = zs - rh * e1 - sh * e2v
         z2 = 3 * (A * A - P) / u + (A**3 - 3 * P * A - Q)
         if not deriv:
             return z2
         # partial tau-derivatives at fixed u, then the chain rule du/dtau = sh
-        e1p, g2p, g3p = _derivs(e1, g2v, g3v)
-        P_t, Q_t, zs_t, dQ_du = _laurent_tau_parts(u, c, _laurent_coeffs_tau(c, g2p, g3p))
+        P_t, Q_t, zs_t, dQ_du = _laurent_tau_parts(u, c, cp, K)
         dP = Q * sh + P_t
         dQ = dQ_du * sh + Q_t
         dA = zs_t - P * sh - rh * e1p - sh * (e1 + tau * e1p)

@@ -36,7 +36,9 @@ on first use, by _basic_direct.  Every evaluator at the point reads the
 columns it needs of that triple: eisenstein_sums forms each column in
 horner's and eta1_g2_sums' operations, so they are the floats the
 evaluators give at a plain complex copy of the point, and every value is
-unchanged; a plain point pays a type test.
+unchanged; a plain point pays a type test.  The _Pulled also keeps, per
+eps, f_C's point data and wp's Laurent coefficients, which zeros and
+premodular form from that triple on first use (see _Pulled).
 """
 
 from __future__ import annotations
@@ -239,15 +241,27 @@ def _pullback(tau: complex, rs=None):
 
 class _Pulled:
     """A LatticePoint pulled back at one floor: _reduce's value there and,
-    formed on first use for each eps, the (eta1, g2, g3) that _basic_direct
-    gives at its nome, whose columns every evaluator at the point reads."""
+    formed on first use for each eps, the point data its evaluators read.
 
-    __slots__ = ("reduced", "q", "_basic")
+    basic(pp) is the (eta1, g2, g3) that _basic_direct gives at its nome,
+    whose columns every evaluator at the point reads.  fc and laurent map
+    eps to the data that zeros._fc_parts and premodular._zrs2_at form from
+    that triple, each by the helper a plain point calls on every
+    evaluation: at the (eta1, g2, g3) floor, f_C's point data
+    (eta1, g2, eta2, eta1', g2', eta2') at the point itself (zeros._fc_data),
+    and at the wp/Z floor, the Laurent coefficients c_k of wp at tau1 with
+    their tau-derivatives up to LAURENT_TERMS, and eta1' there
+    (premodular._laurent_kept).  One _Pulled serves both floors where the
+    two pull-backs agree, and then holds both."""
+
+    __slots__ = ("reduced", "q", "_basic", "fc", "laurent")
 
     def __init__(self, tau: complex, height: float):
         # q, the nome at tau1, is _reduce's last value
         self.reduced = *_, self.q = _reduce(tau, height)
         self._basic = {}
+        self.fc = {}
+        self.laurent = {}
 
     def basic(self, pp: PrecisionPolicy):
         v = self._basic.get(pp.eps)

@@ -46,6 +46,7 @@ from .qseries import (
     eval_eta2,
     eval_invariants,
     eval_weierstrass,
+    lattice_point,
     transform_quasi,
 )
 from .zeros import BranchState, _fc_parts, count_zeros, eval_fC, f0_contour, solve_tauC
@@ -121,7 +122,9 @@ def criterion_1(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
 def criterion_2(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     """Identity suite over 200 random tau with Im in [0.4, 5]."""
     rng = random.Random(20260809)
-    taus = _random_taus(rng, 200)
+    # each tau is evaluated by several functions: as LatticePoints they
+    # share one pull-back and one series sum per floor
+    taus = [lattice_point(t) for t in _random_taus(rng, 200)]
     tol = 1e-9
 
     # independent oracle: term-by-term derivative of the eta1 q-series, the
@@ -365,7 +368,8 @@ def criterion_9(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
         worst_det = 0.0
         flips_ok = True
         for s in samples:
-            t = s.tau.z
+            # the determinant and g2 read one series sum at the sample
+            t = lattice_point(s.tau.z)
             det = hessian_detG2(sign, t, pp, branch=state)
             scale = (1 + abs(t)) * 3 * abs(eval_invariants(t, pp)[0]) / (4 * PI**4 * t.imag)
             worst_det = max(worst_det, abs(det) / scale)
@@ -446,6 +450,8 @@ def premodular_checks(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     contour_pts += [complex(0.0, h) for h in heights]
     contour_pts += [complex(1.0, h) for h in heights]
     contour_pts += [0.5 + 0.5 * cmath.exp(1j * th) for th in _linspace(0.3, PI - 0.3, 12)]
+    # each point is evaluated for 20 characteristics: one pull-back each
+    contour_pts = [lattice_point(p) for p in contour_pts]
     worst = math.inf
     for _ in range(20):
         while True:

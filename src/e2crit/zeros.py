@@ -10,7 +10,7 @@ from cmath import phase
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .domain import DEFAULT, PrecisionPolicy, TauPoint, as_real, as_tau
+from .domain import DEFAULT, LatticePoint, PrecisionPolicy, TauPoint, as_real, as_tau
 from .errors import (
     BoundaryZero,
     BranchJump,
@@ -149,6 +149,11 @@ def _boundary_zero(p, v, min_abs: float) -> BoundaryZero:
     return BoundaryZero(f"|f| = {abs(v):.2e} < {min_abs:.0e} at contour point {p}")
 
 
+def _exhausted() -> PhaseStepFailure:
+    """The error for one more evaluation once max_points are used."""
+    return PhaseStepFailure("adaptive subdivision budget exhausted")
+
+
 def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: bool = True):
     """(winding number, points evaluated, sum of the enclosed zeros or None).
 
@@ -179,6 +184,17 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: boo
     zero_sum starts on every contour point instead, as the sum seeds Newton
     and a chord's share of the rule error grows with its length.
 
+    A gated walk keeps one node (p, f, f'/f, |f'/f|) per point evaluated and
+    tests a segment's derivative gate before it forms the phase step, which
+    a segment the gate rejects does without; the loose chords are looked up
+    only on a contour that has any (f0_contour's polylines have none, nor
+    rect_contour's at 3 or more points per side).
+    Past f itself a point then costs a few tuple and float operations:
+    timed with f a table lookup, the walk's own work is about a sixth of a
+    gated count of Z2_(1/6,1/6) over f0_contour() and about half of one of
+    f_1/2, whose values at the polyline's points are a few multiplications
+    from the data each point keeps (_fc_parts).
+
     Every evaluation past the contour's points, or a gated count's
     starting points, counts against max_points, and PhaseStepFailure is
     raised when one more is needed once that many are used.
@@ -196,41 +212,16 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: boo
     fourth power.  For one simple zero the sum is that zero, so it seeds
     Newton at no extra evaluation.
     """
-    def value(p, out):
-        v = out[0] if gated else out
-        if abs(v) < min_abs:
-            raise _boundary_zero(p, v, min_abs)
-        return v
-
-    def node(p, out):
-        v = value(p, out)
-        g = out[1] / v
-        return p, v, g, abs(g)
-
-    def spend():
-        """Count one more point evaluated, within max_points."""
-        nonlocal used
-        if used >= max_points:
-            raise PhaseStepFailure("adaptive subdivision budget exhausted")
-        used += 1
-
-    def midpoint(p0, p1, dphi):
-        """The midpoint of the rejected segment [p0, p1] and f there."""
-        spend()
-        if abs(p1 - p0) < 1e-14:
-            raise PhaseStepFailure(f"phase step {dphi:.3f} irreducible near {p0}")
-        mid = 0.5 * (p0 + p1)
-        return mid, f(mid)
-
     pts = contour.points
     max_step = contour.max_step
     used = len(pts)
     total = 0.0
     moment = None
     first = f(pts[0])
-    gated = type(first) is tuple
-    if not gated:
-        vals = [value(pts[0], first)]
+    if type(first) is not tuple:
+        if abs(first) < min_abs:
+            raise _boundary_zero(pts[0], first, min_abs)
+        vals = [first]
         for p in pts[1:-1]:
             v = f(p)
             if abs(v) < min_abs:
@@ -255,8 +246,15 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: boo
                         p1, v1 = stack.pop()
                     else:
                         stack.append((p1, v1))
-                        p1, out = midpoint(p0, p1, dphi)
-                        v1 = value(p1, out)
+                        if used >= max_points:
+                            raise _exhausted()
+                        used += 1
+                        if abs(p1 - p0) < 1e-14:
+                            raise PhaseStepFailure(f"phase step {dphi:.3f} irreducible near {p0}")
+                        p1 = 0.5 * (p0 + p1)
+                        v1 = f(p1)
+                        if abs(v1) < min_abs:
+                            raise _boundary_zero(p1, v1, min_abs)
                     dphi = phase(v1 / v0)
             p0, v0 = p1, v1
     else:
@@ -266,40 +264,60 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: boo
         coarse = range(0, last, 1 if zero_sum else min(COARSE, last // 3))
         loose = contour._loose_chords
         used = len(coarse) + 1
-        nodes = [node(pts[0], first)] + [node(pts[k], f(pts[k])) for k in coarse[1:]]
+        nodes = []
+        for k in coarse:
+            p = pts[k]
+            out = f(p) if nodes else first
+            v = out[0]
+            if abs(v) < min_abs:
+                raise _boundary_zero(p, v, min_abs)
+            g = out[1] / v
+            nodes.append((p, v, g, abs(g)))
         nodes.append(nodes[0])
         if zero_sum:
             moment = 0j
-        i, a = 0, nodes[0]
+        i, (p0, v0, g0, r0) = 0, nodes[0]
         for j, b in zip([*coarse[1:], last], nodes[1:]):
+            p1, v1, g1, r1 = b
             stack = []
             while True:
-                p0, v0, g0, r0 = a
-                p1, v1, g1, r1 = b
                 h = p1 - p0
-                if (i, j) not in loose:
+                if abs(h) * max(r0, r1) < 1.0 and not (loose and (i, j) in loose):
                     if zero_sum:
                         dlog = cmath.log(v1 / v0)
                         dphi = dlog.imag
                     else:
                         dphi = phase(v1 / v0)
-                    if abs(dphi) < max_step and abs(h) * max(r0, r1) < 1.0:
+                    if abs(dphi) < max_step:
                         total += dphi
                         if zero_sum:
                             moment += (p0 + p1) * dlog + h * h * (g1 - g0) / 6
                         if not stack:
                             break
-                        i, a = j, b
+                        i, p0, v0, g0, r0 = j, p1, v1, g1, r1
                         j, b = stack.pop()
+                        p1, v1, g1, r1 = b
                         continue
                 stack.append((j, b))
+                if used >= max_points:
+                    raise _exhausted()
+                used += 1
                 if j - i >= 2:
-                    spend()
                     j = (i + j) // 2
-                    b = node(pts[j], f(pts[j]))
+                    p1 = pts[j]
                 else:
-                    j, b = i, node(*midpoint(p0, p1, dphi))
-            i, a = j, b
+                    if abs(h) < 1e-14:
+                        dphi = cmath.log(v1 / v0).imag if zero_sum else phase(v1 / v0)
+                        raise PhaseStepFailure(f"phase step {dphi:.3f} irreducible near {p0}")
+                    j, p1 = i, 0.5 * (p0 + p1)
+                out = f(p1)
+                v1 = out[0]
+                if abs(v1) < min_abs:
+                    raise _boundary_zero(p1, v1, min_abs)
+                g1 = out[1] / v1
+                r1 = abs(g1)
+                b = p1, v1, g1, r1
+            i, p0, v0, g0, r0 = j, p1, v1, g1, r1
     n = total / (2 * PI)
     if abs(n - round(n)) > 1e-3:
         raise PhaseStepFailure(f"winding number {n} not close to an integer")
@@ -386,18 +404,30 @@ def _newton(f, t: complex, tol: float, itmax: int) -> complex:
 # ---------------------------------------------------------------------------
 # f_C and the phi branches
 
-def _fc_parts(C: float, tau: complex, pp: PrecisionPolicy):
-    """(f_C, df_C/dtau) sharing one series evaluation; eta1' and g2' in the
-    operations of _derivs, which also forms the unread g3'."""
+def _fc_data(tau: complex, pp: PrecisionPolicy):
+    """f_C's point data at tau, (eta1, g2, eta2, eta1', g2', eta2'), from
+    one (eta1, g2, g3) evaluation; eta1' and g2' in the operations of
+    _derivs, which also forms the unread g3'."""
     e1, g2v, g3v = _basic(tau, pp)
-    e2v = tau * e1 - TWO_PI_I
+    e1p = _HALF_I_PI * (e1 * e1 - g2v / 12)
+    return e1, g2v, tau * e1 - TWO_PI_I, e1p, _I_PI * (2 * e1 * g2v - 3 * g3v), e1 + tau * e1p
+
+
+def _fc_parts(C: float, tau: complex, pp: PrecisionPolicy):
+    """(f_C, df_C/dtau) from f_C's point data at tau (_fc_data), which a
+    LatticePoint forms once per eps and keeps beside its (eta1, g2, g3)."""
+    if type(tau) is LatticePoint:
+        kept = tau.low.fc
+        data = kept.get(pp.eps)
+        if data is None:
+            data = kept[pp.eps] = _fc_data(tau, pp)
+    else:
+        data = _fc_data(tau, pp)
+    e1, g2v, e2v, e1p, g2p, e2p = data
     lin = C * e1 - e2v
     d = C - tau
     d2 = d * d
     f = 12 * lin * lin - g2v * d2
-    e1p = _HALF_I_PI * (e1 * e1 - g2v / 12)
-    g2p = _I_PI * (2 * e1 * g2v - 3 * g3v)
-    e2p = e1 + tau * e1p
     return f, 24 * lin * (C * e1p - e2p) - g2p * d2 + 2 * g2v * d
 
 
@@ -417,18 +447,33 @@ def eval_fC_prime(C: float, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
 
 
 def _fc_value(C: float, t: complex, pp: PrecisionPolicy) -> tuple[complex, float]:
-    """(f_C(t), fc_scale(C, t)) from one series evaluation, f_C in the
+    """(f_C(t), 1 + |g2| |C - t|^2) from one series evaluation, f_C in the
     operations of eval_fC (which keeps its own copy: it is the integrand of
-    every f_C contour count, where the scale would be wasted)."""
+    every f_C contour count, where the scale would be wasted).  The scale
+    is inf where it is past the float range."""
     e1, g2v = _eta1_g2(t, pp)
     lin = C * e1 - (t * e1 - TWO_PI_I)
     d = C - t
-    return 12 * lin * lin - g2v * (d * d), 1.0 + abs(g2v) * abs(d) ** 2
+    try:
+        scale = 1.0 + abs(g2v) * abs(d) ** 2
+    except OverflowError:
+        scale = math.inf
+    return 12 * lin * lin - g2v * (d * d), scale
+
+
+def _scale_overflow(C: float, t: complex) -> Diverged:
+    """The error for an fc_scale past the float range at t."""
+    return Diverged(f"fc_scale = 1 + |g2| |C - tau|^2 is past the float range at C = {C}, tau = {t}, "
+                    f"|C - tau| = {abs(C - t):.3e}")
 
 
 def fc_scale(C: float, tau: complex, pp: PrecisionPolicy = DEFAULT) -> float:
-    """Natural magnitude of f_C at tau, used to scale residual tolerances."""
-    return _fc_value(C, tau, pp)[1]
+    """Natural magnitude of f_C at tau, used to scale residual tolerances;
+    Diverged where it is past the float range."""
+    scale = _fc_value(C, tau, pp)[1]
+    if scale == math.inf:
+        raise _scale_overflow(C, tau)
+    return scale
 
 
 @dataclass
@@ -639,13 +684,9 @@ def _checked(C: float, t: complex, pp: PrecisionPolicy) -> complex:
     summed one term further, adds less.  Over 4,000 seeded C, tail stays
     below 3% of the rounding term at the default eps, so the test decides
     as without it; at eps 1e-6 it is up to 3e4 times that term."""
-    try:
-        f, scale = _fc_value(C, t, pp)
-    except OverflowError:
-        scale = math.inf
+    f, scale = _fc_value(C, t, pp)
     if scale == math.inf:
-        raise Diverged(f"fc_scale = 1 + |g2| |C - tau|^2 is past the float range at tau({C}) = {t}, "
-                       f"|C - tau| = {abs(C - t):.3e}")
+        raise _scale_overflow(C, t)
     if not abs(f) <= max(ROOT_RESIDUAL, 1e-13 * scale):
         # formed only where the rounding term alone refuses the root
         de1, dg2 = _eta1_g2_tail(t, pp)

@@ -81,6 +81,11 @@ class TestEval:
         assert code == 3
         assert "PoleAtLattice" in err
 
+    def test_fc_scale_past_the_float_range_exit_code(self, capsys):
+        code, _, err = run_cli(capsys, "eval", "--fn", "fc", "--C", "1e200", "--tau", "0.3+1i")
+        assert code == 3
+        assert err.startswith("Diverged:") and "past the float range" in err
+
 
 class TestFindTau:
     def test_half(self, capsys):

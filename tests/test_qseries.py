@@ -66,6 +66,26 @@ class TestEta1:
         with pytest.raises(ValueError):
             TauPoint(0.3, 0.0)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(0.3, math.nan), complex(math.inf, 1.0),
+                                   complex(-math.inf, 1.0), complex(0.3, math.inf), complex(0.3, -math.inf),
+                                   complex(0.3, 0.0), complex(0.3, -0.0), complex(0.3, -1.0)])
+    def test_from_complex_rejects_what_the_constructor_does(self, z):
+        with pytest.raises(ValueError) as direct:
+            TauPoint(z.real, z.imag)
+        with pytest.raises(ValueError) as built:
+            TauPoint.from_complex(z)
+        assert str(built.value) == str(direct.value)
+
+    def test_from_complex_is_the_constructor(self):
+        for z in (complex(0.3, 1.2), complex(-0.0, 0.5), complex(1e300, 5e-324), qseries.lattice_point(0.5 + 1j)):
+            p = TauPoint.from_complex(z)
+            want = TauPoint(z.real, z.imag)
+            assert p == want and hash(p) == hash(want) and repr(p) == repr(want)
+            assert float_bits((p.re, p.im)) == float_bits((want.re, want.im))
+            assert type(p.re) is float and type(p.im) is float
+            with pytest.raises(AttributeError):
+                p.re = 1.0
+
     @pytest.mark.parametrize("tau", [complex(math.nan, 1.0), complex(0.3, math.nan),
                                      complex(math.inf, 1.0), complex(0.3, math.inf)])
     def test_rejects_non_finite_tau(self, tau):
@@ -624,6 +644,10 @@ class TestEta1G2Callers:
             assert qseries.transform_quasi(gamma, t) == want, (gamma, t)
 
 
+# the characteristics ((2 - s)/2, s) of appendix_bstar's three walks
+BSTAR_CHARS = tuple(((2 - s) / 2, s) for s in (4e-3, 2e-3, 1e-3))
+
+
 class TestPointCarriedData:
     """The lattice data an f0_contour point carries (a LatticePoint) changes
     no evaluation, cold or warm: every evaluator gives the same bits there
@@ -649,8 +673,9 @@ class TestPointCarriedData:
                     lambda t, C=C: zeros.eval_fC_prime(C, t, pp),
                     lambda t, C=C: zeros._fc_parts(C, t, pp),
                     lambda t, C=C: zeros.fc_scale(C, t, pp)]
-        # (0.02, 0.003) takes the Laurent form of Z2 at 66 of the 83 points
-        for rs in ((1 / 6, 1 / 6), (0.7, 0.2), (0.3, 0.45), (0.02, 0.003)):
+        # (0.02, 0.003) takes the Laurent form of Z2 at 66 of the 83 points,
+        # and appendix_bstar's characteristics at most points, at several K
+        for rs in ((1 / 6, 1 / 6), (0.7, 0.2), (0.3, 0.45), (0.02, 0.003), *BSTAR_CHARS):
             out += [lambda t, rs=rs: premodular.eval_Zrs2(rs, t, pp),
                     lambda t, rs=rs: premodular._zrs2_parts(rs, t, pp),
                     lambda t, rs=rs: premodular.eval_Zrs(rs, t, pp),
@@ -729,6 +754,67 @@ class TestPointCarriedData:
         pulled = {id(at) for p in points for at in (p.low, p.family)}
         assert {key[0] for key in summed} == pulled
         assert len(summed) == 2 * len(pulled)
+
+    def test_bstar_chars_take_the_laurent_form_at_several_lengths(self, monkeypatch):
+        from e2crit import premodular
+        lengths = Counter()
+        length = premodular._laurent_length
+
+        def recorded(t, eps):
+            K = length(t, eps)
+            lengths[K] += 1
+            return K
+
+        monkeypatch.setattr(premodular, "_laurent_length", recorded)
+        points = self.fresh((6.0, 0.08))
+        for rs in BSTAR_CHARS:
+            for p in points:
+                premodular._zrs2_parts(rs, p)
+        assert sum(lengths.values()) > len(points) and len(lengths) >= 3
+
+    def test_point_data_formed_once(self, monkeypatch):
+        # f_C's point data (_fc_data) and the Laurent coefficients
+        # (_laurent_series up to LAURENT_TERMS) are formed at most once per
+        # point and eps, however many evaluators read them; every Laurent
+        # series at a point is the one its _Pulled keeps
+        from e2crit import premodular, zeros
+        points = self.fresh((6.0, 0.08))
+        fc_formed = Counter()
+        laurent_formed = Counter()
+        stray = []
+        inside = []
+        fc_data, kept, series = zeros._fc_data, premodular._laurent_kept, premodular._laurent_series
+
+        def counted_fc(tau, pp):
+            fc_formed[id(tau), pp.eps] += 1
+            return fc_data(tau, pp)
+
+        def tracked(at, pp):
+            inside.append((id(at), pp.eps))
+            try:
+                return kept(at, pp)
+            finally:
+                inside.pop()
+
+        def counted_series(vals, kmax, deriv):
+            if inside:
+                laurent_formed[inside[-1]] += 1
+            else:
+                stray.append(kmax)
+            return series(vals, kmax, deriv)
+
+        monkeypatch.setattr(zeros, "_fc_data", counted_fc)
+        monkeypatch.setattr(premodular, "_laurent_kept", tracked)
+        monkeypatch.setattr(premodular, "_laurent_series", counted_series)
+        for eps in (1e-12, 1e-10):
+            self.run(PrecisionPolicy(eps), points)
+            self.run(PrecisionPolicy(eps), points)
+        assert not stray
+        assert max(fc_formed.values()) == 1 and max(laurent_formed.values()) == 1
+        # every point formed f_C's data at both eps, and, as some
+        # characteristic takes the Laurent form at each, its Laurent data
+        assert len(fc_formed) == 2 * len({id(p) for p in points})
+        assert len(laurent_formed) == 2 * len({id(p.family) for p in points})
 
     def test_negative_zero_real_part(self):
         left = [p for p in self.fresh((6.0, 0.08)) if p.real == 0.0]

@@ -607,6 +607,17 @@ class TestSolveTauC:
         with pytest.raises(Diverged, match=r"fc_scale .* past the float range"):
             solve_tauC(C)
 
+    def test_fc_scale_past_the_float_range(self):
+        # the scale reads inf past the float range, and fc_scale raises
+        # Diverged naming C and |C - tau|; finite scales keep their bits
+        from e2crit.zeros import _fc_value, fc_scale
+        assert _fc_value(1e200, 1j, DEFAULT)[1] == math.inf
+        with pytest.raises(Diverged, match=r"fc_scale .* past the float range at C = 1e\+200, .*"
+                                           r"\|C - tau\| = 1\.000e\+200"):
+            fc_scale(1e200, 1j)
+        g2v = eval_invariants(0.3 + 1j)[0]
+        assert fc_scale(1e150, 0.3 + 1j) == 1.0 + abs(g2v) * abs(1e150 - (0.3 + 1j)) ** 2
+
     def test_largest_C_within_the_float_range(self):
         # below |C| of about 1e153 fc_scale is finite and the residual test
         # reads it
@@ -1044,6 +1055,69 @@ class TestWalkParity:
             assert want[0] is PhaseStepFailure and "irreducible" in want[1]
             assert _walk_outcome(lambda: count_zeros_info(f, contour, 1e-300)) == want
             assert _walk_outcome(lambda: _winding(f, contour, 1e-300, 1 << 18)) == want
+
+
+def _suite_walks():
+    """The gated walks of verify --suite all, as (f, contour): criterion 3's
+    44 counts and criterion 7's 10, and appendix_bstar's 3 zero-sum walks."""
+    f0, wide = f0_contour(6.0, 0.08), f0_contour(6.0, 0.2)
+    z2 = lambda rs: (lambda t: _zrs2_parts(rs, t, DEFAULT))
+    counts = [(z2((1 / 3, 1 / 3)), f0)]
+    counts += [(z2(rs), f0) for name in ("T0", "T1", "T2", "T3") for rs in triangle_grid(name)]
+    counts += [(_fc_pair(C), f0) for C in (-2.0, 0.25, 0.5, 0.75, 2.0)]
+    counts += [(_fc_pair(C), wide) for C in (0.0, 1.0)]
+    counts += [(_fc_pair(-g.d / g.c), f0) for g in enumerate_gamma02(8)]
+    sums = [(z2(((2 - s) / 2, s)), f0) for s in (4e-3, 2e-3, 1e-3)]
+    return counts, sums
+
+
+# the points each of the counts of _suite_walks evaluates
+SUITE_COUNTS_USED = [58, 58, 55, 58, 54, 59, 57, 60, 56, 60, 59, 59, 59, 59, 60, 59, 59, 61, 62, 63, 61, 59,
+                     62, 59, 59, 62, 63, 59, 61, 61, 59, 61, 59, 57, 63, 60, 59, 69, 63, 61, 62, 65, 112, 112,
+                     61, 65, 63, 66, 60, 64, 61, 59, 62, 65]
+
+
+class TestSuiteWalks:
+    """_winding on the walks of verify --suite all against the reference
+    walk: a zero-sum walk keeps the reference's count, points, evaluation
+    order, zero sum and exceptions bit for bit, and a count keeps its count
+    from the points it has always taken, none twice."""
+
+    @staticmethod
+    def same_walk(f, contour):
+        """The zero-sum walk of f against the reference, at the full budget
+        and at two smaller ones; the reference's (count, used, zero sum)."""
+        ref, ref_calls = _recorded(f)
+        want = _old_winding(ref, contour, 1e-9, 1 << 18)
+        g, calls = _recorded(f)
+        assert float_bits(_winding(g, contour, 1e-9, 1 << 18)) == float_bits(want)
+        assert calls == ref_calls
+        for max_points in (len(contour.points), (len(contour.points) + want[1]) // 2):
+            assert (_walk_outcome(lambda: _winding(f, contour, 1e-9, max_points))
+                    == _walk_outcome(lambda: _old_winding(f, contour, 1e-9, max_points)))
+        return want
+
+    def test_counts(self):
+        counts = _suite_walks()[0]
+        assert len(counts) == 54
+        used = []
+        for f, contour in counts:
+            want = self.same_walk(f, contour)
+            g, calls = _recorded(f)
+            n, u = count_zeros_info(g, contour)
+            assert n == want[0] and u <= want[1]
+            assert u == len(calls) + 1 and len(set(calls)) == len(calls)
+            used.append(u)
+            for max_points in (u - 1, u):
+                got = _walk_outcome(lambda: count_zeros_info(f, contour, 1e-9, max_points))
+                assert got == ((n, u) if max_points == u else EXHAUSTED)
+        assert used == SUITE_COUNTS_USED
+
+    def test_zero_sums(self):
+        for (f, contour), s in zip(_suite_walks()[1], (4e-3, 2e-3, 1e-3)):
+            n, _, seed = self.same_walk(f, contour)
+            root = find_zero_in_F0(((2 - s) / 2, s))
+            assert n == 1 and abs(seed - root.z) < 1e-3
 
 
 def _sweep_chars(rng, n):
