@@ -1,13 +1,18 @@
-"""The series kernels: the four inner loops under every q-series evaluation.
+"""The series kernels: the inner loops under every q-series evaluation.
 
 `eisenstein_sums` sums the sigma_1, sigma_3 and sigma_5 series of
 (eta1, g2, g3) in one pass, `eta1_g2_sums` the sigma_1 and sigma_3 series
 alone (where g3 is not read), `horner` one series (the eta1 series alone,
 where g2 and g3 are not read either), and `wp_sums` the Lambert-type
-series of the Weierstrass family.  Each takes the term count as its third
-argument, from which perfbench/tracer.py counts the terms summed (one per
-index k, so a fused call counts n, not 3n).  These loops dominate the
-runtime of contour counting and curve continuation.
+series of the Weierstrass family.  `wp_sums_kept` sums that family from a
+table of its Lambert weights q^k/(1-q^k), which depend on the nome alone,
+and `lambert_weights` forms and extends such a table, so a point that
+keeps one (a LatticePoint) forms each weight once; `wp_sums`
+forms the same weights inline and gives the same floats.  Each takes the
+term count as its third argument, from which perfbench/tracer.py counts
+the terms summed (one per index k, so a fused call counts n, not 3n).
+These loops dominate the runtime of contour counting and curve
+continuation.
 """
 
 
@@ -45,6 +50,36 @@ def eta1_g2_sums(coeffs, q, n):
     return s1, s3
 
 
+def lambert_weights(w, q, n):
+    """Extend w, the Lambert weights at nome q, to n terms in place and
+    return it: w[k] = (lam, k lam, k^2 lam) with lam = q^k/(1-q^k) for
+    k = 1..len(w) - 1, and w[0] = q^(len(w) - 1), the product the next
+    weight continues, so a table grown in steps holds the floats of one
+    formed at once.  Start a table as [1 + 0j]."""
+    qk = w[0]
+    for k in range(len(w), n + 1):
+        qk *= q
+        lam = qk / (1 - qk)
+        w.append((lam, k * lam, k * k * lam))
+    w[0] = qk
+    return w
+
+
+def wp_sums_kept(x, w, n):
+    """wp_sums from the weights w of lambert_weights at its nome, which
+    must hold at least n terms."""
+    sp = spp = sz = 0j
+    xk = xmk = 1 + 0j
+    for lam, klam, kklam in w[1:n + 1]:
+        xk *= x
+        xmk /= x
+        d = xk - xmk
+        sp += (xk + xmk - 2) * klam
+        spp += d * kklam
+        sz += d * lam
+    return sp, spp, sz
+
+
 def wp_sums(x, q, n):
     """Lambert-type sums shared by the Weierstrass family.
 
@@ -52,20 +87,22 @@ def wp_sums(x, q, n):
       sp  = sum_k k   (x^k + x^-k - 2) q^k/(1-q^k)
       spp = sum_k k^2 (x^k - x^-k)     q^k/(1-q^k)
       sz  = sum_k     (x^k - x^-k)     q^k/(1-q^k)
+
+    Each weight is formed in lambert_weights' operations and summed in
+    wp_sums_kept's, so the sums are the floats wp_sums_kept gives over a
+    table kept at q.  The weights are formed inline, not in a list: at a
+    point that keeps no table each is read once, and the list would cost
+    such a call about a quarter more.
     """
-    sp = 0j
-    spp = 0j
-    sz = 0j
-    xk = 1 + 0j
-    xmk = 1 + 0j
-    qk = 1 + 0j
+    sp = spp = sz = 0j
+    xk = xmk = qk = 1 + 0j
     for k in range(1, n + 1):
-        xk *= x
-        xmk /= x
         qk *= q
         lam = qk / (1 - qk)
-        d = (xk - xmk) * lam
-        sp += k * (xk + xmk - 2) * lam
-        spp += k * k * d
-        sz += d
+        xk *= x
+        xmk /= x
+        d = xk - xmk
+        sp += (xk + xmk - 2) * (k * lam)
+        spp += d * (k * k * lam)
+        sz += d * lam
     return sp, spp, sz

@@ -130,8 +130,8 @@ def classify(rs, tol: float = CLASSIFY_TOL) -> TriangleTag:
 
 def eval_Zrs(rs, tau, pp: PrecisionPolicy = DEFAULT) -> complex:
     """Hecke form Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2."""
-    tau1, _, mu, (rh, sh), q, _ = _pullback(as_tau(tau), as_pair(rs))
-    return mu * _wp_family(rh, sh, tau1, q, pp)[2]
+    tau1, _, mu, (rh, sh), q, at = _pullback(as_tau(tau), as_pair(rs))
+    return mu * _wp_family(rh, sh, tau1, q, pp, at)[2]
 
 
 def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex]:
@@ -140,7 +140,7 @@ def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex
     eval_Zrs.  A weight-1 form lifts as Z(tau) = mu Z(tau1) with
     dtau1/dtau = mu^-2, so dZ/dtau = mu^2 (c Z(tau1) + mu Z'(tau1))."""
     tau1, c, mu, (rh, sh), q, at = _pullback(as_tau(tau), as_pair(rs))
-    wp, wpp, z = _wp_family(rh, sh, tau1, q, pp)
+    wp, wpp, z = _wp_family(rh, sh, tau1, q, pp, at)
     if at is None:
         e1 = _eta1_direct(q, pp)
     else:
@@ -296,7 +296,7 @@ def _zrs2_at(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy
         dz2 = (3 * (2 * A * dA - dP) / u - 3 * (A * A - P) * sh / (u * u)
                + 3 * A * A * dA - 3 * (dP * A + P * dA) - dQ)
         return z2, dz2
-    wp, wpp, z = _wp_family(rh, sh, tau, q, pp)
+    wp, wpp, z = _wp_family(rh, sh, tau, q, pp, at)
     z2 = z**3 - 3 * wp * z - wpp
     if not deriv:
         return z2

@@ -38,7 +38,11 @@ horner's and eta1_g2_sums' operations, so they are the floats the
 evaluators give at a plain complex copy of the point, and every value is
 unchanged; a plain point pays a type test.  The _Pulled also keeps, per
 eps, f_C's point data and wp's Laurent coefficients, which zeros and
-premodular form from that triple on first use (see _Pulled).
+premodular form from that triple on first use, and, at the wp/Z floor,
+the Lambert weights q^k/(1-q^k) of the family, which _wp_family sums
+through wp_sums_kept: formed on the first family evaluation to the length
+it needs, extended in place when a later one needs more, and the floats
+wp_sums forms at a plain point (see _Pulled).
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from math import floor
 
-from ._kernels_py import eisenstein_sums, eta1_g2_sums, horner, wp_sums
+from ._kernels_py import eisenstein_sums, eta1_g2_sums, horner, lambert_weights, wp_sums, wp_sums_kept
 from .domain import DEFAULT, LatticePoint, PrecisionPolicy, as_pair, as_tau
 from .errors import PoleAtLattice, TruncationFailure
 from .moebius import reduce_to_F_ints
@@ -251,10 +255,18 @@ class _Pulled:
     (eta1, g2, eta2, eta1', g2', eta2') at the point itself (zeros._fc_data),
     and at the wp/Z floor, the Laurent coefficients c_k of wp at tau1 with
     their tau-derivatives up to LAURENT_TERMS, and eta1' there
-    (premodular._laurent_kept).  One _Pulled serves both floors where the
-    two pull-backs agree, and then holds both."""
+    (premodular._laurent_kept).  lambert(n) is the table of the Lambert
+    weights w[k] = (lam, k lam, k^2 lam), lam = q^k/(1-q^k), at its nome
+    (lambert_weights), held in weights: None until the first family
+    evaluation at the point asks for n > 0 terms, then formed to n, and
+    extended in place, continuing its q^k product, when a later one asks
+    for more (at a characteristic nearer s = 1/2, or a smaller eps).  It
+    does not depend on eps, and it is not formed when the point is built,
+    so a point that sums a short family, or none, forms no weight it does
+    not read.  One _Pulled serves both floors where the two pull-backs
+    agree, and then holds both."""
 
-    __slots__ = ("reduced", "q", "_basic", "fc", "laurent")
+    __slots__ = ("reduced", "q", "_basic", "fc", "laurent", "weights")
 
     def __init__(self, tau: complex, height: float):
         # q, the nome at tau1, is _reduce's last value
@@ -262,12 +274,22 @@ class _Pulled:
         self._basic = {}
         self.fc = {}
         self.laurent = {}
+        self.weights = None
 
     def basic(self, pp: PrecisionPolicy):
         v = self._basic.get(pp.eps)
         if v is None:
             v = self._basic[pp.eps] = _basic_direct(self.q, pp)
         return v
+
+    def lambert(self, n: int) -> list:
+        """The Lambert weights at the nome, held to at least n terms: the
+        table is formed on the first call, to n terms, and extended in
+        place when a later call needs more."""
+        w = self.weights
+        if w is None:
+            w = self.weights = [1 + 0j]
+        return w if len(w) > n else lambert_weights(w, self.q, n)
 
 
 def lattice_point(p: complex) -> LatticePoint:
@@ -459,10 +481,13 @@ _WP_K, _WPP_K = -4 * PI**2, -8j * PI**3
 _PI_I, _MINUS_TWO_PI = 1j * PI, -2 * PI
 
 
-def _wp_family(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy):
+def _wp_family(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy, at=None):
     """(wp, wp', Z_{rh,sh}) at z = rh + sh*tau, for the characteristic
     (rh, sh), tau and its nome q = exp(2 pi i tau) as _pullback returns
     them: (rh, sh) reduced into [-1/2, 1/2)^2 and off the lattice point.
+    at is the lattice data _pullback returns: when given, the Lambert
+    sums read the weights it keeps (wp_sums_kept), the floats wp_sums
+    forms at q.
 
     Z_{rh,sh} = zeta(z) - rh*eta1 - sh*eta2 is returned instead of zeta
     itself so callers can assemble either zeta or the Hecke form without
@@ -486,7 +511,12 @@ def _wp_family(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPoli
         raise _ratio_failure(rho)
     n = bisect_right(th, rho)
     # the empty series is certified at most points high in F
-    sp, spp, sz = wp_sums(x, q, n) if n else (0, 0, 0)
+    if not n:
+        sp = spp = sz = 0
+    elif at is None:
+        sp, spp, sz = wp_sums(x, q, n)
+    else:
+        sp, spp, sz = wp_sums_kept(x, at.lambert(n), n)
     # x/(1-x)^2, x/(1-x)^2 + 2x^2/(1-x)^3 and (1+x)/(1-x) from one reciprocal
     a = 1 / (1 - x)
     xa = x * a
@@ -509,7 +539,7 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     r, s = as_pair(z)
     t = as_tau(tau)
     tau1, c, mu, (rh, sh), q, at = _pullback(t, (r, s))
-    wp, wpp, z_hecke = _wp_family(rh, sh, tau1, q, pp)
+    wp, wpp, z_hecke = _wp_family(rh, sh, tau1, q, pp, at)
     # only eta1 is read: its series alone, or at a LatticePoint its column
     # of the point's (eta1, g2, g3)
     if at is None:

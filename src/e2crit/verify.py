@@ -79,21 +79,27 @@ def _random_taus(rng, n, im_lo=0.4, im_hi=5.0):
     return [complex(rng.uniform(-1.0, 2.0), rng.uniform(im_lo, im_hi)) for _ in range(n)]
 
 
-# the generator words T, T^-1 and S as integer tuples (a, b, c, d)
+# the generator words T, T^-1 and S as integer tuples (a, b, c, d), and
+# the word lengths drawn
 _WORDS = ((1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0))
+_WORD_LENGTHS = range(1, 9)
 
 
 def _random_sl2z(rng, n, max_entry=10):
     """Deterministic sample of n distinct SL(2,Z) matrices with entries bounded
     by max_entry, built from random generator words.  A word is multiplied
     out in plain integers and signed as MoebiusMap signs it once, at the
-    end: the product of the signed factors differs from it by sign alone."""
+    end: the product of the signed factors differs from it by sign alone.
+    Each draw is a choice, which calls rng._randbelow as randrange(1, 9)
+    and randrange(0, 3) do, so the sample and rng's state after it are
+    those of the randrange draws, at less cost a draw."""
     out = []
     seen = set()
+    choice = rng.choice
     while len(out) < n:
         a, b, c, d = 1, 0, 0, 1
-        for _ in range(rng.randrange(1, 9)):
-            wa, wb, wc, wd = _WORDS[rng.randrange(0, 3)]
+        for _ in range(choice(_WORD_LENGTHS)):
+            wa, wb, wc, wd = choice(_WORDS)
             a, b, c, d = a * wa + b * wc, a * wb + b * wd, c * wa + d * wc, c * wb + d * wd
         if c < 0 or (c == 0 and d < 0):
             a, b, c, d = -a, -b, -c, -d

@@ -700,6 +700,14 @@ def _checked(C: float, t: complex, pp: PrecisionPolicy) -> complex:
     return f
 
 
+def _finite_fold(C: float, star: float, fold: str) -> float:
+    """star, the C* = fold that C folds onto, where it is finite; Diverged
+    where it overflowed."""
+    if star == math.inf:
+        raise Diverged(f"C = {C!r} folds onto C* = {fold} = {star}, past the float range")
+    return star
+
+
 def _solve(C: float, pp: PrecisionPolicy) -> tuple[complex, complex]:
     """(tau(C), f_C(tau(C))) for a finite C not 0 or 1: solve_tauC's root
     and the residual value its test reads, which trace_curve reports.
@@ -715,15 +723,16 @@ def _solve(C: float, pp: PrecisionPolicy) -> tuple[complex, complex]:
         1/2 < C < 1     C* = 1/(1 - C)      tau = 1 - 1/tau*
         1 < C < 2       C* = C/(C - 1)      tau = 1 - conj(1/(1 - tau*))
 
-    The root then passes _checked at C itself."""
+    The root then passes _checked at C itself.  At 0 < |C| below about
+    5.6e-309, 1/C and so C* overflow, and Diverged names C and its fold."""
     if C >= 2:
         t = _plus_root(C, pp)
     elif C <= -1:
         t = 1 - _plus_root(1 - C, pp).conjugate()
     elif C < 0:
-        t = 1 / (1 - _plus_root(1 - 1 / C, pp))
+        t = 1 / (1 - _plus_root(_finite_fold(C, 1 - 1 / C, "1 - 1/C"), pp))
     elif C <= 0.5:
-        t = 1 / _plus_root(1 / C, pp).conjugate()
+        t = 1 / _plus_root(_finite_fold(C, 1 / C, "1/C"), pp).conjugate()
     elif C < 1:
         t = 1 - 1 / _plus_root(1 / (1 - C), pp)
     else:
@@ -746,9 +755,10 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, *, verify: bool = False,
     |f_C| <= max(1e-9, 1e-13 fc_scale + tail), tail the truncation error of
     f_C at the policy's eps (_checked), from one more series evaluation,
     and lie inside F0 by more than 1e-9 (DomainEscape otherwise).  Where
-    fc_scale is past the float range (|C| above about 1e153) Diverged is
-    raised.  With verify=True the result is certified by an
-    argument-principle count over the truncated F0.
+    fc_scale is past the float range (|C| above about 1e153), or C* is
+    (0 < |C| below about 5.6e-309), Diverged is raised.  With verify=True
+    the result is certified by an argument-principle count over the
+    truncated F0.
     """
     C = as_real(C, "C")
     if C in (0.0, 1.0):

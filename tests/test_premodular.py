@@ -164,16 +164,27 @@ class TestZrs2:
     def test_family_summed_at_the_basic_ratio(self, tag, vertices, monkeypatch):
         # the wp/Z ratio |q| max(|x|, 1/|x|) reaches |q|^{1/2}, so the family
         # is pulled back below twice the basic series' floor and no Lambert
-        # sum of a count over F0 runs at a ratio above e^{-2 pi min_im_direct}
+        # sum of a count over F0 runs at a ratio above e^{-2 pi min_im_direct};
+        # the points of f0_contour sum it from the Lambert weights they keep,
+        # whose first, lam = q/(1 - q), gives q back
         rhos = []
-        inner = qseries.wp_sums
+        inner, inner_kept = qseries.wp_sums, qseries.wp_sums_kept
 
-        def recorded(x, q, n):
+        def record(x, q):
             ax = abs(x)
             rhos.append(abs(q) * max(ax, 1.0 / ax))
+
+        def recorded(x, q, n):
+            record(x, q)
             return inner(x, q, n)
 
+        def recorded_kept(x, w, n):
+            lam = w[1][0]
+            record(x, lam / (1 + lam))
+            return inner_kept(x, w, n)
+
         monkeypatch.setattr(qseries, "wp_sums", recorded)
+        monkeypatch.setattr(qseries, "wp_sums_kept", recorded_kept)
         expected = {TriangleTag.T0: 0}.get(tag, 1)
         rng = np.random.default_rng(90 + int(tag.value[1]))
         margin = 0.005

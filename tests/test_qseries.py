@@ -855,3 +855,91 @@ class TestPointCarriedData:
         assert again is not base and again == base
         assert all(type(p) is LatticePoint for p in again.points)
         assert again.points[-1] is again.points[0]
+
+
+class TestKeptLambertWeights:
+    """The Lambert weights q^k/(1-q^k) of the wp/Z family that a
+    LatticePoint keeps (_Pulled.lambert): formed on the first family
+    evaluation, to the length it needs, and extended in place, with every
+    family value the float of a plain complex copy of the point."""
+
+    # (0.4, 0.499) sums the family nearest s = 1/2, at its longest length
+    CHARS = ((1 / 6, 1 / 6), (0.7, 0.2), (0.3, 0.45), (0.02, 0.003), (0.4, 0.499))
+
+    @staticmethod
+    def family():
+        from e2crit import premodular
+        return (eval_weierstrass, premodular.eval_Zrs, premodular._zrs_parts,
+                premodular.eval_Zrs2, premodular._zrs2_parts)
+
+    def run(self, pp, points):
+        return [float_bits(_outcome(lambda: fn(rs, t, pp)))
+                for t in points for rs in self.CHARS for fn in self.family()]
+
+    @staticmethod
+    def tables(points):
+        return [p.family.weights for p in points]
+
+    def test_kernel_over_a_table_is_the_plain_kernel(self):
+        # a table grown in steps holds the floats of one formed at once, and
+        # wp_sums_kept over it gives wp_sums' floats
+        from e2crit._kernels_py import lambert_weights, wp_sums, wp_sums_kept
+        rng = random.Random(30)
+        for _ in range(300):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 2.0))
+            q = cmath.exp(2j * PI * tau)
+            x = cmath.exp(2j * PI * (rng.uniform(-0.5, 0.5) + rng.uniform(0.0, 0.5) * tau))
+            n = rng.randrange(1, 40)
+            w = [1 + 0j]
+            for m in sorted(rng.sample(range(1, n + 1), min(n, 3))) + [n]:
+                lambert_weights(w, q, m)
+            assert float_bits(tuple(w)) == float_bits(tuple(lambert_weights([1 + 0j], q, n)))
+            assert float_bits(wp_sums_kept(x, w, n)) == float_bits(wp_sums(x, q, n))
+
+    def test_values_as_at_plain_copies_as_the_table_grows(self):
+        # eps 1e-15 asks for longer sums than 1e-12, so tables formed at
+        # 1e-12 are extended: the values stay those of the plain copies
+        points = TestPointCarriedData.fresh((6.0, 0.08))
+        plain = [complex(p) for p in points]
+        lengths = []
+        for eps in (1e-12, 1e-15):
+            pp = PrecisionPolicy(eps)
+            assert self.run(pp, points) == self.run(pp, plain)
+            lengths.append([0 if w is None else len(w) for w in self.tables(points)])
+        assert all(a <= b for a, b in zip(*lengths))
+        assert sum(a < b for a, b in zip(*lengths)) > len(points) // 2
+
+    def test_formed_on_first_use_to_the_length_asked(self, monkeypatch):
+        from e2crit import premodular, zeros
+        points = TestPointCarriedData.fresh((6.0, 0.08))
+        # a fresh point keeps no table, and evaluators outside the family
+        # form none
+        for p in points:
+            eval_E2(p)
+            eval_invariants(p)
+            zeros._fc_parts(0.5, p, DEFAULT)
+        assert all(at.weights is None for p in points for at in (p.low, p.family))
+        asked = {}
+        kept = qseries.wp_sums_kept
+
+        def recorded(x, w, n):
+            asked[id(w)] = max(n, asked.get(id(w), 0))
+            return kept(x, w, n)
+
+        monkeypatch.setattr(qseries, "wp_sums_kept", recorded)
+        before = self.tables(points)
+        for eps in (1e-10, 1e-12, 1e-15):
+            for rs in self.CHARS:
+                for p in points:
+                    premodular._zrs2_parts(rs, p, PrecisionPolicy(eps))
+                after = self.tables(points)
+                for old, new, w in zip(before, [list(w or ()) for w in after], after):
+                    # one table a point, never replaced, never shortened, its
+                    # weights never changed, and no longer than asked for
+                    assert old is None or w is old[0]
+                    assert not old or float_bits(tuple(new[1:len(old[1])])) == float_bits(tuple(old[1][1:]))
+                    assert w is None or len(w) - 1 == asked[id(w)]
+                before = [None if w is None else (w, list(w)) for w in after]
+        # the points high in F0 sum the empty series at every characteristic
+        formed = sum(w is not None for w in self.tables(points))
+        assert len(points) // 2 < formed < len(points)

@@ -37,10 +37,14 @@ def _old_random_sl2z(rng, n, max_entry=10):
 @pytest.mark.parametrize("n, max_entry", [(50, 10), (25, 10), (1, 50), (30, 10)])
 def test_random_sl2z_matches_generator_products(n, max_entry):
     """The (n, max_entry) of every caller in verify: the same matrices, and
-    the generator left where the old construction left it."""
+    the generator left where the old construction, which drew by
+    randrange, left it, after each of several calls on one generator (as
+    the verify sections make them) and for the draws that follow."""
     import random
     from e2crit.verify import _random_sl2z
     for seed in (20260809, 7, 1, 2, 3):
         rng_new, rng_old = random.Random(seed), random.Random(seed)
-        assert _random_sl2z(rng_new, n, max_entry) == _old_random_sl2z(rng_old, n, max_entry)
-        assert rng_new.getstate() == rng_old.getstate()
+        for _ in range(3):
+            assert _random_sl2z(rng_new, n, max_entry) == _old_random_sl2z(rng_old, n, max_entry)
+            assert rng_new.getstate() == rng_old.getstate()
+        assert rng_new.random() == rng_old.random()

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 import sys
 
 import numpy as np
@@ -606,6 +607,20 @@ class TestSolveTauC:
         # C and the scale, and no bare OverflowError escapes
         with pytest.raises(Diverged, match=r"fc_scale .* past the float range"):
             solve_tauC(C)
+
+    @pytest.mark.parametrize("C, fold", [(5e-324, "1/C"), (-5e-324, "1 - 1/C"), (5e-309, "1/C")])
+    def test_tiny_C_diverges(self, C, fold):
+        # 1/C overflows, so the fold's C* is inf: Diverged names C and the
+        # fold, where the asymptotic seed at inf would be NaN
+        with pytest.raises(Diverged, match=rf"C = {C!r} folds onto C\* = {re.escape(fold)} = inf"):
+            solve_tauC(C)
+
+    def test_smallest_C_within_the_float_range(self):
+        # 1/C is finite at 1e-308, and tau(C) lies inside F0 near the cusp 0
+        for C in (1e-308, -1e-308):
+            t = solve_tauC(C)
+            assert classify_domain(t, tol=1e-9) is DomainTag.F0_INTERIOR
+            assert 0 < t.z.imag < 0.01
 
     def test_fc_scale_past_the_float_range(self):
         # the scale reads inf past the float range, and fc_scale raises
