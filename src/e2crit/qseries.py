@@ -256,7 +256,7 @@ class _Pulled:
     and at the wp/Z floor, the Laurent coefficients c_k of wp at tau1 with
     their tau-derivatives up to LAURENT_TERMS, and eta1' there
     (premodular._laurent_kept).  lambert(n) is the table of the Lambert
-    weights w[k] = (lam, k lam, k^2 lam), lam = q^k/(1-q^k), at its nome
+    weights w[k] = (lam, k lam, k^2), lam = q^k/(1-q^k), at its nome
     (lambert_weights), held in weights: None until the first family
     evaluation at the point asks for n > 0 terms, then formed to n, and
     extended in place, continuing its q^k product, when a later one asks

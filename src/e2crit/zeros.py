@@ -700,14 +700,6 @@ def _checked(C: float, t: complex, pp: PrecisionPolicy) -> complex:
     return f
 
 
-def _finite_fold(C: float, star: float, fold: str) -> float:
-    """star, the C* = fold that C folds onto, where it is finite; Diverged
-    where it overflowed."""
-    if star == math.inf:
-        raise Diverged(f"C = {C!r} folds onto C* = {fold} = {star}, past the float range")
-    return star
-
-
 def _solve(C: float, pp: PrecisionPolicy) -> tuple[complex, complex]:
     """(tau(C), f_C(tau(C))) for a finite C not 0 or 1: solve_tauC's root
     and the residual value its test reads, which trace_curve reports.
@@ -724,15 +716,17 @@ def _solve(C: float, pp: PrecisionPolicy) -> tuple[complex, complex]:
         1 < C < 2       C* = C/(C - 1)      tau = 1 - conj(1/(1 - tau*))
 
     The root then passes _checked at C itself.  At 0 < |C| below about
-    5.6e-309, 1/C and so C* overflow, and Diverged names C and its fold."""
+    5.6e-309, 1/C and so C* overflow, and Diverged names C."""
+    if math.isinf(1 / C):
+        raise Diverged(f"C = {C!r}: its fold C* is past the float range")
     if C >= 2:
         t = _plus_root(C, pp)
     elif C <= -1:
         t = 1 - _plus_root(1 - C, pp).conjugate()
     elif C < 0:
-        t = 1 / (1 - _plus_root(_finite_fold(C, 1 - 1 / C, "1 - 1/C"), pp))
+        t = 1 / (1 - _plus_root(1 - 1 / C, pp))
     elif C <= 0.5:
-        t = 1 / _plus_root(_finite_fold(C, 1 / C, "1/C"), pp).conjugate()
+        t = 1 / _plus_root(1 / C, pp).conjugate()
     elif C < 1:
         t = 1 - 1 / _plus_root(1 / (1 - C), pp)
     else:

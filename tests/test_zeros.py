@@ -608,11 +608,11 @@ class TestSolveTauC:
         with pytest.raises(Diverged, match=r"fc_scale .* past the float range"):
             solve_tauC(C)
 
-    @pytest.mark.parametrize("C, fold", [(5e-324, "1/C"), (-5e-324, "1 - 1/C"), (5e-309, "1/C")])
-    def test_tiny_C_diverges(self, C, fold):
-        # 1/C overflows, so the fold's C* is inf: Diverged names C and the
-        # fold, where the asymptotic seed at inf would be NaN
-        with pytest.raises(Diverged, match=rf"C = {C!r} folds onto C\* = {re.escape(fold)} = inf"):
+    @pytest.mark.parametrize("C", [5e-324, -5e-324, 5e-309])
+    def test_tiny_C_diverges(self, C):
+        # 1/C overflows, so the fold's C* is inf: Diverged names C, where
+        # the asymptotic seed at inf would be NaN
+        with pytest.raises(Diverged, match=rf"C = {re.escape(repr(C))}: its fold C\* is past the float range"):
             solve_tauC(C)
 
     def test_smallest_C_within_the_float_range(self):
