@@ -141,10 +141,7 @@ def _zrs_parts(rs, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, complex
     dtau1/dtau = mu^-2, so dZ/dtau = mu^2 (c Z(tau1) + mu Z'(tau1))."""
     tau1, c, mu, (rh, sh), q, at = _pullback(as_tau(tau), as_pair(rs))
     wp, wpp, z = _wp_family(rh, sh, tau1, q, pp, at)
-    if at is None:
-        e1 = _eta1_direct(q, pp)
-    else:
-        e1, _, _ = at.basic(pp)
+    e1 = _eta1_direct(q, pp, at)
     dz = -(wpp + 2 * z * (wp + e1)) / _FOUR_PI_I
     return mu * z, mu * mu * (c * z + mu * dz)
 
@@ -207,26 +204,16 @@ def _laurent_coeffs_tau(c: list, g2p: complex, g3p: complex) -> list:
 def _laurent_series(vals, kmax: int, deriv: bool):
     """(c, cp, eta1'): the c_k of _laurent_coeffs up to kmax from
     vals = (eta1, g2, g3) and, with deriv, their tau-derivatives and eta1'
-    (else None and None), from one _derivs.  It forms the Laurent data of a
-    plain point, and once per eps that of a LatticePoint (_laurent_kept)."""
+    (else None and None), from one _derivs: a plain point's Laurent data up
+    to K, and a LatticePoint's up to LAURENT_TERMS, kept by _Pulled.kept, of
+    which the first K + 1 are the same floats (c_k and c_k' are formed from
+    those of lower index alone)."""
     e1, g2v, g3v = vals
     c = _laurent_coeffs(g2v, g3v, kmax)
     if not deriv:
         return c, None, None
     e1p, g2p, g3p = _derivs(e1, g2v, g3v)
     return c, _laurent_coeffs_tau(c, g2p, g3p), e1p
-
-
-def _laurent_kept(at, pp: PrecisionPolicy):
-    """_laurent_series up to LAURENT_TERMS, with deriv, at the lattice data
-    at (a _Pulled at the wp/Z floor): formed on first use for each eps and
-    kept in at.laurent.  The recursion forms each c_k and its derivative
-    from those of lower index alone, so the first K + 1 of them are the
-    floats _laurent_series gives up to K."""
-    data = at.laurent.get(pp.eps)
-    if data is None:
-        data = at.laurent[pp.eps] = _laurent_series(at.basic(pp), LAURENT_TERMS, True)
-    return data
 
 
 def _laurent_parts(u: complex, c: list, kmax: int) -> tuple[complex, complex, complex]:
@@ -280,7 +267,7 @@ def _zrs2_at(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy
             c, cp, e1p = _laurent_series(vals, K, deriv)
         else:
             vals = at.basic(pp)
-            c, cp, e1p = _laurent_kept(at, pp)
+            c, cp, e1p = at.kept(_laurent_series, pp, vals, LAURENT_TERMS, True)
         e1 = vals[0]
         e2v = tau * e1 - TWO_PI_I
         P, Q, zs = _laurent_parts(u, c, K)
@@ -300,10 +287,7 @@ def _zrs2_at(rh: float, sh: float, tau: complex, q: complex, pp: PrecisionPolicy
     z2 = z**3 - 3 * wp * z - wpp
     if not deriv:
         return z2
-    if at is None:
-        e1, g2v = _eta1_g2_direct(q, pp)
-    else:
-        e1, g2v, _ = at.basic(pp)
+    e1, g2v = _eta1_g2_direct(q, pp, at)
     return z2, (-6 * (wp + e1) * z2 - 9 * wpp * (wp + z * z)
                 + 3 * z * (g2v - 12 * wp * wp)) / _FOUR_PI_I
 
@@ -350,7 +334,9 @@ class CuspValue:
 
 
 def cusp_value(rs, cusp: str, pp: PrecisionPolicy = DEFAULT) -> CuspValue:
-    """Behaviour of Z2_{r,s} at a cusp of F0 ('zero', 'one' or 'infinity')."""
+    """Behaviour of Z2_{r,s} at a cusp of F0 ('zero', 'one' or 'infinity'),
+    classified by the distance of s, r or r + s (Z2 is 1-periodic in r and
+    s) to the nearest integer and half-integer."""
     r, s = as_pair(rs)
     if _is_half_lattice(r, s):
         raise ValueError("characteristic is half-integral; Z2 vanishes identically")
@@ -358,20 +344,19 @@ def cusp_value(rs, cusp: str, pp: PrecisionPolicy = DEFAULT) -> CuspValue:
     s -= math.floor(s)
     tol = 1e-9
     if cusp == "infinity":
-        if abs(s) < tol:
+        if abs(s - round(s)) < tol:
             return CuspValue("coeff_q", -48 * PI**3 * math.sin(2 * PI * r))
         if abs(s - 0.5) < tol:
             return CuspValue("coeff_sqrt_q", -12 * PI**3 * math.sin(2 * PI * r))
         return CuspValue("finite", 4j * PI**3 * s * (1 - s) * (2 * s - 1))
     if cusp == "zero":
-        if tol < r < 0.5 - tol or 0.5 + tol < r < 1.0 - tol:
+        if abs(r - round(2 * r) / 2) > tol:
             return CuspValue("divergent", None)
         raise Unclassified(f"cusp 0 behaviour not classified for r = {r}")
     if cusp == "one":
         w = r + s
-        for lo, hi in ((0.0, 0.5), (0.5, 1.0), (1.0, 1.5)):
-            if lo + tol < w < hi - tol:
-                return CuspValue("divergent", None)
+        if abs(w - round(2 * w) / 2) > tol:
+            return CuspValue("divergent", None)
         raise Unclassified(f"cusp 1 behaviour not classified for r + s = {w}")
     raise ValueError(f"cusp must be 'zero', 'one' or 'infinity', got {cusp!r}")
 

@@ -15,18 +15,22 @@ characteristic is reduced: it returns it in [-1/2, 1/2)^2 and raises
 PoleAtLattice there, once, when z reduces to a lattice point, so wp, Z and
 Z2 (premodular) sum the family at the pair it returns.
 
-The (eta1, g2, g3) series share one length.  An evaluator sums and lifts
-only what its caller reads:
+The (eta1, g2, g3) series share one length, and their coefficient tables
+(_SIGMA1, _TRIPLES, _MOMENTS) are built once, at import, to the longest
+series a policy can certify.  An evaluator sums and lifts only what its
+caller reads:
 - _basic and _basic_direct sum all three in one pass (eisenstein_sums), for
   eval_invariants, eval_derivatives, and f_C with its derivatives and Z2
   near the lattice, which read g3;
 - _eta1_g2 and _eta1_g2_direct sum eta1 and g2 alone (eta1_g2_sums), for
   f_C's value and scale, sqrt(g2/12), transform_quasi, the derivative of
   Z2 and the curve-line values;
-- eval_E2, eval_eta1, eval_eta2 and the wp/Z family read eta1 alone and sum
-  its series alone (horner);
+- _eta1_direct sums eta1 alone (horner), for eval_E2, eval_eta1, eval_eta2,
+  eval_weierstrass and the derivative of Z;
 - _eta1_D_direct sums eta1 with D = eta1^2 - g2/12 and its derivative in one
   pass (eisenstein_sums over other coefficients), for the cold tau(C) solve.
+_eta1_direct and _eta1_g2_direct take the lattice data _pullback returns,
+and read it in place of their series at a LatticePoint.
 
 A LatticePoint (the points of zeros.f0_contour's polylines, built by
 lattice_point) carries what depends on tau alone, formed once: _pullback
@@ -36,10 +40,10 @@ on first use, by _basic_direct.  Every evaluator at the point reads the
 columns it needs of that triple: eisenstein_sums forms each column in
 horner's and eta1_g2_sums' operations, so they are the floats the
 evaluators give at a plain complex copy of the point, and every value is
-unchanged; a plain point pays a type test.  The _Pulled also keeps, per
-eps, f_C's point data and wp's Laurent coefficients, which zeros and
-premodular form from that triple on first use, and, at the wp/Z floor,
-the Lambert weights q^k/(1-q^k) of the family, which _wp_family sums
+unchanged; a plain point pays a type test.  _Pulled.kept holds, per eps,
+what zeros and premodular form from that triple on first use (f_C's point
+data and wp's Laurent coefficients), and the _Pulled at the wp/Z floor
+keeps the Lambert weights q^k/(1-q^k) of the family, which _wp_family sums
 through wp_sums_kept: formed on the first family evaluation to the length
 it needs, extended in place when a later one needs more, and the floats
 wp_sums forms at a plain point (see _Pulled).
@@ -50,11 +54,10 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from functools import lru_cache
 from math import floor
 
 from ._kernels_py import eisenstein_sums, eta1_g2_sums, horner, lambert_weights, wp_sums, wp_sums_kept
-from .domain import DEFAULT, LatticePoint, PrecisionPolicy, as_pair, as_tau
+from .domain import DEFAULT, LatticePoint, PrecisionPolicy, as_pair, as_real, as_tau
 from .errors import PoleAtLattice, TruncationFailure
 from .moebius import reduce_to_F_ints
 
@@ -67,43 +70,14 @@ _HALF_PERIODS = {1: (0.5, 0.0), 2: (0.0, 0.5), 3: (0.5, 0.5)}
 # ---------------------------------------------------------------------------
 # divisor-sum coefficients and truncation lengths
 
-_sigma_cache: dict[int, list] = {}
-
-
 def _sigma(power: int, n: int) -> list:
     """sigma_power(k) for k = 1..n as floats (index 0 unused)."""
-    arr = _sigma_cache.get(power)
-    if arr is None or len(arr) <= n:
-        size = max(n + 1, 64, 0 if arr is None else 2 * len(arr))
-        arr = [0.0] * size
-        for d in range(1, size):
-            dp = float(d) ** power
-            for m in range(d, size, d):
-                arr[m] += dp
-        _sigma_cache[power] = arr
+    arr = [0.0] * (n + 1)
+    for d in range(1, n + 1):
+        dp = float(d) ** power
+        for m in range(d, n + 1, d):
+            arr[m] += dp
     return arr
-
-
-_triples: list = []
-
-
-def _sigma_triples(n: int) -> list:
-    """(sigma_1(k), sigma_3(k), sigma_5(k)) for k = 1..n, the coefficients
-    of eisenstein_sums, as _sigma gives them (index 0 unused)."""
-    if len(_triples) <= n:
-        _triples[:] = zip(_sigma(1, n), _sigma(3, n), _sigma(5, n))
-    return _triples
-
-
-_moments: list = []
-
-
-def _sigma1_moments(n: int) -> list:
-    """(sigma_1(k), k sigma_1(k), k^2 sigma_1(k)) for k = 1..n, the
-    coefficients of eisenstein_sums in _eta1_D_direct (index 0 unused)."""
-    if len(_moments) <= n:
-        _moments[:] = [(c, k * c, k * k * c) for k, c in enumerate(_sigma(1, n))]
-    return _moments
 
 
 # the pull-back floors of the (eta1, g2, g3) series and the wp/Z family;
@@ -114,8 +88,17 @@ _FAMILY_FLOOR = 2 * _FLOOR
 RHO_CAP = math.exp(-2 * PI * _FLOOR) * (1 + 1e-9)
 MAX_TERMS = 256
 
+# the coefficient tables of the kernels, built once to MAX_TERMS + 1, as
+# _eta1_D_direct sums one term past _basic_terms (index 0 unused): sigma_1,
+# the triples (sigma_1, sigma_3, sigma_5) of eisenstein_sums and
+# eta1_g2_sums, and the moments (sigma_1(k), k sigma_1(k), k^2 sigma_1(k))
+# of _eta1_D_direct.  The kernels read coeffs[n:0:-1], so each sum is the
+# one over a table of exactly n + 1 entries.
+_SIGMA1 = _sigma(1, MAX_TERMS + 1)
+_TRIPLES = list(zip(_SIGMA1, _sigma(3, MAX_TERMS + 1), _sigma(5, MAX_TERMS + 1)))
+_MOMENTS = [(c, k * c, k * k * c) for k, c in enumerate(_SIGMA1)]
 
-@lru_cache(maxsize=None)
+
 def _thresholds(tol: float, power: int) -> tuple:
     """th with sum_{k>n} k^power rho^k < tol whenever 0 <= rho < th[n].
 
@@ -159,8 +142,10 @@ def choose_truncation(im_tau: float, eps: float) -> int:
     tolerance eps in (0, 1): the length _basic_terms takes at
     |q| = e^{-2 pi im_tau}, from the k^5 tail bound below eps/150000, and 0
     where the empty series is certified.  Below the pull-back floor
-    Im tau = 0.35 no series is summed directly, and ValueError is raised.
+    Im tau = 0.35 no series is summed directly, and ValueError is raised, as
+    it is for a non-finite im_tau.
     """
+    im_tau = as_real(im_tau, "im_tau")
     if im_tau < _FLOOR - 1e-12:
         raise ValueError(f"im_tau below direct-evaluation threshold: {im_tau}")
     return _basic_terms(math.exp(-2 * PI * im_tau), PrecisionPolicy(eps))
@@ -248,16 +233,15 @@ class _Pulled:
     formed on first use for each eps, the point data its evaluators read.
 
     basic(pp) is the (eta1, g2, g3) that _basic_direct gives at its nome,
-    whose columns every evaluator at the point reads.  fc and laurent map
-    eps to the data that zeros._fc_parts and premodular._zrs2_at form from
-    that triple, each by the helper a plain point calls on every
-    evaluation: at the (eta1, g2, g3) floor, f_C's point data
-    (eta1, g2, eta2, eta1', g2', eta2') at the point itself (zeros._fc_data),
-    and at the wp/Z floor, the Laurent coefficients c_k of wp at tau1 with
-    their tau-derivatives up to LAURENT_TERMS, and eta1' there
-    (premodular._laurent_kept).  lambert(n) is the table of the Lambert
-    weights w[k] = (lam, k lam, k^2), lam = q^k/(1-q^k), at its nome
-    (lambert_weights), held in weights: None until the first family
+    whose columns every evaluator at the point reads.  kept(make, pp,
+    *args) keeps what is formed from that triple: f_C's point data at the
+    point itself (zeros._fc_data, at the (eta1, g2, g3) floor) and the
+    Laurent coefficients of wp at tau1 with their tau-derivatives up to
+    LAURENT_TERMS, and eta1' there (premodular._laurent_series, at the wp/Z
+    floor), each by the helper a plain point calls on every evaluation.
+    lambert(n) is the table of the
+    Lambert weights w[k] = (lam, k lam, k^2), lam = q^k/(1-q^k), at its
+    nome (lambert_weights), held in weights: None until the first family
     evaluation at the point asks for n > 0 terms, then formed to n, and
     extended in place, continuing its q^k product, when a later one asks
     for more (at a characteristic nearer s = 1/2, or a smaller eps).  It
@@ -266,20 +250,28 @@ class _Pulled:
     not read.  One _Pulled serves both floors where the two pull-backs
     agree, and then holds both."""
 
-    __slots__ = ("reduced", "q", "_basic", "fc", "laurent", "weights")
+    __slots__ = ("reduced", "q", "_basic", "_kept", "weights")
 
     def __init__(self, tau: complex, height: float):
         # q, the nome at tau1, is _reduce's last value
         self.reduced = *_, self.q = _reduce(tau, height)
         self._basic = {}
-        self.fc = {}
-        self.laurent = {}
+        self._kept = {}
         self.weights = None
 
     def basic(self, pp: PrecisionPolicy):
         v = self._basic.get(pp.eps)
         if v is None:
             v = self._basic[pp.eps] = _basic_direct(self.q, pp)
+        return v
+
+    def kept(self, make, pp: PrecisionPolicy, *args):
+        """make(*args), formed on the first call for each (make, eps) and
+        kept.  The key holds neither args nor any other input, so a kept
+        value must be fixed by the point and eps alone."""
+        v = self._kept.get((make, pp.eps))
+        if v is None:
+            v = self._kept[make, pp.eps] = make(*args)
         return v
 
     def lambert(self, n: int) -> list:
@@ -354,18 +346,20 @@ _G2_0, _G2_1 = (4.0 / 3.0) * PI**4, 320 * PI**4
 _G3_0 = 8 * PI**6 / 27
 
 
-def _eta1_direct(q: complex, pp: PrecisionPolicy) -> complex:
+def _eta1_direct(q: complex, pp: PrecisionPolicy, at=None) -> complex:
     """eta1 by its series alone at nome q, summed to the length _basic_direct
-    takes there."""
+    takes there, or, given lattice data at (a _Pulled), at.basic's column."""
+    if at is not None:
+        return at.basic(pp)[0]
     n = _basic_terms(q, pp)
-    return _ETA1_0 - _ETA1_1 * horner(_sigma(1, n), q, n)
+    return _ETA1_0 - _ETA1_1 * horner(_SIGMA1, q, n)
 
 
 def _basic_direct(q: complex, pp: PrecisionPolicy):
     """(eta1, g2, g3) by direct series at nome q, the three summed in one
     pass."""
     n = _basic_terms(q, pp)
-    s1, s3, s5 = eisenstein_sums(_sigma_triples(n), q, n)
+    s1, s3, s5 = eisenstein_sums(_TRIPLES, q, n)
     return _ETA1_0 - _ETA1_1 * s1, _G2_0 + _G2_1 * s3, _G3_0 * (1 - 504 * s5)
 
 
@@ -384,7 +378,7 @@ def _eta1_D_direct(q: complex, pp: PrecisionPolicy):
     D and D' below eps |q| / 10^4 (k^2 sigma_1(k) <= k^3 (1 + log k)).
     Ramanujan, Trans. Cambridge Philos. Soc. 22 (1916)."""
     n = _basic_terms(q, pp) + 1
-    s1, s, s2 = eisenstein_sums(_sigma1_moments(n), q, n)
+    s1, s, s2 = eisenstein_sums(_MOMENTS, q, n)
     return _ETA1_0 - _ETA1_1 * s1, _D_1 * s, _DP_1 * s2
 
 
@@ -395,11 +389,13 @@ def _basic(tau: complex, pp: PrecisionPolicy):
     return _lift(vals, c, mu) if c else vals
 
 
-def _eta1_g2_direct(q: complex, pp: PrecisionPolicy):
+def _eta1_g2_direct(q: complex, pp: PrecisionPolicy, at=None):
     """(eta1, g2) at nome q, as _basic_direct gives them, summed without
-    the g3 series."""
+    the g3 series, or, given lattice data at, at.basic's columns."""
+    if at is not None:
+        return at.basic(pp)[:2]
     n = _basic_terms(q, pp)
-    s1, s3 = eta1_g2_sums(_sigma_triples(n), q, n)
+    s1, s3 = eta1_g2_sums(_TRIPLES, q, n)
     return _ETA1_0 - _ETA1_1 * s1, _G2_0 + _G2_1 * s3
 
 
@@ -407,20 +403,14 @@ def _eta1_g2(tau: complex, pp: PrecisionPolicy):
     """(eta1, g2) anywhere in H, as _basic gives them, with neither g3 nor
     its weight summed."""
     _, c, mu, _, q, at = _pullback(tau)
-    if at is None:
-        e1, g2v = _eta1_g2_direct(q, pp)
-    else:
-        e1, g2v, _ = at.basic(pp)
+    e1, g2v = _eta1_g2_direct(q, pp, at)
     return (_lift_eta1(e1, c, mu), mu**4 * g2v) if c else (e1, g2v)
 
 
 def _eta1(tau: complex, pp: PrecisionPolicy) -> complex:
     """eta1 anywhere in H, as _basic gives it, from its series alone."""
     _, c, mu, _, q, at = _pullback(tau)
-    if at is None:
-        e1 = _eta1_direct(q, pp)
-    else:
-        e1, _, _ = at.basic(pp)
+    e1 = _eta1_direct(q, pp, at)
     return _lift_eta1(e1, c, mu) if c else e1
 
 
@@ -540,12 +530,7 @@ def eval_weierstrass(z, tau, pp: PrecisionPolicy = DEFAULT) -> tuple[complex, co
     t = as_tau(tau)
     tau1, c, mu, (rh, sh), q, at = _pullback(t, (r, s))
     wp, wpp, z_hecke = _wp_family(rh, sh, tau1, q, pp, at)
-    # only eta1 is read: its series alone, or at a LatticePoint its column
-    # of the point's (eta1, g2, g3)
-    if at is None:
-        e1 = _eta1_direct(q, pp)
-    else:
-        e1, _, _ = at.basic(pp)
+    e1 = _eta1_direct(q, pp, at)
     if c:
         e1 = _lift_eta1(e1, c, mu)
     return mu * mu * wp, mu**3 * wpp, mu * z_hecke + r * e1 + s * (t * e1 - TWO_PI_I)

@@ -20,8 +20,8 @@ from .errors import (
     PhaseStepFailure,
 )
 from .moebius import domain_tag, f0_margin
-from .qseries import (_FOUR_PI_I, _HALF_I_PI, _I_PI, PI, TWO_PI_I, _basic, _eta1_D_direct, _eta1_g2,
-                      _eta1_g2_tail, lattice_point)
+from .qseries import (_FOUR_PI_I, PI, TWO_PI_I, _basic, _derivs, _eta1_D_direct, _eta1_g2, _eta1_g2_tail,
+                      lattice_point)
 
 ROOT_RESIDUAL = 1e-9
 BOUNDARY_ZERO_TOL = 1e-9
@@ -406,21 +406,17 @@ def _newton(f, t: complex, tol: float, itmax: int) -> complex:
 
 def _fc_data(tau: complex, pp: PrecisionPolicy):
     """f_C's point data at tau, (eta1, g2, eta2, eta1', g2', eta2'), from
-    one (eta1, g2, g3) evaluation; eta1' and g2' in the operations of
-    _derivs, which also forms the unread g3'."""
+    one (eta1, g2, g3) evaluation, eta1' and g2' by _derivs."""
     e1, g2v, g3v = _basic(tau, pp)
-    e1p = _HALF_I_PI * (e1 * e1 - g2v / 12)
-    return e1, g2v, tau * e1 - TWO_PI_I, e1p, _I_PI * (2 * e1 * g2v - 3 * g3v), e1 + tau * e1p
+    e1p, g2p, _ = _derivs(e1, g2v, g3v)
+    return e1, g2v, tau * e1 - TWO_PI_I, e1p, g2p, e1 + tau * e1p
 
 
 def _fc_parts(C: float, tau: complex, pp: PrecisionPolicy):
     """(f_C, df_C/dtau) from f_C's point data at tau (_fc_data), which a
-    LatticePoint forms once per eps and keeps beside its (eta1, g2, g3)."""
+    LatticePoint forms once per eps and keeps (_Pulled.kept)."""
     if type(tau) is LatticePoint:
-        kept = tau.low.fc
-        data = kept.get(pp.eps)
-        if data is None:
-            data = kept[pp.eps] = _fc_data(tau, pp)
+        data = tau.low.kept(_fc_data, pp, tau, pp)
     else:
         data = _fc_data(tau, pp)
     e1, g2v, e2v, e1p, g2p, e2p = data

@@ -318,6 +318,28 @@ class TestCuspValue:
         with pytest.raises(Unclassified):
             cusp_value((0.3, 0.7), "one")  # r + s = 1 boundary
 
+    def test_q_coefficient_on_both_sides_of_an_integer_s(self):
+        # s just below an integer is reduced to just below 1, where Z2 still
+        # falls as q, with the coefficient at s = 0
+        t = 3j
+        q = cmath.exp(2j * PI * t)
+        for s in (-1e-12, 0.0, 1e-12, 1 - 1e-12, 2.0):
+            got = cusp_value((0.3, s), "infinity")
+            assert got.kind == "coeff_q", s
+            assert abs(got.value - (-48 * PI**3 * math.sin(0.6 * PI))) < 1e-9, s
+            assert abs(eval_Zrs2((0.3, s), t) / q - got.value) < 1e-4 * abs(got.value), s
+
+    def test_cusp_one_past_three_halves(self):
+        # r + s in (3/2, 2): Z2 grows as y^-3 at 1 + iy, as for r + s in (1/2, 1)
+        for rs in ((0.9, 0.8), (0.95, 0.9)):
+            assert cusp_value(rs, "one").kind == "divergent", rs
+            z = [abs(eval_Zrs2(rs, complex(1, y))) for y in (0.1, 0.01)]
+            assert z[0] > 1e3 and 0.5e3 < z[1] / z[0] < 2e3, (rs, z)
+        # at r + s = 3/2, Z2 tends to 0 instead
+        with pytest.raises(Unclassified):
+            cusp_value((0.75, 0.75), "one")
+        assert abs(eval_Zrs2((0.75, 0.75), complex(1, 0.1))) < 1e-6
+
 
 class TestFindZero:
     def test_triangle0_has_none(self):

@@ -393,7 +393,7 @@ class TestLegendre:
 class TestFusedSeries:
     def test_eisenstein_sums_equal_three_horner_sums(self):
         rng = random.Random(13)
-        coeffs = qseries._sigma_triples(MAX_TERMS)
+        coeffs = qseries._TRIPLES
         for n in range(MAX_TERMS + 1):
             for _ in range(3):
                 q = cmath.rect(RHO_CAP * rng.random(), rng.uniform(-PI, PI))
@@ -402,7 +402,7 @@ class TestFusedSeries:
 
     def test_eta1_g2_sums_equal_the_first_two_columns(self):
         rng = random.Random(16)
-        coeffs = qseries._sigma_triples(MAX_TERMS)
+        coeffs = qseries._TRIPLES
         for n in range(MAX_TERMS + 1):
             for _ in range(3):
                 q = cmath.rect(RHO_CAP * rng.random(), rng.uniform(-PI, PI))
@@ -460,6 +460,90 @@ class TestFusedSeries:
         assert len(calls) == 2
 
 
+def _divisor_sums(power, n):
+    """sigma_power(k) for k = 1..n by integer arithmetic (index 0 unused):
+    below 2^53, so each float is the exact value."""
+    return [0.0] + [float(sum(d**power for d in range(1, k + 1) if k % d == 0)) for k in range(1, n + 1)]
+
+
+class TestCoefficientTables:
+    """The kernels' coefficient tables, built once at import, reach the
+    longest series a policy can ask for, and a lattice point's reads equal
+    the plain sums."""
+
+    # at this eps the (eta1, g2, g3) threshold table reaches MAX_TERMS; a
+    # nome just under RHO_CAP then takes all MAX_TERMS terms
+    LONGEST = PrecisionPolicy(5.6e-228)
+
+    def test_policies_at_the_longest_series(self):
+        q = RHO_CAP / (1 + 2e-9)
+        assert qseries._basic_terms(q, self.LONGEST) == MAX_TERMS
+        assert qseries._basic_terms(q, PrecisionPolicy(1e-227)) == MAX_TERMS - 1
+        with pytest.raises(TruncationFailure):
+            qseries._basic_terms(q, PrecisionPolicy(6.3e-229))
+
+    def test_longest_sums_equal_fresh_divisor_sums(self, monkeypatch):
+        # a table one entry short would drop the last term silently, as the
+        # kernels slice it, so the terms each kernel sums are counted too
+        rng = random.Random(41)
+        horner = qseries.horner
+        summed = []
+        for name in ("horner", "eisenstein_sums", "eta1_g2_sums"):
+            kernel = getattr(qseries, name)
+
+            def counted(coeffs, q, n, kernel=kernel):
+                summed.append((n, len(coeffs[n:0:-1])))
+                return kernel(coeffs, q, n)
+            monkeypatch.setattr(qseries, name, counted)
+        n = MAX_TERMS
+        s1, s3, s5 = (_divisor_sums(p, n + 1) for p in (1, 3, 5))
+        moments = [[k**j * c for k, c in enumerate(s1)] for j in (1, 2)]
+        for _ in range(20):
+            q = cmath.rect(RHO_CAP / (1 + 2e-9), rng.uniform(-PI, PI))
+            h1, h3, h5 = (horner(s, q, n) for s in (s1, s3, s5))
+            eta1 = PI**2 / 3 - 8 * PI**2 * h1
+            g2v = (4.0 / 3.0) * PI**4 + 320 * PI**4 * h3
+            assert qseries._basic_direct(q, self.LONGEST) == (eta1, g2v, 8 * PI**6 / 27 * (1 - 504 * h5))
+            assert qseries._eta1_direct(q, self.LONGEST) == eta1
+            assert qseries._eta1_g2_direct(q, self.LONGEST) == (eta1, g2v)
+            d1, d, d2 = (horner(s, q, n + 1) for s in (s1, *moments))
+            assert qseries._eta1_D_direct(q, self.LONGEST) == (
+                PI**2 / 3 - 8 * PI**2 * d1, -32 * PI**4 * d, -64j * PI**5 * d2)
+        # per nome, three kernel calls over n terms and _eta1_D_direct's over n + 1
+        assert Counter(summed) == {(n, n): 20 * 3, (n + 1, n + 1): 20}
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-9])
+    def test_lattice_reads_equal_plain_sums(self, eps):
+        from e2crit import zeros
+        pp = PrecisionPolicy(eps)
+        points = zeros._f0_polyline.__wrapped__(6.0, 0.08).points
+        for p in points:
+            for at in (p.low, p.family):
+                assert qseries._eta1_direct(at.q, pp, at) == qseries._eta1_direct(at.q, pp), p
+                assert qseries._eta1_g2_direct(at.q, pp, at) == qseries._eta1_g2_direct(at.q, pp), p
+
+    def test_kept_forms_each_value_once(self):
+        p = qseries.lattice_point(0.2 + 0.9j)
+        formed = Counter()
+
+        def make(tag, eps):
+            formed[tag, eps] += 1
+            return [tag, eps]
+
+        def other(tag, eps):
+            formed["other", eps] += 1
+            return [tag, eps]
+
+        values = {}
+        for _ in range(3):
+            for eps in (1e-12, 1e-9):
+                pp = PrecisionPolicy(eps)
+                for fn in (make, other):
+                    v = p.low.kept(fn, pp, "a", eps)
+                    assert values.setdefault((fn, eps), v) is v
+        assert formed == {("a", 1e-12): 1, ("a", 1e-9): 1, ("other", 1e-12): 1, ("other", 1e-9): 1}
+
+
 class TestChooseTruncation:
     @staticmethod
     def tail(rho, n, kmax=4000):
@@ -482,6 +566,11 @@ class TestChooseTruncation:
         assert choose_truncation(DEFAULT.min_im_direct, 1e-12) > 0
         with pytest.raises(ValueError, match="threshold"):
             choose_truncation(0.34, 1e-12)
+
+    @pytest.mark.parametrize("im_tau", [math.nan, math.inf, -math.inf])
+    def test_non_finite_height_rejected(self, im_tau):
+        with pytest.raises(ValueError, match="finite"):
+            choose_truncation(im_tau, 1e-12)
 
     def test_failure_when_capped(self):
         # no MAX_TERMS-term series reaches this tolerance at the ratio cap
@@ -591,7 +680,7 @@ class TestEta1G2Callers:
         monkeypatch.setattr(zeros, "_eta1_g2", basic)
         monkeypatch.setattr(curves, "_eta1_g2", basic)
         monkeypatch.setattr(premodular, "_eta1_g2_direct",
-                            lambda q, pp: qseries._basic_direct(q, pp)[:2])
+                            lambda q, pp, at=None: qseries._basic_direct(q, pp)[:2])
 
     def test_fc_value_scale_and_square_root(self, monkeypatch):
         from e2crit import zeros
@@ -734,10 +823,11 @@ class TestPointCarriedData:
         def refused(name):
             fn = getattr(qseries, name)
 
-            def wrapped(q, pp):
-                if q in nomes:
+            def wrapped(q, pp, at=None):
+                # given a point's lattice data, the series is not summed
+                if at is None and q in nomes:
                     stray.append((name, q))
-                return fn(q, pp)
+                return fn(q, pp, at)
             return wrapped
 
         monkeypatch.setattr(qseries._Pulled, "basic", tracked)
@@ -783,16 +873,16 @@ class TestPointCarriedData:
         laurent_formed = Counter()
         stray = []
         inside = []
-        fc_data, kept, series = zeros._fc_data, premodular._laurent_kept, premodular._laurent_series
+        fc_data, kept, series = zeros._fc_data, qseries._Pulled.kept, premodular._laurent_series
 
         def counted_fc(tau, pp):
             fc_formed[id(tau), pp.eps] += 1
             return fc_data(tau, pp)
 
-        def tracked(at, pp):
+        def tracked(at, make, pp, *args):
             inside.append((id(at), pp.eps))
             try:
-                return kept(at, pp)
+                return kept(at, make, pp, *args)
             finally:
                 inside.pop()
 
@@ -804,7 +894,7 @@ class TestPointCarriedData:
             return series(vals, kmax, deriv)
 
         monkeypatch.setattr(zeros, "_fc_data", counted_fc)
-        monkeypatch.setattr(premodular, "_laurent_kept", tracked)
+        monkeypatch.setattr(qseries._Pulled, "kept", tracked)
         monkeypatch.setattr(premodular, "_laurent_series", counted_series)
         for eps in (1e-12, 1e-10):
             self.run(PrecisionPolicy(eps), points)
