@@ -333,7 +333,7 @@ class CuspValue:
     value: complex | None
 
 
-def cusp_value(rs, cusp: str, pp: PrecisionPolicy = DEFAULT) -> CuspValue:
+def cusp_value(rs, cusp: str) -> CuspValue:
     """Behaviour of Z2_{r,s} at a cusp of F0 ('zero', 'one' or 'infinity'),
     classified by the distance of s, r or r + s (Z2 is 1-periodic in r and
     s) to the nearest integer and half-integer."""

@@ -251,7 +251,7 @@ def criterion_4(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     # relative, so the limit is recovered by one x-elimination step between
     # heights 8 and 9 (x = e^{2 pi i (r + s tau)})
     r, s = 0.3, 0.2
-    limit = cusp_value((r, s), "infinity", pp).value
+    limit = cusp_value((r, s), "infinity").value
     expect = 4j * PI**3 * 0.2 * 0.8 * (-0.6)
     out.append(_check("cusp-inf closed form", abs(limit - expect), 1e-12))
     v8 = eval_Zrs2((r, s), 8j, pp)
@@ -265,11 +265,11 @@ def criterion_4(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
                       abs(v8 - limit) / abs(limit), 5e-4))
     # leading coefficients: heights chosen so that the next-order term and
     # the double-precision cancellation floor both sit below 1e-6 relative
-    c_q = cusp_value((0.3, 0.0), "infinity", pp)
+    c_q = cusp_value((0.3, 0.0), "infinity")
     got = eval_Zrs2((0.3, 0.0), 3j, pp) / cmath.exp(TWO_PI_I * 3j)
     out.append(_check("s = 0 leading q-coefficient",
                       abs(got - c_q.value) / abs(c_q.value), 1e-6))
-    c_h = cusp_value((0.3, 0.5), "infinity", pp)
+    c_h = cusp_value((0.3, 0.5), "infinity")
     got = eval_Zrs2((0.3, 0.5), 5j, pp) / cmath.exp(TWO_PI_I * 2.5j)
     out.append(_check("s = 1/2 leading q^{1/2}-coefficient",
                       abs(got - c_h.value) / abs(c_h.value), 1e-6))

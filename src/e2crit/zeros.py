@@ -30,6 +30,9 @@ MAX_CONTOUR_POINTS = 1 << 18
 F0_KEPT = 8
 # a gated walk starts on every COARSE-th contour point (see _winding)
 COARSE = 4
+# a polyline of LatticePoints keeps at most this many of its gated walks'
+# bisection midpoints, as LatticePoints (Contour._midpoints)
+MIDPOINTS_KEPT = 512
 
 
 @dataclass(frozen=True)
@@ -62,6 +65,22 @@ class Contour:
                          if any(max(abs(pts[k] - pts[i]), abs(pts[k] - pts[j])) > abs(pts[j] - pts[i])
                                 for k in range(i + 1, j)))
 
+    @cached_property
+    def _midpoints(self) -> dict | None:
+        """The bisection midpoints of this polyline's gated walks as
+        LatticePoints, keyed by value (_kept_midpoint), up to MIDPOINTS_KEPT
+        of them; None unless every point is a LatticePoint (f0_contour's).
+        A later walk that bisects at a kept midpoint reads its pull-backs
+        and series there, the floats of the plain midpoint.
+
+        Memory: a kept point takes about 0.6 kB when formed, 3.7 kB once
+        every evaluator has read it at eps 1e-12, and about 1.8 kB more for
+        each further eps; its Lambert weights, shared by every eps, reach
+        at most qseries.MAX_TERMS terms (43 kB), near eps 1e-220.  A full
+        table holds about 1.9 MB at eps 1e-12, and at most about 24 MB at
+        one eps however small."""
+        return {} if all(type(p) is LatticePoint for p in self.points) else None
+
 
 def rect_contour(re0: float, re1: float, im0: float, im1: float, n: int = 24) -> Contour:
     """Counterclockwise rectangle boundary, n points per side."""
@@ -91,7 +110,8 @@ def f0_contour(t_top: float = 6.0, cusp_delta: float = 0.08) -> Contour:
     The last F0_KEPT polylines asked for are kept, least recently used
     dropped first.  Their points are LatticePoints (qseries.lattice_point):
     each one's pull-backs are formed once, and the series values there once
-    per eps, on first use.
+    per eps, on first use.  A kept polyline also keeps the midpoints its
+    gated walks bisect at as LatticePoints (Contour._midpoints).
 
     The base polyline has 82 points (83 with the closing one): 16 log-spaced
     on each vertical edge, 5 on each horocircle, 32 on the arc and 8 on the
@@ -144,6 +164,22 @@ def _f0_polyline(t_top: float, cusp_delta: float) -> Contour:
     return Contour(tuple(pts))
 
 
+def _kept_midpoint(mids: dict, m: complex) -> complex:
+    """The LatticePoint mids keeps for the midpoint m, formed on first use
+    while mids holds fewer than MIDPOINTS_KEPT points; m itself past that,
+    or where the kept point's real part is a zero of the other sign (equal
+    as keys, not as bits).  Two threads may both form a point, of the same
+    floats, and so pass the cap by one each."""
+    p = mids.get(m)
+    if p is None:
+        if len(mids) >= MIDPOINTS_KEPT:
+            return m
+        p = mids[m] = lattice_point(m)
+    elif not m.real and math.copysign(1.0, m.real) != math.copysign(1.0, p.real):
+        return m
+    return p
+
+
 def _boundary_zero(p, v, min_abs: float) -> BoundaryZero:
     """The error for the value v at the contour point p, below min_abs."""
     return BoundaryZero(f"|f| = {abs(v):.2e} < {min_abs:.0e} at contour point {p}")
@@ -180,9 +216,11 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: boo
     middle point it skips, and f is called there then; only a rejected
     segment between neighbouring contour points, or inside one, is bisected
     at its midpoint.  No point is evaluated twice: the walk evaluates its
-    starting points, the split points and the midpoints.  A gated walk with
-    zero_sum starts on every contour point instead, as the sum seeds Newton
-    and a chord's share of the rule error grows with its length.
+    starting points, the split points and the midpoints, the last as the
+    LatticePoints a polyline of them keeps (Contour._midpoints).  A gated
+    walk with zero_sum starts on every contour point instead, as the sum
+    seeds Newton and a chord's share of the rule error grows with its
+    length.
 
     A gated walk keeps one node (p, f, f'/f, |f'/f|) per point evaluated and
     tests a segment's derivative gate before it forms the phase step, which
@@ -263,6 +301,7 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: boo
         last = len(pts) - 1
         coarse = range(0, last, 1 if zero_sum else min(COARSE, last // 3))
         loose = contour._loose_chords
+        mids = contour._midpoints
         used = len(coarse) + 1
         nodes = []
         for k in coarse:
@@ -310,6 +349,8 @@ def _winding(f, contour: Contour, min_abs: float, max_points: int, zero_sum: boo
                         dphi = cmath.log(v1 / v0).imag if zero_sum else phase(v1 / v0)
                         raise PhaseStepFailure(f"phase step {dphi:.3f} irreducible near {p0}")
                     j, p1 = i, 0.5 * (p0 + p1)
+                    if mids is not None:
+                        p1 = _kept_midpoint(mids, p1)
                 out = f(p1)
                 v1 = out[0]
                 if abs(v1) < min_abs:
@@ -333,7 +374,9 @@ def count_zeros_info(f, contour: Contour, min_abs: float = BOUNDARY_ZERO_TOL,
     first one's.  With pairs the walk starts on every COARSE-th contour
     point and evaluates the others only where a chord skipping them is
     rejected (see _winding): 59 points for Z2_(1/6,1/6) and 61 for f_1/2
-    over f0_contour(), where the plain walk takes 83.
+    over f0_contour(), where the plain walk takes 83.  With pairs over an
+    f0_contour polyline, each bisection midpoint is the LatticePoint the
+    polyline keeps (Contour._midpoints), so a later count reuses its data.
 
     Adaptive phase accumulation: a segment is bisected until the phase step
     between its endpoints is below contour.max_step, and the result is the

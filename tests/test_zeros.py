@@ -38,7 +38,7 @@ from e2crit.moebius import DomainTag, classify_domain
 from e2crit import qseries, zeros
 from e2crit.premodular import _zrs2_parts
 from e2crit.verify import _TRIANGLE_VERTICES, triangle_grid
-from tests_helpers import float_bits
+from tests_helpers import BSTAR_CHARS, float_bits
 from e2crit.zeros import _fc_parts, _tau_table, _winding
 
 PI = math.pi
@@ -1194,3 +1194,117 @@ class TestCoarseWalkSweep:
             want = _old_winding(_fc_pair(C), contour, 1e-9, 1 << 18)
             got = count_zeros_info(_fc_pair(C), contour)
             assert got[0] == want[0] and got[1] <= want[1], (C, box, want, got)
+
+
+def _kept_and_plain(shape):
+    """A fresh f0_contour polyline, whose midpoint table is empty, and its
+    plain copy, which keeps none."""
+    kept = zeros._f0_polyline.__wrapped__(*shape)
+    return kept, Contour(tuple(complex(p) for p in kept.points))
+
+
+class TestKeptMidpoints:
+    """The bisection midpoints a polyline of LatticePoints keeps for its
+    gated walks (Contour._midpoints) change no count, point count, zero
+    sum or root: each is the plain midpoint carrying its lattice data."""
+
+    @staticmethod
+    def walks(pp):
+        """(polyline shape, [(name, f)]): Z2 at the verification grid and
+        appendix_bstar's characteristics, and f_C at criterion_3's and
+        criterion_7's C, over f0_contour(); f_0 and f_1 over the wide cut."""
+        chars = [rs for name in _TRIANGLE_VERTICES for rs in triangle_grid(name)] + list(BSTAR_CHARS)
+        Cs = [-2.0, 0.25, 0.5, 0.75, 2.0] + [-g.d / g.c for g in enumerate_gamma02(8)]
+        base = [(("Z2", rs), lambda t, rs=rs: _zrs2_parts(rs, t, pp)) for rs in chars]
+        base += [(("fC", C), lambda t, C=C: _fc_parts(C, t, pp)) for C in Cs]
+        wide = [(("fC", C), lambda t, C=C: _fc_parts(C, t, pp)) for C in (0.0, 1.0)]
+        return [((6.0, 0.08), base), ((6.0, 0.2), wide)]
+
+    @staticmethod
+    def results(f, contour):
+        """The count and points used, and the zero-sum walk's triple."""
+        return float_bits((count_zeros_info(f, contour),
+                           _winding(f, contour, zeros.BOUNDARY_ZERO_TOL, zeros.MAX_CONTOUR_POINTS, True)))
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10])
+    def test_counts_and_sums_cold_and_warm(self, eps):
+        pp = PrecisionPolicy(eps)
+        for shape, funcs in self.walks(pp):
+            kept, plain = _kept_and_plain(shape)
+            want = {key: self.results(f, plain) for key, f in funcs}
+            assert plain._midpoints is None and kept._midpoints == {}
+            for _ in ("cold", "warm"):
+                assert {key: self.results(f, kept) for key, f in funcs} == want
+            assert kept._midpoints
+            assert all(type(p) is zeros.LatticePoint and p == m for m, p in kept._midpoints.items())
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10])
+    def test_roots_cold_and_warm(self, eps, monkeypatch):
+        from e2crit import premodular
+        pp = PrecisionPolicy(eps)
+        chars = [rs for name in ("T1", "T2", "T3") for rs in triangle_grid(name)] + list(BSTAR_CHARS)
+        kept, plain = _kept_and_plain((6.0, 0.08))
+        roots = []
+        for contour in (plain, kept, kept):
+            monkeypatch.setattr(premodular, "f0_contour", lambda *shape: contour)
+            roots.append([float_bits(find_zero_in_F0(rs, pp).z) for rs in chars])
+        assert roots[1] == roots[0] and roots[2] == roots[0] and kept._midpoints
+
+    def test_second_count_makes_no_pullback(self, monkeypatch):
+        reduce = qseries._reduce
+        calls = []
+
+        def counted(tau, height):
+            calls.append(tau)
+            return reduce(tau, height)
+
+        monkeypatch.setattr(qseries, "_reduce", counted)
+        for f in (lambda t: _zrs2_parts((0.075, 0.075), t, DEFAULT), _fc_pair(0.25)):
+            kept, _ = _kept_and_plain((6.0, 0.08))
+            calls.clear()
+            first = count_zeros_info(f, kept)
+            # the first count forms the pull-backs of the midpoints it keeps
+            assert calls and len(kept._midpoints) > 0
+            size = len(kept._midpoints)
+            calls.clear()
+            assert count_zeros_info(f, kept) == first
+            assert calls == [] and len(kept._midpoints) == size
+
+    def test_walk_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(zeros, "MIDPOINTS_KEPT", 3)
+        kept, plain = _kept_and_plain((6.0, 0.08))
+        plain_mids = []
+
+        def on_kept(rs):
+            # every point of kept is a LatticePoint: a plain one is a midpoint
+            def parts(t):
+                if type(t) is not zeros.LatticePoint:
+                    plain_mids.append(t)
+                return _zrs2_parts(rs, t, DEFAULT)
+            return parts
+
+        chars = [(0.075, 0.075), (1 / 6, 1 / 6), (0.7, 0.2)]
+        for _ in ("cold", "warm"):
+            for rs in chars:
+                want = count_zeros_info(lambda t: _zrs2_parts(rs, t, DEFAULT), plain)
+                assert count_zeros_info(on_kept(rs), kept) == want
+                assert len(kept._midpoints) == 3
+        assert plain_mids and not set(plain_mids) & set(kept._midpoints)
+
+    def test_other_walks_keep_plain_midpoints(self):
+        assert rect_contour(0.0, 1.0, 0.1, 1.0)._midpoints is None
+        kept, _ = _kept_and_plain((6.0, 0.08))
+        mixed = Contour((*kept.points[:-1], complex(kept.points[-1])))
+        assert mixed._midpoints is None
+        # the plain walk, of a bare callable, bisects without the table
+        fine = Contour(kept.points, max_step=0.3)
+        n, used = count_zeros_info(lambda t: eval_Zrs2((0.075, 0.075), t), fine)
+        assert n == 1 and used > len(fine.points) and fine._midpoints == {}
+
+    def test_zero_of_the_other_sign_stays_plain(self):
+        m = complex(0.0, 0.5)
+        mids = {m: qseries.lattice_point(m)}
+        other = complex(-0.0, 0.5)
+        assert zeros._kept_midpoint(mids, m) is mids[m]
+        got = zeros._kept_midpoint(mids, other)
+        assert type(got) is complex and math.copysign(1.0, got.real) < 0

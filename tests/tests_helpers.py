@@ -2,6 +2,9 @@
 
 from e2crit.moebius import IDENTITY, MoebiusMap
 
+# the characteristics ((2 - s)/2, s) of appendix_bstar's three walks
+BSTAR_CHARS = tuple(((2 - s) / 2, s) for s in (4e-3, 2e-3, 1e-3))
+
 _T = MoebiusMap(1, 1, 0, 1)
 _TI = MoebiusMap(1, -1, 0, 1)
 _S = MoebiusMap(0, -1, 1, 0)
