@@ -12,10 +12,9 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 
 from .curves import branch_of, critical_points_E2, trace_curve
-from .domain import PrecisionPolicy
+from .domain import DEFAULT, PrecisionPolicy
 from .errors import E2CritError
 from .premodular import _zrs2_parts, _zrs_parts, eval_Zrs, eval_Zrs2
 from .qseries import (
@@ -27,7 +26,10 @@ from .qseries import (
 )
 from .verify import SUITES, run_suite
 from .zeros import (
+    F0_CUSP_DELTA,
+    F0_TOP,
     BranchState,
+    _check_f0,
     _fc_parts,
     count_zeros_info,
     eval_fC,
@@ -66,37 +68,25 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-@dataclass
-class RunConfig:
-    eps: float = 1e-12
-    t_top: float = 6.0
-    cusp_delta: float = 0.08
-    out_format: str = "csv"
-    out_path: str | None = None
-
-    def __post_init__(self):
-        if not (0 < self.eps <= 1e-6):
-            raise ValueError(f"eps must lie in (0, 1e-6], got {self.eps}")
-        if self.t_top < 3:
-            raise ValueError(f"t_top must be >= 3, got {self.t_top}")
-        if not (0 < self.cusp_delta <= 0.2):
-            raise ValueError(f"cusp_delta must lie in (0, 0.2], got {self.cusp_delta}")
-
-    @property
-    def pp(self) -> PrecisionPolicy:
-        return PrecisionPolicy(eps=self.eps)
+def _usage(message: str) -> int:
+    """Report a usage error on stderr; its exit code, 2."""
+    sys.stderr.write(message + "\n")
+    return 2
 
 
-def build_config(args) -> RunConfig:
-    """RunConfig from the flags; an absent flag keeps the default."""
-    values = {"eps": args.eps, "t_top": args.t_top, "cusp_delta": args.cusp_delta,
-              "out_format": args.format, "out_path": args.out}
-    return RunConfig(**{k: v for k, v in values.items() if v is not None})
+def _policy(args) -> PrecisionPolicy:
+    """The run's policy, once the settings pass their checks: eps in
+    (0, 1e-6], and a truncated F0 that f0_contour admits; ValueError
+    otherwise."""
+    if not (0 < args.eps <= 1e-6):
+        raise ValueError(f"eps must lie in (0, 1e-6], got {args.eps}")
+    _check_f0(args.t_top, args.cusp_delta)
+    return PrecisionPolicy(eps=args.eps)
 
 
-def _emit(records: list[dict], columns: list[str], cfg: RunConfig) -> None:
+def _emit(records: list[dict], columns: list[str], args) -> None:
     """Write records as CSV (fixed column order) or a JSON array."""
-    if cfg.out_format == "json":
+    if args.format == "json":
         payload = [{k: rec[k] for k in columns} for rec in records]
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -106,13 +96,13 @@ def _emit(records: list[dict], columns: list[str], cfg: RunConfig) -> None:
                 _fmt(rec[k]) if isinstance(rec[k], float) else str(rec[k])
                 for k in columns))
         text = "\n".join(lines) + "\n"
-    _write(text, cfg)
+    _write(text, args)
 
 
-def _write(text: str, cfg: RunConfig) -> None:
+def _write(text: str, args) -> None:
     """Write text to --out, or to stdout when no path is given."""
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -121,19 +111,25 @@ def _write(text: str, cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_eval(args, cfg: RunConfig) -> int:
-    pp = cfg.pp
-    fn = args.fn
-    tau = args.tau
-    if tau is None:
-        raise SystemExit2(f"--tau is required for --fn {fn}")
-    need_rs = fn in ("wp", "zeta", "zrs", "zrs2")
-    if need_rs and args.rs is None:
-        raise SystemExit2(f"--rs is required for --fn {fn}")
-    if fn == "fc" and args.C is None:
-        raise SystemExit2("--C is required for --fn fc")
-    if fn == "ek" and args.k is None:
-        raise SystemExit2("--k is required for --fn ek")
+# the flag each --fn of eval and count reads beyond --tau or --region
+_FN_FLAG = {"wp": "rs", "zeta": "rs", "zrs": "rs", "zrs2": "rs", "fc": "C", "ek": "k"}
+# the (value, tau-derivative) pair each --fn of count walks
+_COUNT_PARTS = {"zrs": _zrs_parts, "zrs2": _zrs2_parts, "fc": _fc_parts}
+
+
+def _missing_flag(args) -> str | None:
+    """The usage error for an --fn whose flag is absent, else None."""
+    flag = _FN_FLAG.get(args.fn)
+    if flag and getattr(args, flag) is None:
+        return f"--{flag} is required for --fn {args.fn}"
+    return None
+
+
+def cmd_eval(args, pp: PrecisionPolicy) -> int:
+    fn, tau = args.fn, args.tau
+    missing = _missing_flag(args)
+    if missing:
+        return _usage(missing)
     eps = pp.eps
     if fn == "eta1":
         value, bound = eval_eta1(tau, pp), eps
@@ -160,78 +156,70 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     elif fn == "fc":
         value = eval_fC(args.C, tau, pp)
         bound = 50 * eps * fc_scale(args.C, tau, pp)
-    elif fn == "phi":
+    else:  # phi, the last of argparse's choices
         sign = 1 if args.sign == "plus" else -1
         value = eval_phi(BranchState(sign=sign), tau, pp)
         bound = eps * (1 + abs(value))
-    else:  # pragma: no cover - argparse choices guard this
-        raise SystemExit2(f"unknown fn {fn}")
     rec = {"fn": fn, "re": float(value.real), "im": float(value.imag),
            "err_bound": float(bound)}
-    _emit([rec], ["fn", "re", "im", "err_bound"], cfg)
+    _emit([rec], ["fn", "re", "im", "err_bound"], args)
     return 0
 
 
-def cmd_find_tau(args, cfg: RunConfig) -> int:
+def cmd_find_tau(args, pp: PrecisionPolicy) -> int:
     if args.C in (0.0, 1.0):
         sys.stderr.write(f"no zero exists for C = {args.C:g}\n")
         return 4
-    t = solve_tauC(args.C, cfg.pp, verify=True, t_top=cfg.t_top,
-                   cusp_delta=cfg.cusp_delta)
-    residual = abs(eval_fC(args.C, t, cfg.pp))
+    t = solve_tauC(args.C, pp, verify=True, t_top=args.t_top,
+                   cusp_delta=args.cusp_delta)
+    residual = abs(eval_fC(args.C, t, pp))
     rec = {"C": args.C, "re": t.re, "im": t.im, "residual": residual,
            "branch_sign": branch_of(args.C)}
-    _emit([rec], ["C", "re", "im", "residual", "branch_sign"], cfg)
+    _emit([rec], ["C", "re", "im", "residual", "branch_sign"], args)
     return 0
 
 
-def cmd_trace(args, cfg: RunConfig) -> int:
-    samples = trace_curve(args.branch, args.clo, args.chi, args.steps, cfg.pp)
+def cmd_trace(args, pp: PrecisionPolicy) -> int:
+    samples = trace_curve(args.branch, args.clo, args.chi, args.steps, pp)
     records = [{"C": s.C, "re_tau": s.tau.re, "im_tau": s.tau.im,
                 "residual": s.residual, "branch": s.branch} for s in samples]
-    _emit(records, ["C", "re_tau", "im_tau", "residual", "branch"], cfg)
+    _emit(records, ["C", "re_tau", "im_tau", "residual", "branch"], args)
     return 0
 
 
-def cmd_count(args, cfg: RunConfig) -> int:
-    pp = cfg.pp
+def cmd_count(args, pp: PrecisionPolicy) -> int:
     if args.region == "F0":
-        contour = f0_contour(cfg.t_top, cfg.cusp_delta)
+        contour = f0_contour(args.t_top, args.cusp_delta)
     else:
         try:
             re0, re1, im0, im1 = (float(v) for v in args.region.split(","))
         except ValueError:
-            raise SystemExit2(f"region must be F0 or re0,re1,im0,im1, got {args.region!r}")
+            return _usage(f"region must be F0 or re0,re1,im0,im1, got {args.region!r}")
         contour = rect_contour(re0, re1, im0, im1)
-    if args.fn == "fc":
-        if args.C is None:
-            raise SystemExit2("--C is required for --fn fc")
-        f = lambda t: _fc_parts(args.C, t, pp)
-    else:
-        if args.rs is None:
-            raise SystemExit2(f"--rs is required for --fn {args.fn}")
-        parts = _zrs2_parts if args.fn == "zrs2" else _zrs_parts
-        f = lambda t: parts(args.rs, t, pp)
-    n, used = count_zeros_info(f, contour)
+    missing = _missing_flag(args)
+    if missing:
+        return _usage(missing)
+    parts, arg = _COUNT_PARTS[args.fn], getattr(args, _FN_FLAG[args.fn])
+    n, used = count_zeros_info(lambda t: parts(arg, t, pp), contour)
     _emit([{"count": n, "contour_points_used": used}],
-          ["count", "contour_points_used"], cfg)
+          ["count", "contour_points_used"], args)
     return 0
 
 
-def cmd_critical(args, cfg: RunConfig) -> int:
-    pts = critical_points_E2(args.max_c, cfg.pp)
+def cmd_critical(args, pp: PrecisionPolicy) -> int:
+    pts = critical_points_E2(args.max_c, pp)
     records = [{"a": p.gamma.a, "b": p.gamma.b, "c": p.gamma.c, "d": p.gamma.d,
                 "re_tau": p.tau_star.re, "im_tau": p.tau_star.im,
                 "residual_E2prime": p.residual, "residual_scaled": p.scaled_residual}
                for p in pts]
     _emit(records, ["a", "b", "c", "d", "re_tau", "im_tau", "residual_E2prime",
-                    "residual_scaled"], cfg)
+                    "residual_scaled"], args)
     return 0
 
 
-def cmd_verify(args, cfg: RunConfig) -> int:
-    rows, ok = run_suite(args.suite, cfg.pp)
-    if cfg.out_format == "json":
+def cmd_verify(args, pp: PrecisionPolicy) -> int:
+    rows, ok = run_suite(args.suite, pp)
+    if args.format == "json":
         payload = [{"section": sec, "check": r.name, "passed": r.passed,
                     "detail": r.detail} for sec, r in rows]
         text = json.dumps(payload, indent=2) + "\n"
@@ -247,33 +235,27 @@ def cmd_verify(args, cfg: RunConfig) -> int:
             lines.append(f"  [{flag}] {r.name:<{width}}  {r.detail}")
         lines.append("suite result: " + ("PASS" if ok else "FAIL"))
         text = "\n".join(lines) + "\n"
-    _write(text, cfg)
+    _write(text, args)
     if not ok:
         failed = [r.name for _, r in rows if not r.passed]
         sys.stderr.write("failed checks: " + "; ".join(failed) + "\n")
     return 0 if ok else 1
 
 
-class SystemExit2(SystemExit):
-    """Usage error carrying exit code 2."""
-
-    def __init__(self, message: str):
-        sys.stderr.write(message + "\n")
-        super().__init__(2)
-
-
 def _add_common(parser, top: bool) -> None:
     # the same options are accepted before and after the subcommand; the
-    # subparser copies use SUPPRESS so an absent flag keeps the earlier value
-    default = None if top else argparse.SUPPRESS
-    parser.add_argument("--eps", type=float, default=default,
-                        help="absolute tolerance (default 1e-12)")
-    parser.add_argument("--t-top", dest="t_top", type=float, default=default,
-                        help="top edge of the truncated F0 contour (default 6)")
-    parser.add_argument("--cusp-delta", dest="cusp_delta", type=float, default=default,
-                        help="horocircle diameter of the cusp cuts (default 0.08)")
-    parser.add_argument("--format", choices=("csv", "json"), default=default)
-    parser.add_argument("--out", default=default, help="output path (default stdout)")
+    # top-level copies hold the library's defaults, and the subparser copies
+    # use SUPPRESS so an absent flag keeps the earlier value
+    def default(value):
+        return value if top else argparse.SUPPRESS
+    parser.add_argument("--eps", type=float, default=default(DEFAULT.eps),
+                        help=f"absolute tolerance (default {DEFAULT.eps:g})")
+    parser.add_argument("--t-top", dest="t_top", type=float, default=default(F0_TOP),
+                        help=f"top edge of the truncated F0 contour (default {F0_TOP:g})")
+    parser.add_argument("--cusp-delta", dest="cusp_delta", type=float, default=default(F0_CUSP_DELTA),
+                        help=f"horocircle diameter of the cusp cuts (default {F0_CUSP_DELTA:g})")
+    parser.add_argument("--format", choices=("csv", "json"), default=default("csv"))
+    parser.add_argument("--out", default=default(None), help="output path (default stdout)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,23 +335,18 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_attach_negative_values(argv))
     try:
-        cfg = build_config(args)
+        pp = _policy(args)
     except ValueError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
+        return _usage(f"configuration error: {exc}")
     try:
-        return args.handler(args, cfg)
-    except SystemExit2 as exc:
-        return int(exc.code)
+        return args.handler(args, pp)
     except ValueError as exc:
-        sys.stderr.write(f"ValueError: {exc}\n")
-        return 2
+        return _usage(f"ValueError: {exc}")
     except (E2CritError, ArithmeticError) as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 3
     except OSError as exc:
-        sys.stderr.write(f"cannot write output: {exc}\n")
-        return 2
+        return _usage(f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,9 @@ from .premodular import find_zero_in_F0
 from .qseries import _HALF_I_PI, PI, _basic, _derivs, _eta1_g2
 from .zeros import (
     _BRANCH_RANGE,
+    F0_CUSP_DELTA,
+    F0_TOP,
+    NEWTON_TOL,
     BranchState,
     _branch_root,
     _newton,
@@ -278,7 +281,7 @@ def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[Critic
     Each tau(C) is solve_tauC's root, bit for bit (zeros._solve), so a point
     does not depend on the other tiles listed.  Newton on E2' itself, by the
     pair (eta1', eta1''), then places the point from gamma(tau(C)), stopped
-    after a step below 1e-13 |tau|: at c <= 512 its first step is already
+    after a step below NEWTON_TOL |tau|: at c <= 512 its first step is already
     below 4e-16 |tau|.  The raw |E2'| reads eta1' at that point, and the
     raw check |E2'| < 1e-8 at c <= 16 still sits at its rounding floor
     there (about 3e-8 at c = 16, from the pull-back's rounding at low
@@ -286,7 +289,7 @@ def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[Critic
     out: list[CriticalPoint] = []
     for gam in sorted(enumerate_gamma02(max_c), key=lambda g: -g.d / g.c):
         tau_c = _solve(-gam.d / gam.c, pp)[0]
-        point = _newton(lambda t: _eta1_prime_pair(t, pp), gam(tau_c), 1e-13, 60)
+        point = _newton(lambda t: _eta1_prime_pair(t, pp), gam(tau_c), NEWTON_TOL, 60)
         residual = abs(3 / PI**2 * _eta1_prime_pair(point, pp)[0])
         # E2' at gamma(tau) carries the factor (c tau + d)^4 of its value at tau
         scaled = residual / abs(gam.mu(tau_c)) ** 4
@@ -301,7 +304,7 @@ def critical_points_E2(max_c: int, pp: PrecisionPolicy = DEFAULT) -> list[Critic
 
 
 def appendix_tau_s(s: float, pp: PrecisionPolicy = DEFAULT,
-                   t_top: float = 6.0, cusp_delta: float = 0.08) -> TauPoint:
+                   t_top: float = F0_TOP, cusp_delta: float = F0_CUSP_DELTA) -> TauPoint:
     """Unique zero tau_s of Z2_{(2-s)/2, s} in F0 for s in (0, 1/2); it lies
     on the line Re tau = 1/2."""
     if not (0.0 < s < 0.5):

@@ -72,7 +72,8 @@ from .qseries import (
     _pullback,
     _wp_family,
 )
-from .zeros import BOUNDARY_ZERO_TOL, MAX_CONTOUR_POINTS, _winding, f0_contour, newton_refine
+from .zeros import (BOUNDARY_ZERO_TOL, F0_CUSP_DELTA, F0_INTERIOR_TOL, F0_TOP, MAX_CONTOUR_POINTS, NEWTON_TOL,
+                    _winding, f0_contour, newton_refine)
 
 CLASSIFY_TOL = 1e-12
 SMALL_U_FACTOR = 0.15
@@ -372,8 +373,8 @@ _EXPECTED_COUNT = {
 }
 
 
-def find_zero_in_F0(rs, pp: PrecisionPolicy = DEFAULT, t_top: float = 6.0,
-                    cusp_delta: float = 0.08) -> TauPoint | None:
+def find_zero_in_F0(rs, pp: PrecisionPolicy = DEFAULT, t_top: float = F0_TOP,
+                    cusp_delta: float = F0_CUSP_DELTA) -> TauPoint | None:
     """Locate the zero of Z2_{r,s} in F0, or None for triangle-0
     characteristics.  The argument-principle count over the truncated F0 is
     checked against the predicted value in every case; the same walk yields
@@ -390,10 +391,10 @@ def find_zero_in_F0(rs, pp: PrecisionPolicy = DEFAULT, t_top: float = 6.0,
     if expected == 0:
         return None
     try:
-        root = newton_refine(f, seed, tol=1e-13)
+        root = newton_refine(f, seed, tol=NEWTON_TOL)
     except Diverged as exc:
         raise Diverged(f"Newton from the contour seed {seed} failed for Z2_{rs}: {exc}") from exc
-    where = classify_domain(root, tol=1e-9)
+    where = classify_domain(root, tol=F0_INTERIOR_TOL)
     if where is not DomainTag.F0_INTERIOR:
         raise Diverged(f"Newton from the contour seed {seed} reached {root.z} ({where.value}) for Z2_{rs}")
     return root

@@ -35,7 +35,7 @@ from .moebius import (
     reduce_to_F0,
     transform_char,
 )
-from .premodular import _zrs2_parts, blowup_FCs, cusp_value, eval_Zrs, eval_Zrs2
+from .premodular import _EXPECTED_COUNT, _zrs2_parts, blowup_FCs, cusp_value, eval_Zrs, eval_Zrs2
 from .qseries import (
     PI,
     TWO_PI_I,
@@ -223,21 +223,20 @@ def criterion_3(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     """Argument-principle zero counts over the truncated F0, each walk
     gated by the tau-derivative."""
     out = []
-    contour = f0_contour(6.0, 0.08)
+    contour = f0_contour()
     n = count_zeros(lambda t: _zrs2_parts((1 / 3, 1 / 3), t, pp), contour)
     out.append(CheckResult("count Z2_(1/3,1/3) = 0", n == 0, f"count = {n}"))
-    expected = {"T0": 0, "T1": 1, "T2": 1, "T3": 1}
-    for name, want in expected.items():
+    for tag, want in _EXPECTED_COUNT.items():
         counts = [count_zeros(lambda t, rs=rs: _zrs2_parts(rs, t, pp), contour)
-                  for rs in triangle_grid(name)]
+                  for rs in triangle_grid(tag.value)]
         ok = all(c == want for c in counts)
-        out.append(CheckResult(f"grid counts in {name} all {want}", ok, f"{counts}"))
+        out.append(CheckResult(f"grid counts in {tag.value} all {want}", ok, f"{counts}"))
     for C in (-2.0, 0.25, 0.5, 0.75, 2.0):
         n = count_zeros(lambda t: _fc_parts(C, t, pp), contour)
         out.append(CheckResult(f"count f_{C} = 1", n == 1, f"count = {n}"))
-    # f_0 and f_1 vanish at a cusp like exp(-2 pi / delta): the widest
-    # admissible horocircle cut keeps |f| above the boundary-zero floor
-    wide = f0_contour(6.0, 0.2)
+    # f_0 and f_1 vanish at a cusp like exp(-2 pi / delta): a horocircle
+    # cut of diameter 0.2 keeps |f| above the boundary-zero floor
+    wide = f0_contour(cusp_delta=0.2)
     for C in (0.0, 1.0):
         n = count_zeros(lambda t: _fc_parts(C, t, pp), wide)
         out.append(CheckResult(f"count f_{C} = 0", n == 0, f"count = {n}"))
@@ -326,7 +325,7 @@ def criterion_7(pp: PrecisionPolicy = DEFAULT) -> list[CheckResult]:
     dmin = min(abs(p.tau_star.z - q.tau_star.z)
                for i, p in enumerate(pts) for q in pts[i + 1:])
     out.append(CheckResult("points pairwise distinct", dmin > 1e-6, f"min dist {dmin:.3e}"))
-    contour = f0_contour(6.0, 0.08)
+    contour = f0_contour()
     counts = []
     for gam in enumerate_gamma02(8):
         C = -gam.d / gam.c

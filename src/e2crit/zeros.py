@@ -33,6 +33,13 @@ COARSE = 4
 # a polyline of LatticePoints keeps at most this many of its gated walks'
 # bisection midpoints, as LatticePoints (Contour._midpoints)
 MIDPOINTS_KEPT = 512
+# the truncated F0 of f0_contour and of the counts over it, by default
+F0_TOP = 6.0
+F0_CUSP_DELTA = 0.08
+# Newton stops after a step below NEWTON_TOL times the root's size
+NEWTON_TOL = 1e-13
+# a root in F0 must lie this far inside it
+F0_INTERIOR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ def rect_contour(re0: float, re1: float, im0: float, im1: float, n: int = 24) ->
     return Contour(tuple(pts))
 
 
-def f0_contour(t_top: float = 6.0, cusp_delta: float = 0.08) -> Contour:
+def f0_contour(t_top: float = F0_TOP, cusp_delta: float = F0_CUSP_DELTA) -> Contour:
     """Boundary of F0 truncated at Im = t_top, with horocircle cuts of
     Euclidean diameter cusp_delta tangent at the cusps 0 and 1.
 
@@ -122,14 +129,21 @@ def f0_contour(t_top: float = 6.0, cusp_delta: float = 0.08) -> Contour:
     gate requires.  A plain walk evaluates every base point; a gated
     count starts on every COARSE-th (21 of the 82) and evaluates the others
     only where the chord skipping them is rejected."""
-    return _f0_polyline(as_real(t_top, "t_top"), as_real(cusp_delta, "cusp_delta"))
+    return _f0_polyline(*_check_f0(t_top, cusp_delta))
+
+
+def _check_f0(t_top: float, cusp_delta: float) -> tuple[float, float]:
+    """(t_top, cusp_delta) as floats once they bound a truncated F0: finite,
+    t_top >= 3 and cusp_delta in (0, 0.25]; ValueError otherwise."""
+    t_top, cusp_delta = as_real(t_top, "t_top"), as_real(cusp_delta, "cusp_delta")
+    if t_top < 3 or not (0 < cusp_delta <= 0.25):
+        raise ValueError("t_top >= 3 and cusp_delta in (0, 0.25] required")
+    return t_top, cusp_delta
 
 
 @lru_cache(maxsize=F0_KEPT)
 def _f0_polyline(t_top: float, cusp_delta: float) -> Contour:
     """f0_contour's polyline, built of LatticePoints."""
-    if t_top < 3 or not (0 < cusp_delta <= 0.25):
-        raise ValueError("t_top >= 3 and cusp_delta in (0, 0.25] required")
     d = cusp_delta
     pts = []
     # left edge down, log-spaced
@@ -531,10 +545,7 @@ def sqrt_g2_over_12(tau, pp: PrecisionPolicy = DEFAULT, anchor: complex | None =
     is continued down a vertical path from high Im where the branch is fixed
     by sqrt(g2/12) = pi^2/3 + O(q).
     """
-    t = as_tau(tau)
-    if anchor is not None:
-        return _root_near(_eta1_g2(t, pp)[1], anchor, t)
-    return _sqrt_walk(t, pp)[0]
+    return _branch_root(BranchState(anchor=anchor), as_tau(tau), pp)[2]
 
 
 def _sqrt_walk(t: complex, pp: PrecisionPolicy) -> tuple[complex, complex, complex]:
@@ -652,8 +663,8 @@ def _g_parts(C: float, t: complex, pp: PrecisionPolicy) -> tuple[complex, comple
 
 def _newton_g(C: float, seed: complex, pp: PrecisionPolicy) -> complex:
     """tau(C) for C >= 2 by Newton on g from seed, stopped after a step below
-    1e-13 |tau|."""
-    return _newton(lambda t: _g_parts(C, t, pp), seed, 1e-13, 60)
+    NEWTON_TOL |tau|."""
+    return _newton(lambda t: _g_parts(C, t, pp), seed, NEWTON_TOL, 60)
 
 
 @lru_cache(maxsize=64)   # room for the five intervals of a dozen policies
@@ -710,8 +721,8 @@ def _plus_root(C: float, pp: PrecisionPolicy) -> complex:
 def _checked(C: float, t: complex, pp: PrecisionPolicy) -> complex:
     """f_C(t) for a root t of f_C, once t passes solve_tauC's two tests: the
     residual test, else Diverged, which also stands where fc_scale is past
-    the float range; and t inside F0 by more than 1e-9, else DomainEscape
-    naming its DomainTag.
+    the float range; and t inside F0 by more than F0_INTERIOR_TOL, else
+    DomainEscape naming its DomainTag.
 
     The residual test reads |f_C(t)| from one series evaluation and asks
     for at most max(ROOT_RESIDUAL, 1e-13 fc_scale(C, t) + tail): the
@@ -734,8 +745,9 @@ def _checked(C: float, t: complex, pp: PrecisionPolicy) -> complex:
         if not abs(f) <= 1e-13 * scale + tail:
             raise Diverged(f"residual {abs(f):.2e} too large at tau({C})")
     margin = f0_margin(t)
-    if margin <= 1e-9:
-        raise DomainEscape(f"tau({C}) = {t} is not interior to F0 ({domain_tag(margin, 1e-9).value})")
+    if margin <= F0_INTERIOR_TOL:
+        tag = domain_tag(margin, F0_INTERIOR_TOL).value
+        raise DomainEscape(f"tau({C}) = {t} is not interior to F0 ({tag})")
     return f
 
 
@@ -774,7 +786,7 @@ def _solve(C: float, pp: PrecisionPolicy) -> tuple[complex, complex]:
 
 
 def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, *, verify: bool = False,
-               t_top: float = 6.0, cusp_delta: float = 0.08) -> TauPoint:
+               t_top: float = F0_TOP, cusp_delta: float = F0_CUSP_DELTA) -> TauPoint:
     """The unique zero tau(C) of f_C in the interior of F0, C real, not 0 or 1.
 
     Every C takes one path (_solve): C is folded onto C* >= 2, where Newton
@@ -787,11 +799,11 @@ def solve_tauC(C: float, pp: PrecisionPolicy = DEFAULT, *, verify: bool = False,
     the calls made before it.  The root must pass the residual test at C,
     |f_C| <= max(1e-9, 1e-13 fc_scale + tail), tail the truncation error of
     f_C at the policy's eps (_checked), from one more series evaluation,
-    and lie inside F0 by more than 1e-9 (DomainEscape otherwise).  Where
-    fc_scale is past the float range (|C| above about 1e153), or C* is
-    (0 < |C| below about 5.6e-309), Diverged is raised.  With verify=True
-    the result is certified by an argument-principle count over the
-    truncated F0.
+    and lie inside F0 by more than F0_INTERIOR_TOL (DomainEscape
+    otherwise).  Where fc_scale is past the float range (|C| above about
+    1e153), or C* is (0 < |C| below about 5.6e-309), Diverged is raised.
+    With verify=True the result is certified by an argument-principle count
+    over the truncated F0.
     """
     C = as_real(C, "C")
     if C in (0.0, 1.0):

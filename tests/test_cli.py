@@ -9,9 +9,22 @@ from pathlib import Path
 
 import pytest
 
-from e2crit.cli import main, parse_complex
+from e2crit import DEFAULT, f0_contour
+from e2crit.cli import build_parser, main, parse_complex
+from e2crit.zeros import F0_CUSP_DELTA, F0_TOP
+from tests_helpers import F0_SETTINGS
 
 PI = math.pi
+
+# one quick invocation of each subcommand; eval draws no polyline
+SUBCOMMANDS = {
+    "eval": ("eval", "--fn", "eta1", "--tau", "0+1i"),
+    "find-tau": ("find-tau", "--C", "0.5"),
+    "trace": ("trace", "--branch", "zero", "--clo", "0.3", "--chi", "0.4", "--steps", "2"),
+    "count": ("count", "--fn", "fc", "--C", "0.5", "--region", "F0"),
+    "critical": ("critical", "--max-c", "2"),
+    "verify": ("verify", "--suite", "special"),
+}
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +87,16 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--fn", "fc", "--tau", "0.5+1i")
         assert code == 2
         assert "--C" in err
+
+    @pytest.mark.parametrize("command, fn, flag", [
+        ("eval", "wp", "rs"), ("eval", "zeta", "rs"), ("eval", "zrs", "rs"),
+        ("eval", "zrs2", "rs"), ("eval", "fc", "C"), ("eval", "ek", "k"),
+        ("count", "zrs", "rs"), ("count", "zrs2", "rs"), ("count", "fc", "C"),
+    ])
+    def test_missing_flag_message(self, capsys, command, fn, flag):
+        where = ("--tau", "0.5+1i") if command == "eval" else ("--region", "F0")
+        assert run_cli(capsys, command, "--fn", fn, *where) == (
+            2, "", f"--{flag} is required for --fn {fn}\n")
 
     def test_numeric_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--fn", "zrs", "--rs", "0,0",
@@ -233,6 +256,40 @@ class TestConfig:
                                "--fn", "eta1", "--tau", "0+1i")
         assert code == 0
         assert float(out.strip().splitlines()[1].split(",")[3]) == 1e-10
+
+    @pytest.mark.parametrize("t_top, cusp_delta, admitted", F0_SETTINGS)
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_f0_settings_checked_as_f0_contour_checks(self, capsys, command, t_top,
+                                                      cusp_delta, admitted):
+        # every subcommand refuses, before any work, exactly the truncated F0
+        # settings that f0_contour refuses, in the library's words
+        try:
+            f0_contour(t_top, cusp_delta)
+            refusal = None
+        except ValueError as exc:
+            refusal = f"configuration error: {exc}\n"
+        code, out, err = run_cli(capsys, f"--t-top={t_top!r}", f"--cusp-delta={cusp_delta!r}",
+                                 *SUBCOMMANDS[command])
+        if refusal is None:
+            assert code == 0 and out and not err, err
+        else:
+            assert (code, out, err) == (2, "", refusal)
+
+    @pytest.mark.parametrize("flag", ["--t-top=nan", "--cusp-delta=0.26"])
+    def test_f0_settings_after_the_subcommand_checked(self, capsys, flag):
+        code, out, err = run_cli(capsys, "eval", flag, "--fn", "eta1", "--tau", "0+1i")
+        assert code == 2 and out == "" and err.startswith("configuration error:")
+
+    def test_defaults_are_the_library_ones(self, capsys):
+        args = build_parser().parse_args(list(SUBCOMMANDS["eval"]))
+        assert (args.eps, args.t_top, args.cusp_delta) == (DEFAULT.eps, F0_TOP, F0_CUSP_DELTA)
+        for argv in (["--help"], ["count", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            text = " ".join(capsys.readouterr().out.split())
+            for value in (DEFAULT.eps, F0_TOP, F0_CUSP_DELTA):
+                assert f"(default {value:g})" in text, (argv, value)
 
     def test_invalid_eps_rejected(self, capsys):
         code, _, err = run_cli(capsys, "--eps", "0.1", "eval",

@@ -1,6 +1,7 @@
 """Zero counting, Newton refinement, f_C, phi branches and tau(C)."""
 
 import cmath
+import inspect
 import math
 import random
 import re
@@ -16,6 +17,7 @@ from e2crit import (
     Contour,
     Diverged,
     PrecisionPolicy,
+    appendix_tau_s,
     count_zeros,
     count_zeros_info,
     enumerate_gamma02,
@@ -38,7 +40,7 @@ from e2crit.moebius import DomainTag, classify_domain
 from e2crit import qseries, zeros
 from e2crit.premodular import _zrs2_parts
 from e2crit.verify import _TRIANGLE_VERTICES, triangle_grid
-from tests_helpers import BSTAR_CHARS, float_bits
+from tests_helpers import BSTAR_CHARS, F0_SETTINGS, float_bits
 from e2crit.zeros import _fc_parts, _tau_table, _winding
 
 PI = math.pi
@@ -64,8 +66,8 @@ class TestCountZeros:
         assert count_zeros(lambda t: eval_fC(0.5, t), cont) == 1
 
     def test_f0_f1_have_no_zero(self):
-        # f_0 and f_1 decay like exp(-2 pi/delta) at one cusp; the widest
-        # admissible cut keeps them above the boundary floor
+        # f_0 and f_1 decay like exp(-2 pi/delta) at one cusp; a cut of
+        # diameter 0.2 keeps them above the boundary floor
         wide = f0_contour(cusp_delta=0.2)
         assert count_zeros(lambda t: eval_fC(0.0, t), wide) == 0
         assert count_zeros(lambda t: eval_fC(1.0, t), wide) == 0
@@ -104,6 +106,24 @@ class TestCountZeros:
             bounds[i] = bad
             with pytest.raises(ValueError, match=name):
                 rect_contour(*bounds)
+
+    @pytest.mark.parametrize("t_top, cusp_delta, admitted", F0_SETTINGS)
+    def test_f0_settings(self, t_top, cusp_delta, admitted):
+        # the range the CLI checks its flags against (tests/test_cli.py)
+        if not admitted:
+            with pytest.raises(ValueError):
+                f0_contour(t_top, cusp_delta)
+            return
+        points = f0_contour(t_top, cusp_delta).points
+        assert points[0] == complex(0.0, t_top) and abs(points[16] - 1j * cusp_delta) < 1e-15
+
+    def test_f0_defaults_stated_once(self):
+        # every truncated-F0 count defaults to the polyline of zeros' settings
+        assert f0_contour() is f0_contour(zeros.F0_TOP, zeros.F0_CUSP_DELTA)
+        for fn in (f0_contour, solve_tauC, find_zero_in_F0, appendix_tau_s):
+            params = inspect.signature(fn).parameters
+            assert params["t_top"].default == zeros.F0_TOP, fn
+            assert params["cusp_delta"].default == zeros.F0_CUSP_DELTA, fn
 
     @pytest.mark.parametrize("bad", [complex(0.5, math.nan), complex(math.inf, 1.0),
                                      complex(0.5, math.inf)])
